@@ -2,22 +2,13 @@
 """Benchmark the three allocation policies in one star cell.
 
 Runs classical-uniform against both entangled-game regimes on a shared
-primary-occupancy sequence and writes the summary JSON next to a per-slot
-CSV (same formats as `qmg mac`).
+primary-occupancy sequence, prints a metrics table, and writes the summary
+JSON and per-slot CSV exactly as `qmg mac` does for the same cell.
 """
 
 import argparse
-import dataclasses
-import json
-from pathlib import Path
 
-from qmg.mac import (
-    POLICY_KINDS,
-    AllocatorPolicy,
-    CellConfig,
-    SLOT_CSV_HEADER,
-    compare_policies,
-)
+from qmg.mac import POLICY_KINDS, AllocatorPolicy, CellConfig, compare_policies
 
 
 def main() -> None:
@@ -40,22 +31,11 @@ def main() -> None:
         print(f"{run.policy.kind:>26} {m.throughput:>11.4f} {m.collision_rate:>11.4f} "
               f"{m.all_distinct_rate:>13.6f} {m.all_same_rate:>10.6f} {m.energy_proxy:>8.3f}")
     for kind, ratio in comparison.all_distinct_ratios().items():
-        print(f"all-distinct ratio {kind}/classical-uniform: {ratio:.4f}")
+        shown = "n/a" if ratio is None else f"{ratio:.4f}"
+        print(f"all-distinct ratio {kind}/classical-uniform: {shown}")
 
-    prefix = Path(args.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    summary = {
-        "config": dataclasses.asdict(config),
-        "policies": [{"policy": run.policy.kind, "metrics": run.metrics.to_dict()}
-                     for run in comparison.runs],
-        "all_distinct_ratios": comparison.all_distinct_ratios(),
-    }
-    Path(f"{prefix}.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    with open(Path(f"{prefix}.csv"), "w", newline="\n") as fh:
-        fh.write(SLOT_CSV_HEADER + "\n")
-        for run in comparison.runs:
-            run.log.write_csv(fh, run.policy.kind, header=False)
-    print(f"wrote {prefix}.json and {prefix}.csv")
+    comparison.write(args.out_prefix)
+    print(f"wrote {args.out_prefix}.json and {args.out_prefix}.csv")
 
 
 if __name__ == "__main__":

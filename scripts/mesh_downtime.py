@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Downtime and energy comparison: star cell vs mesh arbitration rounds.
+"""All-same rate and energy comparison: star cell vs mesh arbitration rounds.
 
-Sensor-network angle: the avoid-worst regime removes the all-users-on-one-
-channel event entirely, so the network never goes a slot without at least
-one delivery; in a mesh every node pays an extra arbitration charge per
-round, which makes the collision savings show up directly in the
-energy-per-delivery proxy.
+Sensor-network angle: the avoid-worst regime removes the event in which
+every player of a game lands on one channel, so its all-same rate is 0.
+That is not zero downtime: a slot whose channels are all occupied delivers
+nothing, and players can still collide in smaller groups with nobody alone
+on a channel (a full n=5 game does so with probability 0.080).  In a mesh
+every node pays an extra arbitration charge per round, which makes the
+collision savings show up directly in the energy-per-delivery proxy.
 """
 
 import argparse
@@ -35,7 +37,7 @@ def main() -> None:
                       slots=args.slots, seed=args.seed)
     mesh = dataclasses.replace(star, topology="mesh-rounds", mesh_degree=args.degree)
 
-    print(f"{'topology':>8} {'policy':>22} {'downtime':>10} {'throughput':>11} {'energy':>8}")
+    print(f"{'topology':>8} {'policy':>22} {'all-same':>10} {'throughput':>11} {'energy':>8}")
     for kind in (CLASSICAL_UNIFORM, QUANTUM_AVOID_WORST):
         policy = AllocatorPolicy(kind)
         star_metrics, _ = run_cell(star, policy)

@@ -43,11 +43,6 @@ WIDTH_CAP = 24
 AUDIT_TOL = 1e-10
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
-R_MATRIX = np.array([[_SQRT1_2, _SQRT1_2], [-_SQRT1_2, _SQRT1_2]], dtype=np.complex128)
-H_MATRIX = np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], dtype=np.complex128)
-X_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-
-_MATRICES = {"r": R_MATRIX, "h": H_MATRIX, "x": X_MATRIX}
 GATE_KINDS = ("r", "h", "x", "phase")
 
 
@@ -173,55 +168,13 @@ def _validate_gate(gate: Gate, width: int) -> None:
         raise CircuitValidationError(f"non-finite phase angle {gate.angle}")
 
 
-def _slicer(width: int, controls, target: int | None = None, bit: int | None = None) -> tuple:
-    index: list = [slice(None)] * width
-    for q, b in controls:
-        index[q] = b
-    if target is not None:
-        index[target] = bit
-    return tuple(index)
-
-
-def _leading_control_block(flat: np.ndarray, width: int, controls) -> np.ndarray | None:
-    """Contiguous view of the control-selected sub-block, when the controls
-    occupy exactly the leading (most significant) qubits; None otherwise."""
-    if sorted(q for q, _ in controls) != list(range(len(controls))):
-        return None
-    offset = 0
-    for _, bit in sorted(controls):
-        offset = (offset << 1) | bit
-    size = 1 << (width - len(controls))
-    return flat[offset * size:(offset + 1) * size]
-
-
-def _apply_in_block(block: np.ndarray, target: int, kind: str) -> None:
-    """Single-qubit gate on a contiguous block, target indexed within it."""
-    view = block.reshape(1 << target, 2, -1)
-    v0, v1 = view[:, 0, :], view[:, 1, :]
-    if kind == "x":
-        swap = v0.copy()
-        v0[...] = v1
-        v1[...] = swap
-    else:
-        # h rows are (1,1)s and (1,-1)s; r rows are (1,1)s and (-1,1)s
-        diff = (v0 - v1) if kind == "h" else (v1 - v0)
-        np.add(v0, v1, out=v0)
-        v0 *= _SQRT1_2
-        diff *= _SQRT1_2
-        v1[...] = diff
-
-
-def _apply_xor_in_block(block: np.ndarray, sub_width: int, mask: int) -> None:
-    """Permute block indices by XOR with ``mask`` (a run of X gates fused
-    into one exact relocation; no arithmetic touches the amplitudes)."""
-    view = block.reshape((2,) * sub_width)
-    flipped = tuple(slice(None, None, -1) if (mask >> (sub_width - 1 - q)) & 1 else slice(None)
-                    for q in range(sub_width))
-    view[...] = view[flipped].copy()
-
-
 def run_circuit(gates: list[Gate], width: int) -> QubitRegister:
-    """Apply the gates left to right to |0...0> and return the register."""
+    """Apply the gates left to right to |0...0> and return the register.
+
+    Each gate acts on the view of the (2,)*width amplitude tensor that its
+    controls select.  The trailing ``...`` in every index keeps that view
+    writable even when the controls fix every axis it indexes.
+    """
     if width < 1:
         raise CircuitValidationError(f"register width must be positive, got {width}")
     if width > WIDTH_CAP:
@@ -234,44 +187,35 @@ def run_circuit(gates: list[Gate], width: int) -> QubitRegister:
     i = 0
     while i < len(gates):
         gate = gates[i]
-        block = _leading_control_block(amplitudes, width, gate.controls)
-        if gate.kind == "x" and block is not None:
-            # fuse a run of X gates sharing one control pattern into a single
-            # XOR relocation of the block (identical result, bit for bit)
-            sub_width = width - len(gate.controls)
-            mask = 0
-            while i < len(gates) and gates[i].kind == "x" and gates[i].controls == gate.controls:
-                mask ^= 1 << (sub_width - 1 - (gates[i].targets[0] - len(gate.controls)))
-                i += 1
-            if mask:
-                _apply_xor_in_block(block, sub_width, mask)
-            continue
         i += 1
-        if gate.kind == "phase":
-            if gate.angle == 0.0:
-                continue
-            factor = cmath.exp(1j * gate.angle)
-            if block is not None:
-                block *= factor
-            else:
-                psi[_slicer(width, gate.controls)] *= factor
-            continue
-        (target,) = gate.targets
-        if block is not None:
-            _apply_in_block(block, target - len(gate.controls), gate.kind)
-            continue
-        i0 = _slicer(width, gate.controls, target, 0)
-        i1 = _slicer(width, gate.controls, target, 1)
+        index: list = [slice(None)] * width
+        for q, bit in gate.controls:
+            index[q] = bit
         if gate.kind == "x":
-            swap = psi[i0].copy()
-            psi[i0] = psi[i1]
-            psi[i1] = swap
+            # fuse a run of X gates sharing one control pattern into a single
+            # exact relocation: flipping a qubit reverses its axis
+            flips = {gate.targets[0]}
+            while i < len(gates) and gates[i].kind == "x" and gates[i].controls == gate.controls:
+                flips ^= set(gates[i].targets)
+                i += 1
+            flipped = [slice(None, None, -1) if q in flips else index[q] for q in range(width)]
+            psi[(*index, ...)] = psi[(*flipped, ...)].copy()
+        elif gate.kind == "phase":
+            if gate.angle != 0.0:
+                psi[(*index, ...)] *= cmath.exp(1j * gate.angle)
         else:
-            m = _MATRICES[gate.kind]
-            a0 = psi[i0].copy()
-            a1 = psi[i1].copy()
-            psi[i0] = m[0, 0] * a0 + m[0, 1] * a1
-            psi[i1] = m[1, 0] * a0 + m[1, 1] * a1
+            (target,) = gate.targets
+            index[target] = 0
+            v0 = psi[(*index, ...)]
+            index[target] = 1
+            v1 = psi[(*index, ...)]
+            # h rows are (1,1)s and (1,-1)s; r rows are (1,1)s and (-1,1)s
+            diff = (v0 - v1) if gate.kind == "h" else (v1 - v0)
+            np.add(v0, v1, out=v0)
+            v0 *= _SQRT1_2
+            diff *= _SQRT1_2
+            v1[...] = diff
+            del diff  # free the half-register temporary before the next gate
     return QubitRegister(width, amplitudes)
 
 

@@ -36,13 +36,7 @@ from .game import (
     phase_for_regime,
     strategy_matrix,
 )
-from .mac import (
-    ConfigFormatError,
-    compare_policies,
-    load_run_spec,
-    SLOT_CSV_HEADER,
-    TOPOLOGY_MESH,
-)
+from .mac import ConfigFormatError, compare_policies, load_run_spec
 from .qudit import (
     SITE_CAP,
     ResourceLimitError,
@@ -226,25 +220,7 @@ def cmd_mac(parser: argparse.ArgumentParser, args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     comparison = compare_policies(config, policies)
-
-    summary = {
-        "config": dataclasses.asdict(config),
-        "policies": [
-            {"policy": run.policy.kind, "metrics": run.metrics.to_dict()}
-            for run in comparison.runs
-        ],
-        "all_distinct_ratios": comparison.all_distinct_ratios(),
-    }
-    prefix = Path(args.out)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    summary_path = Path(f"{prefix}.json")
-    summary_path.write_text(_json_text(summary), encoding="utf-8", newline="\n")
-    slots_path = Path(f"{prefix}.csv")
-    if config.topology != TOPOLOGY_MESH:
-        with open(slots_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(SLOT_CSV_HEADER + "\n")
-            for run in comparison.runs:
-                run.log.write_csv(fh, run.policy.kind, header=False)
+    summary_path = comparison.write(args.out)
     for kind, ratio in comparison.all_distinct_ratios().items():
         shown = "n/a" if ratio is None else f"{ratio:.4f}"
         print(f"all-distinct ratio {kind}/classical-uniform: {shown}")

@@ -18,8 +18,10 @@ listed twice in a comparison reproduces itself exactly.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from pathlib import Path
 from typing import IO, Iterator, Sequence
 
 import numpy as np
@@ -51,12 +53,12 @@ class EmptyRunError(ValueError):
     """A simulation over zero slots was requested."""
 
 
-class InvalidTopologyError(ValueError):
-    """Topology parameters are inconsistent with the cell size."""
-
-
 class ConfigFormatError(ValueError):
     """A run-spec document does not describe a valid cell configuration."""
+
+
+class InvalidTopologyError(ConfigFormatError):
+    """Topology parameters are inconsistent with the cell size."""
 
 
 @dataclass(frozen=True)
@@ -119,6 +121,11 @@ class CellConfig:
             raise ConfigFormatError(f"unknown topology {self.topology!r}")
         if self.tx_cost < 0 or self.arbitration_cost < 0:
             raise ConfigFormatError("costs must be non-negative")
+        if self.mesh_degree is not None and not 1 <= self.mesh_degree <= self.n_users - 1:
+            raise InvalidTopologyError(
+                f"ring degree must lie in [1, {self.n_users - 1}], got {self.mesh_degree}")
+        if self.mesh_rounds is not None and self.mesh_rounds < 1:
+            raise InvalidTopologyError(f"need at least one arbitration round, got {self.mesh_rounds}")
 
 
 @dataclass(frozen=True)
@@ -220,18 +227,80 @@ def _score_rows(channels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return alone, successes, all_same
 
 
-def _aggregate(config: CellConfig, slot_successes: np.ndarray, total_colliders: int,
-               total_attempts: int, all_distinct: np.ndarray, all_same: np.ndarray,
-               arbitrations: int) -> MacMetrics:
-    total_successes = int(slot_successes.sum())
+def _run_slots(config: CellConfig, policy: AllocatorPolicy, group: int, rounds: int,
+               arbitrations: int) -> tuple[MacMetrics, SlotLog | None]:
+    """The slot engine behind both topologies.
+
+    Per slot, primary occupancy, then ``rounds`` arbitration rounds.  The
+    arbiter of round r is node r mod n and serves itself plus the next
+    group - 1 ring nodes; each round plays a square game of size
+    min(group, free): surplus participants defer and surplus free channels
+    go unused that round, both chosen at random from the environment
+    stream.  Energy charges ``tx_cost`` per attempt plus ``arbitrations``
+    times ``arbitration_cost``.  The per-slot log is kept for single-round
+    runs only, where each user transmits at most once per slot.
+    """
+    if config.slots == 0:
+        raise EmptyRunError("cannot simulate zero slots")
+    n = config.n_users
+    env = _stream(config.seed, _ENV_STREAM)
+    alloc = _stream(config.seed, _ALLOC_STREAM, POLICY_KINDS.index(policy.kind))
+    slots = config.slots
+
+    occupied = env.random((slots, n)) < config.primary_activity
+    free_mask = ~occupied
+    free_counts = free_mask.sum(axis=1)
+
+    assignment = np.full((slots, n), -1, dtype=np.int8) if rounds == 1 else None
+    successes = np.zeros(slots, dtype=np.int32)
+    colliders = np.zeros(slots, dtype=np.int32)
+    all_same = np.zeros(slots, dtype=bool)
+    # bit u set once user u was alone on its channel in some round of the slot
+    delivered = np.zeros(slots, dtype=np.int32)
+
+    for r in range(rounds):
+        members = (r % n + np.arange(group, dtype=np.int32)) % n
+        member_priority = env.random((slots, group))
+        # read only when a round has fewer players than free channels
+        channel_priority = env.random((slots, n)) if group < n else None
+        for f in range(1, n + 1):
+            rows = np.nonzero(free_counts == f)[0]
+            if rows.size == 0:
+                continue
+            count = rows.size
+            size = min(group, f)
+            pool = np.nonzero(free_mask[rows])[1].reshape(count, f)
+            if size < f:
+                priority = np.take_along_axis(channel_priority[rows], pool, axis=1)
+                picks = np.argsort(priority, axis=1, kind="stable")[:, :size]
+                pool = np.take_along_axis(pool, picks, axis=1)
+            if size < group:
+                picks = np.argsort(member_priority[rows], axis=1, kind="stable")[:, :size]
+                players = members[picks]
+            else:
+                players = np.broadcast_to(members, (count, size))
+            channels = np.take_along_axis(pool, _game_digits(policy, size, count, alloc), axis=1)
+            if assignment is not None:
+                assignment[rows[:, None], players] = channels
+            alone, round_succ, round_same = _score_rows(channels)
+            successes[rows] += round_succ
+            colliders[rows] += size - round_succ
+            all_same[rows] |= round_same
+            delivered[rows] |= (alone.astype(np.int32) << players).sum(axis=1, dtype=np.int32)
+
+    total_successes = int(successes.sum())
+    total_colliders = int(colliders.sum())
+    total_attempts = total_successes + total_colliders
     energy_spent = total_attempts * config.tx_cost + arbitrations * config.arbitration_cost
-    return MacMetrics(
-        throughput=total_successes / config.slots,
+    metrics = MacMetrics(
+        throughput=total_successes / slots,
         collision_rate=(total_colliders / total_attempts) if total_attempts else 0.0,
-        all_distinct_rate=float(np.mean(all_distinct)),
+        all_distinct_rate=float(np.mean(delivered == (1 << n) - 1)),
         all_same_rate=float(np.mean(all_same)),
         energy_proxy=(energy_spent / total_successes) if total_successes else math.inf,
     )
+    log = None if assignment is None else SlotLog(free_mask, assignment, successes, colliders, all_same)
+    return metrics, log
 
 
 def run_cell(config: CellConfig, policy: AllocatorPolicy) -> tuple[MacMetrics, SlotLog]:
@@ -240,132 +309,29 @@ def run_cell(config: CellConfig, policy: AllocatorPolicy) -> tuple[MacMetrics, S
 
     When f < n channels are free, the arbiter picks f users at random
     (environment stream, so every policy sees the same player subsets) to
-    play the f-channel game; the rest defer.  Fully deterministic given
-    the config.
+    play the f-channel game; the rest defer.  This is the one-round mesh
+    whose arbiter serves all n users and charges no arbitration.  Fully
+    deterministic given the config.
     """
-    if config.slots == 0:
-        raise EmptyRunError("cannot simulate zero slots")
-    n = config.n_users
-    env = _stream(config.seed, _ENV_STREAM)
-    alloc = _stream(config.seed, _ALLOC_STREAM, POLICY_KINDS.index(policy.kind))
-    slots = config.slots
-
-    occupied = env.random((slots, n)) < config.primary_activity
-    defer_priority = env.random((slots, n))
-    free_mask = ~occupied
-    free_counts = free_mask.sum(axis=1)
-
-    assignment = np.full((slots, n), -1, dtype=np.int8)
-    successes = np.zeros(slots, dtype=np.int32)
-    colliders = np.zeros(slots, dtype=np.int32)
-    all_same = np.zeros(slots, dtype=bool)
-
-    for f in range(1, n + 1):
-        rows = np.nonzero(free_counts == f)[0]
-        if rows.size == 0:
-            continue
-        count = rows.size
-        free_ids = np.nonzero(free_mask[rows])[1].reshape(count, f)
-        if f < n:
-            players = np.argsort(defer_priority[rows], axis=1, kind="stable")[:, :f]
-        else:
-            players = np.tile(np.arange(n), (count, 1))
-        digits = _game_digits(policy, f, count, alloc)
-        channels = np.take_along_axis(free_ids, digits, axis=1)
-        assignment[rows[:, None], players] = channels.astype(np.int8)
-        _, slot_succ, slot_same = _score_rows(channels)
-        successes[rows] = slot_succ
-        colliders[rows] = f - slot_succ
-        all_same[rows] = slot_same
-
-    metrics = _aggregate(
-        config,
-        slot_successes=successes,
-        total_colliders=int(colliders.sum()),
-        total_attempts=int(free_counts.sum()),
-        all_distinct=(successes == n),
-        all_same=all_same,
-        arbitrations=0,
-    )
-    return metrics, SlotLog(free_mask, assignment, successes, colliders, all_same)
+    return _run_slots(config, policy, group=config.n_users, rounds=1, arbitrations=0)
 
 
 def run_mesh_rounds(config: CellConfig, policy: AllocatorPolicy) -> MacMetrics:
     """Mesh variant: per slot, one arbitration round per arbiter node.
 
     Arbiter of round r is node r mod n; it serves itself plus its next
-    ``mesh_degree`` ring neighbors.  Each round plays a square game of size
-    min(degree+1, free): surplus participants defer, surplus free channels
-    go unused that round (both chosen at random from the environment
-    stream).  Energy additionally charges one arbitration per round.
+    ``mesh_degree`` ring neighbors (default: all other nodes) for
+    ``mesh_rounds`` rounds (default: n).  Energy additionally charges one
+    arbitration per round.
     """
     if config.topology != TOPOLOGY_MESH:
         raise InvalidTopologyError(f"run_mesh_rounds needs topology={TOPOLOGY_MESH!r}, got {config.topology!r}")
-    if config.slots == 0:
-        raise EmptyRunError("cannot simulate zero slots")
     n = config.n_users
     degree = config.mesh_degree if config.mesh_degree is not None else n - 1
-    if not 1 <= degree <= n - 1:
-        raise InvalidTopologyError(f"ring degree must lie in [1, {n - 1}], got {degree}")
     rounds = config.mesh_rounds if config.mesh_rounds is not None else n
-    if rounds < 1:
-        raise InvalidTopologyError(f"need at least one arbitration round, got {rounds}")
-
-    env = _stream(config.seed, _ENV_STREAM)
-    alloc = _stream(config.seed, _ALLOC_STREAM, POLICY_KINDS.index(policy.kind))
-    slots = config.slots
-    group = degree + 1
-
-    occupied = env.random((slots, n)) < config.primary_activity
-    free_mask = ~occupied
-    free_counts = free_mask.sum(axis=1)
-
-    slot_successes = np.zeros(slots, dtype=np.int32)
-    user_success = np.zeros((slots, n), dtype=bool)
-    all_same = np.zeros(slots, dtype=bool)
-    total_colliders = 0
-    total_attempts = 0
-
-    for r in range(rounds):
-        members = (r % n + np.arange(group)) % n
-        member_priority = env.random((slots, group))
-        channel_priority = env.random((slots, n))
-        for f in range(1, n + 1):
-            rows = np.nonzero(free_counts == f)[0]
-            if rows.size == 0:
-                continue
-            count = rows.size
-            size = min(group, f)
-            free_ids = np.nonzero(free_mask[rows])[1].reshape(count, f)
-            if size < f:
-                priority = np.take_along_axis(channel_priority[rows], free_ids, axis=1)
-                picks = np.argsort(priority, axis=1, kind="stable")[:, :size]
-                pool = np.take_along_axis(free_ids, picks, axis=1)
-            else:
-                pool = free_ids
-            if size < group:
-                picks = np.argsort(member_priority[rows], axis=1, kind="stable")[:, :size]
-                players = members[picks]
-            else:
-                players = np.tile(members, (count, 1))
-            digits = _game_digits(policy, size, count, alloc)
-            channels = np.take_along_axis(pool, digits, axis=1)
-            alone, round_succ, round_same = _score_rows(channels)
-            slot_successes[rows] += round_succ.astype(np.int32)
-            total_colliders += int((size - round_succ).sum())
-            total_attempts += count * size
-            all_same[rows] |= round_same
-            user_success[rows[:, None], players] |= alone
-
-    return _aggregate(
-        config,
-        slot_successes=slot_successes,
-        total_colliders=total_colliders,
-        total_attempts=total_attempts,
-        all_distinct=user_success.all(axis=1),
-        all_same=all_same,
-        arbitrations=rounds * slots,
-    )
+    metrics, _ = _run_slots(config, policy, group=degree + 1, rounds=rounds,
+                            arbitrations=rounds * config.slots)
+    return metrics
 
 
 @dataclass(frozen=True)
@@ -397,6 +363,31 @@ class PolicyComparison:
                 ratios[run.policy.kind] = None
         return ratios
 
+    def to_dict(self) -> dict:
+        """The summary document: config, per-policy metrics and ratios."""
+        return {
+            "config": asdict(self.config),
+            "policies": [{"policy": run.policy.kind, "metrics": run.metrics.to_dict()}
+                         for run in self.runs],
+            "all_distinct_ratios": self.all_distinct_ratios(),
+        }
+
+    def write(self, prefix: str | Path) -> Path:
+        """Write the summary to ``<prefix>.json`` and, for star runs, the
+        per-slot rows of every policy to ``<prefix>.csv``; returns the
+        summary path."""
+        prefix = Path(prefix)
+        prefix.parent.mkdir(parents=True, exist_ok=True)
+        summary_path = Path(f"{prefix}.json")
+        summary_path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
+                                encoding="utf-8", newline="\n")
+        if self.config.topology != TOPOLOGY_MESH:
+            with open(f"{prefix}.csv", "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(SLOT_CSV_HEADER + "\n")
+                for run in self.runs:
+                    run.log.write_csv(fh, run.policy.kind, header=False)
+        return summary_path
+
 
 def compare_policies(config: CellConfig, policies: Sequence[AllocatorPolicy]) -> PolicyComparison:
     """Run every policy against the same primary-user occupancy sequence.
@@ -424,8 +415,8 @@ _OPTIONAL_FIELDS = ("topology", "mesh_degree", "mesh_rounds", "tx_cost", "arbitr
 def load_run_spec(document: dict) -> tuple[CellConfig, list[AllocatorPolicy]]:
     """Build (CellConfig, policies) from a plain JSON-style dict.
 
-    Field names mirror :class:`CellConfig` exactly, plus a non-empty
-    ``policies`` list of policy kind names.  Unknown or missing fields
+    Field names mirror :class:`CellConfig` exactly, plus a ``policies``
+    list of at least two policy kind names.  Unknown or missing fields
     raise :class:`ConfigFormatError` naming the offender.
     """
     if not isinstance(document, dict):
@@ -439,8 +430,8 @@ def load_run_spec(document: dict) -> tuple[CellConfig, list[AllocatorPolicy]]:
     if "policies" not in document:
         raise ConfigFormatError("missing field(s): policies")
     kinds = document["policies"]
-    if not isinstance(kinds, list) or not kinds:
-        raise ConfigFormatError("policies must be a non-empty list of policy kind names")
+    if not isinstance(kinds, list) or len(kinds) < 2:
+        raise ConfigFormatError("policies must be a list of at least two policy kind names")
     try:
         policies = [AllocatorPolicy(kind) for kind in kinds]
     except ValueError as exc:

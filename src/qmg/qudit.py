@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -53,17 +53,9 @@ def tuple_to_index(n: int, outcome: Iterable[int]) -> int:
     return index
 
 
-def index_to_tuple(n: int, index: int) -> AssignmentTuple:
-    """Inverse of :func:`tuple_to_index`."""
-    digits = []
-    for _ in range(n):
-        index, d = divmod(index, n)
-        digits.append(d)
-    return tuple(reversed(digits))
-
-
 def indices_to_tuples(n: int, indices: np.ndarray) -> np.ndarray:
-    """Vectorized base-n digit expansion, one row per index."""
+    """Inverse of :func:`tuple_to_index`, vectorized: one row of base-n
+    digits per index."""
     out = np.empty((len(indices), n), dtype=np.int64)
     rest = np.asarray(indices, dtype=np.int64)
     for j in range(n - 1, -1, -1):
@@ -106,11 +98,16 @@ def apply_local_strategy(state: QuditState, matrix: np.ndarray,
     return QuditState(n, np.ascontiguousarray(psi).reshape(-1))
 
 
+def _tuples(n: int, indices: np.ndarray) -> Iterator[AssignmentTuple]:
+    """Assignment tuples of Python ints, one per flat index."""
+    return zip(*indices_to_tuples(n, indices).T.tolist())
+
+
 def distribution(state: QuditState) -> dict[AssignmentTuple, float]:
     """Measurement probabilities |amplitude|^2; entries below 1e-15 omitted."""
     probs = np.abs(state.amplitudes) ** 2
     keep = np.nonzero(probs > PROB_FLOOR)[0]
-    return {index_to_tuple(state.n, int(i)): float(probs[i]) for i in keep}
+    return dict(zip(_tuples(state.n, keep), probs[keep].tolist()))
 
 
 def _checked_probs(state: QuditState) -> np.ndarray:
@@ -121,25 +118,25 @@ def _checked_probs(state: QuditState) -> np.ndarray:
     return probs
 
 
-def measure(state: QuditState, rng: np.random.Generator) -> AssignmentTuple:
-    """Sample one assignment from the state; deterministic given the seed."""
+def _draw(state: QuditState, rng: np.random.Generator, shots: int) -> np.ndarray:
+    """Flat indices of ``shots`` independent measurements of the state."""
     probs = _checked_probs(state)
     cumulative = np.cumsum(probs)
-    index = int(np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right"))
-    return index_to_tuple(state.n, min(index, probs.size - 1))
+    draws = np.searchsorted(cumulative, rng.random(shots) * cumulative[-1], side="right")
+    return np.minimum(draws, probs.size - 1)
+
+
+def measure(state: QuditState, rng: np.random.Generator) -> AssignmentTuple:
+    """Sample one assignment from the state; deterministic given the seed."""
+    (outcome,) = _tuples(state.n, _draw(state, rng, 1))
+    return outcome
 
 
 def sample_counts(state: QuditState, rng: np.random.Generator,
                   shots: int) -> dict[AssignmentTuple, int]:
     """Histogram of ``shots`` independent measurements of the same state."""
-    probs = _checked_probs(state)
-    if shots == 0:
-        return {}
-    cumulative = np.cumsum(probs)
-    draws = np.searchsorted(cumulative, rng.random(shots) * cumulative[-1], side="right")
-    draws = np.minimum(draws, probs.size - 1)
-    values, counts = np.unique(draws, return_counts=True)
-    return {index_to_tuple(state.n, int(v)): int(c) for v, c in zip(values, counts)}
+    values, counts = np.unique(_draw(state, rng, shots), return_counts=True)
+    return dict(zip(_tuples(state.n, values), counts.tolist()))
 
 
 def dump_nonzero(state: QuditState, stream: IO[str]) -> int:

@@ -83,16 +83,28 @@ def test_width_cap():
 
 @st.composite
 def random_gate_lists(draw, width=4, max_gates=12):
+    """Gates of every kind with controls on any qubits; a phase gate may
+    control every qubit, and an X gate often reuses the previous gate's
+    controls so that runs of X gates share one control pattern."""
     gates = []
     for _ in range(draw(st.integers(1, max_gates))):
         kind = draw(st.sampled_from(("h", "r", "x", "phase")))
         qubits = draw(st.permutations(range(width)))
+        if kind == "phase":
+            n_controls = draw(st.integers(0, width))
+            controls = tuple((q, draw(st.integers(0, 1))) for q in qubits[:n_controls])
+            gates.append(Gate(kind, controls=controls, angle=draw(st.floats(-10, 10))))
+            continue
         n_controls = draw(st.integers(0, width - 1))
         controls = tuple((q, draw(st.integers(0, 1))) for q in qubits[:n_controls])
-        if kind == "phase":
-            gates.append(Gate(kind, controls=controls, angle=draw(st.floats(-10, 10))))
-        else:
-            gates.append(Gate(kind, targets=(qubits[-1],), controls=controls))
+        target = qubits[-1]
+        if kind == "x" and gates and draw(st.booleans()):
+            controls = gates[-1].controls
+            free = [q for q in range(width) if q not in {c for c, _ in controls}]
+            if not free:
+                continue
+            target = draw(st.sampled_from(free))
+        gates.append(Gate(kind, targets=(target,), controls=controls))
     return gates
 
 
@@ -101,6 +113,44 @@ def random_gate_lists(draw, width=4, max_gates=12):
 def test_random_circuits_preserve_norm(gates):
     reg = run_circuit(gates, 4)
     assert abs(reg.norm() - 1.0) < 1e-12
+
+
+R_MATRIX = np.array([[SQRT1_2, SQRT1_2], [-SQRT1_2, SQRT1_2]], dtype=np.complex128)
+H_MATRIX = np.array([[SQRT1_2, SQRT1_2], [SQRT1_2, -SQRT1_2]], dtype=np.complex128)
+X_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+MATRICES = {"r": R_MATRIX, "h": H_MATRIX, "x": X_MATRIX}
+
+
+def dense_operator(gate, width):
+    """The gate as an explicit 2**width x 2**width matrix (qubit 0 is the
+    most significant bit of the basis index)."""
+    dim = 2**width
+    op = np.eye(dim, dtype=np.complex128)
+    for col in range(dim):
+        bits = [(col >> (width - 1 - q)) & 1 for q in range(width)]
+        if any(bits[q] != bit for q, bit in gate.controls):
+            continue
+        if gate.kind == "phase":
+            op[col, col] = np.exp(1j * gate.angle)
+            continue
+        (target,) = gate.targets
+        shift = width - 1 - target
+        op[col, col] = 0.0
+        for out_bit in (0, 1):
+            row = (col & ~(1 << shift)) | (out_bit << shift)
+            op[row, col] = MATRICES[gate.kind][out_bit, bits[target]]
+    return op
+
+
+@given(data=st.data(), width=st.integers(1, 5))
+@settings(max_examples=120, deadline=None)
+def test_random_circuits_match_dense_operators(data, width):
+    gates = data.draw(random_gate_lists(width=width))
+    expected = np.zeros(2**width, dtype=np.complex128)
+    expected[0] = 1.0
+    for gate in gates:
+        expected = dense_operator(gate, width) @ expected
+    assert np.max(np.abs(run_circuit(gates, width).amplitudes - expected)) < 1e-12
 
 
 # --- bit packing ------------------------------------------------------------

@@ -228,6 +228,19 @@ def test_mac_malformed_json(tmp_path, capsys):
     assert ":1:" in err
 
 
+@pytest.mark.parametrize("overrides, message", (
+    ({"policies": ["quantum-avoid-worst"]}, "at least two"),
+    ({"topology": "mesh-rounds", "mesh_degree": 7}, "ring degree"),
+    ({"topology": "mesh-rounds", "mesh_rounds": 0}, "arbitration round"),
+))
+def test_mac_invalid_spec_exit_code(tmp_path, capsys, overrides, message):
+    spec = run_spec_file(tmp_path, **overrides)
+    assert cli.main(["mac", str(spec), "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not (tmp_path / "run.json").exists()
+
+
 def test_mac_unknown_field(tmp_path, capsys):
     spec = run_spec_file(tmp_path)
     document = json.loads(spec.read_text())
