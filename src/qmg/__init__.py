@@ -15,7 +15,6 @@ from .game import (
     outcome_amplitude_closed_form,
     phase_for_regime,
     root_of_unity,
-    sample_outcome,
     sample_outcomes,
     strategy_matrix,
 )
@@ -24,8 +23,6 @@ from .qudit import (
     ResourceLimitError,
     StateIntegrityError,
     apply_local_strategy,
-    distribution,
-    measure,
     prepare_entangled,
     sample_counts,
 )
@@ -45,7 +42,6 @@ from .mac import (
     CellConfig,
     MacMetrics,
     PolicyComparison,
-    SlotRecord,
     compare_policies,
     run_cell,
     run_mesh_rounds,

@@ -76,9 +76,6 @@ class QubitRegister:
     width: int
     amplitudes: np.ndarray
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def qubits_per_user(n: int) -> int:
     """log2(n), rejecting sizes without an exact qubit encoding."""
@@ -104,13 +101,6 @@ def tuple_to_bits(outcome: AssignmentTuple) -> str:
     if any(c < 0 or c >= n for c in outcome):
         raise DimensionError(f"channel indices must lie in [0, {n}), got {outcome}")
     return "".join(format(int(c), f"0{log}b") for c in outcome)
-
-
-def bits_to_tuple(bits: str) -> AssignmentTuple:
-    """Inverse of :func:`tuple_to_bits`; the game size is implied by the width."""
-    n = game_size_for_width(len(bits))
-    log = qubits_per_user(n)
-    return tuple(int(bits[u * log:(u + 1) * log], 2) for u in range(n))
 
 
 def branch_controls(n: int, k: int) -> tuple[tuple[int, int], ...]:

@@ -84,22 +84,6 @@ def format_outcome(outcome) -> str:
     return "-".join(str(int(c)) for c in outcome)
 
 
-def parse_outcome(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split("-"))
-
-
-def read_histogram(path: str) -> dict[tuple[int, ...], int]:
-    """Re-read a histogram CSV written by `simulate`."""
-    counts: dict[tuple[int, ...], int] = {}
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for line in lines[1:]:
-        if not line:
-            continue
-        outcome, count, _ = line.split(",")
-        counts[parse_outcome(outcome)] = int(count)
-    return counts
-
-
 def cmd_probs(parser: argparse.ArgumentParser, args) -> int:
     if not 2 <= args.n <= MAX_N:
         parser.error(f"--n must lie in [2, {MAX_N}]")
@@ -154,13 +138,14 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
         parser.error(f"engine circuit supports n in {CIRCUIT_SIZES}")
     if args.shots < 0:
         parser.error("--shots must be non-negative")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
     if args.dump_state and args.out is None:
         parser.error("--dump-state requires --out")
     phase, _ = _resolve_phase(parser, args)
     state = _final_state(args.n, phase, args.engine)
     rng = np.random.default_rng(args.seed)
     counts = sample_counts(state, rng, args.shots)
-    ordered = sorted(counts.items())
     if args.format == "json":
         record = {
             "n": args.n,
@@ -168,12 +153,12 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
             "engine": args.engine,
             "seed": args.seed,
             "shots": args.shots,
-            "counts": {format_outcome(t): c for t, c in ordered},
+            "counts": {format_outcome(t): c for t, c in counts.items()},
         }
         _emit(_json_text(record), args.out)
     else:
         lines = ["outcome,count,frequency"]
-        for outcome, count in ordered:
+        for outcome, count in counts.items():
             freq = count / args.shots if args.shots else 0.0
             lines.append(f"{format_outcome(outcome)},{count},{freq!r}")
         _emit("\n".join(lines) + "\n", args.out)

@@ -217,7 +217,3 @@ def sample_outcomes(config: GameConfig, rng: np.random.Generator, size: int) -> 
     last = (-(config.phase + head.sum(axis=1))) % n
     return np.concatenate([head, last[:, None]], axis=1)
 
-
-def sample_outcome(config: GameConfig, rng: np.random.Generator) -> AssignmentTuple:
-    """Single measurement-equivalent draw; deterministic given the generator state."""
-    return tuple(int(c) for c in sample_outcomes(config, rng, 1)[0])

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -49,12 +50,12 @@ _ALLOC_STREAM = 1
 SLOT_CSV_HEADER = "slot,free_channels,policy,successes,colliders,all_same"
 
 
-class EmptyRunError(ValueError):
-    """A simulation over zero slots was requested."""
-
-
 class ConfigFormatError(ValueError):
     """A run-spec document does not describe a valid cell configuration."""
+
+
+class EmptyRunError(ConfigFormatError):
+    """A simulation over zero slots was requested."""
 
 
 class InvalidTopologyError(ConfigFormatError):
@@ -106,6 +107,14 @@ class CellConfig:
     arbitration_cost: float = 0.1
 
     def __post_init__(self):
+        for name in _INTEGER_FIELDS + _REAL_FIELDS:
+            value = getattr(self, name)
+            if value is None and name in ("mesh_degree", "mesh_rounds"):
+                continue
+            kind, noun = ((numbers.Integral, "an integer") if name in _INTEGER_FIELDS
+                          else (numbers.Real, "a number"))
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigFormatError(f"{name} must be {noun}, got {value!r}")
         if self.n_users != self.n_channels:
             raise ConfigFormatError(
                 f"the game is square: n_users ({self.n_users}) must equal n_channels ({self.n_channels})")
@@ -113,8 +122,8 @@ class CellConfig:
             raise ConfigFormatError(f"need 2 <= n_users <= {MAX_N}, got {self.n_users}")
         if not 0.0 <= self.primary_activity <= 1.0:
             raise ConfigFormatError(f"primary_activity must lie in [0, 1], got {self.primary_activity}")
-        if self.slots < 0:
-            raise ConfigFormatError(f"slots must be non-negative, got {self.slots}")
+        if self.slots < 1:
+            raise EmptyRunError(f"slots must be positive, got {self.slots}")
         if not 0 <= self.seed < 2**64:
             raise ConfigFormatError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.topology not in (TOPOLOGY_STAR, TOPOLOGY_MESH):
@@ -126,18 +135,6 @@ class CellConfig:
                 f"ring degree must lie in [1, {self.n_users - 1}], got {self.mesh_degree}")
         if self.mesh_rounds is not None and self.mesh_rounds < 1:
             raise InvalidTopologyError(f"need at least one arbitration round, got {self.mesh_rounds}")
-
-
-@dataclass(frozen=True)
-class SlotRecord:
-    """Per-slot outcome; ``assignment`` holds -1 for users that deferred."""
-
-    slot_index: int
-    free_channels: frozenset[int]
-    assignment: tuple[int, ...]
-    successes: int
-    colliders: int
-    all_same_event: bool
 
 
 @dataclass(frozen=True)
@@ -158,8 +155,8 @@ class MacMetrics:
 
 
 class SlotLog:
-    """Columnar per-slot results; iterates as :class:`SlotRecord` and
-    writes the per-slot CSV."""
+    """Columnar per-slot results (``assignment`` holds -1 for users that
+    deferred); writes the per-slot CSV."""
 
     def __init__(self, free_mask: np.ndarray, assignment: np.ndarray,
                  successes: np.ndarray, colliders: np.ndarray, all_same: np.ndarray):
@@ -171,17 +168,6 @@ class SlotLog:
 
     def __len__(self) -> int:
         return len(self.successes)
-
-    def __iter__(self) -> Iterator[SlotRecord]:
-        for i in range(len(self)):
-            yield SlotRecord(
-                slot_index=i,
-                free_channels=frozenset(int(c) for c in np.nonzero(self.free_mask[i])[0]),
-                assignment=tuple(int(c) for c in self.assignment[i]),
-                successes=int(self.successes[i]),
-                colliders=int(self.colliders[i]),
-                all_same_event=bool(self.all_same[i]),
-            )
 
     def write_csv(self, stream: IO[str], policy_kind: str, header: bool = True) -> None:
         if header:
@@ -240,8 +226,6 @@ def _run_slots(config: CellConfig, policy: AllocatorPolicy, group: int, rounds: 
     times ``arbitration_cost``.  The per-slot log is kept for single-round
     runs only, where each user transmits at most once per slot.
     """
-    if config.slots == 0:
-        raise EmptyRunError("cannot simulate zero slots")
     n = config.n_users
     env = _stream(config.seed, _ENV_STREAM)
     alloc = _stream(config.seed, _ALLOC_STREAM, POLICY_KINDS.index(policy.kind))
@@ -410,6 +394,8 @@ def compare_policies(config: CellConfig, policies: Sequence[AllocatorPolicy]) ->
 
 _REQUIRED_FIELDS = ("n_users", "n_channels", "primary_activity", "slots", "seed")
 _OPTIONAL_FIELDS = ("topology", "mesh_degree", "mesh_rounds", "tx_cost", "arbitration_cost")
+_INTEGER_FIELDS = ("n_users", "n_channels", "slots", "seed", "mesh_degree", "mesh_rounds")
+_REAL_FIELDS = ("primary_activity", "tx_cost", "arbitration_cost")
 
 
 def load_run_spec(document: dict) -> tuple[CellConfig, list[AllocatorPolicy]]:

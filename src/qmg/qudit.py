@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .game import AssignmentTuple, DimensionError, GameConfig, entangled_coeffic
 #: n**n amplitudes at complex128; 8**8 is ~1.7e7 values (~270 MB), the ceiling.
 SITE_CAP = 8
 
-#: probabilities below this are dropped from reported distributions / dumps
+#: amplitudes whose probability falls below this are left out of state dumps
 PROB_FLOOR = 1e-15
 
 #: measurement refuses states whose norm drifted further than this
@@ -41,21 +41,9 @@ class QuditState:
     n: int
     amplitudes: np.ndarray
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-def tuple_to_index(n: int, outcome: Iterable[int]) -> int:
-    """Flat index of an assignment tuple (user 0 most significant digit)."""
-    index = 0
-    for c in outcome:
-        index = index * n + int(c)
-    return index
-
 
 def indices_to_tuples(n: int, indices: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`tuple_to_index`, vectorized: one row of base-n
-    digits per index."""
+    """One row of base-n digits per flat index (user 0 most significant)."""
     out = np.empty((len(indices), n), dtype=np.int64)
     rest = np.asarray(indices, dtype=np.int64)
     for j in range(n - 1, -1, -1):
@@ -75,68 +63,41 @@ def prepare_entangled(config: GameConfig) -> QuditState:
     return QuditState(n, amplitudes)
 
 
-def apply_local_strategy(state: QuditState, matrix: np.ndarray,
-                         site_order: Iterable[int] | None = None) -> QuditState:
+def apply_local_strategy(state: QuditState, matrix: np.ndarray) -> QuditState:
     """Apply the same single-qudit operator to every site, one site at a time.
 
-    Local operators on distinct sites commute, so ``site_order`` (any
-    permutation of range(n)) must not change the result; the parameter
-    exists so tests can prove that.  The sweep contracts one axis of the
-    (n, ..., n)-shaped view per site and never materializes the full
-    n**n x n**n operator.
+    The sweep contracts one axis of the (n, ..., n)-shaped view per site
+    and never materializes the full n**n x n**n operator.
     """
     n = state.n
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.shape != (n, n):
         raise DimensionError(f"operator shape {matrix.shape} does not match qudit dimension {n}")
-    order = list(range(n)) if site_order is None else [int(s) for s in site_order]
-    if sorted(order) != list(range(n)):
-        raise DimensionError(f"site_order must be a permutation of range({n}), got {order}")
     psi = state.amplitudes.reshape((n,) * n)
-    for site in order:
+    for site in range(n):
         psi = np.moveaxis(np.tensordot(matrix, psi, axes=(1, site)), 0, site)
     return QuditState(n, np.ascontiguousarray(psi).reshape(-1))
 
 
-def _tuples(n: int, indices: np.ndarray) -> Iterator[AssignmentTuple]:
-    """Assignment tuples of Python ints, one per flat index."""
-    return zip(*indices_to_tuples(n, indices).T.tolist())
+def sample_counts(state: QuditState, rng: np.random.Generator,
+                  shots: int) -> dict[AssignmentTuple, int]:
+    """Histogram of ``shots`` independent measurements of the same state.
 
-
-def distribution(state: QuditState) -> dict[AssignmentTuple, float]:
-    """Measurement probabilities |amplitude|^2; entries below 1e-15 omitted."""
-    probs = np.abs(state.amplitudes) ** 2
-    keep = np.nonzero(probs > PROB_FLOOR)[0]
-    return dict(zip(_tuples(state.n, keep), probs[keep].tolist()))
-
-
-def _checked_probs(state: QuditState) -> np.ndarray:
+    Outcomes come in lexicographic order of their assignment tuples (the
+    order of their big-endian flat indices).  Refuses a state whose norm
+    is off 1 by more than ``NORM_TOL``.
+    """
     probs = np.abs(state.amplitudes) ** 2
     norm = math.sqrt(probs.sum())
     if abs(norm - 1.0) > NORM_TOL:
         raise StateIntegrityError(f"state norm = {norm!r}, expected 1 within {NORM_TOL}")
-    return probs
-
-
-def _draw(state: QuditState, rng: np.random.Generator, shots: int) -> np.ndarray:
-    """Flat indices of ``shots`` independent measurements of the state."""
-    probs = _checked_probs(state)
     cumulative = np.cumsum(probs)
     draws = np.searchsorted(cumulative, rng.random(shots) * cumulative[-1], side="right")
-    return np.minimum(draws, probs.size - 1)
-
-
-def measure(state: QuditState, rng: np.random.Generator) -> AssignmentTuple:
-    """Sample one assignment from the state; deterministic given the seed."""
-    (outcome,) = _tuples(state.n, _draw(state, rng, 1))
-    return outcome
-
-
-def sample_counts(state: QuditState, rng: np.random.Generator,
-                  shots: int) -> dict[AssignmentTuple, int]:
-    """Histogram of ``shots`` independent measurements of the same state."""
-    values, counts = np.unique(_draw(state, rng, shots), return_counts=True)
-    return dict(zip(_tuples(state.n, values), counts.tolist()))
+    draws = np.minimum(draws, probs.size - 1)
+    del probs, cumulative  # free both n**n arrays before decoding
+    values, counts = np.unique(draws, return_counts=True)
+    outcomes = zip(*indices_to_tuples(state.n, values).T.tolist())
+    return dict(zip(outcomes, counts.tolist()))
 
 
 def dump_nonzero(state: QuditState, stream: IO[str]) -> int:

@@ -45,7 +45,7 @@ from qmg.mac import (
     compare_policies,
     run_cell,
 )
-from qmg.qudit import apply_local_strategy, prepare_entangled, tuple_to_index
+from qmg.qudit import apply_local_strategy, prepare_entangled
 
 
 @contextmanager
@@ -68,18 +68,18 @@ def end_to_end(n, phase):
     return apply_local_strategy(prepare_entangled(cfg), strategy_matrix(n))
 
 
-def test_criterion_1_two_user_certainty(tmp_path):
+def test_criterion_1_two_user_certainty(tmp_path, read_histogram):
     with criterion(1, "two-user certainty", budget_seconds=1.0):
-        probs = np.abs(end_to_end(2, 1).amplitudes) ** 2
-        assert abs(probs[tuple_to_index(2, (0, 1))] - 0.5) < 1e-10
-        assert abs(probs[tuple_to_index(2, (1, 0))] - 0.5) < 1e-10
-        assert probs[tuple_to_index(2, (0, 0))] < 1e-10
-        assert probs[tuple_to_index(2, (1, 1))] < 1e-10
+        probs = (np.abs(end_to_end(2, 1).amplitudes) ** 2).reshape(2, 2)
+        assert abs(probs[0, 1] - 0.5) < 1e-10
+        assert abs(probs[1, 0] - 0.5) < 1e-10
+        assert probs[0, 0] < 1e-10
+        assert probs[1, 1] < 1e-10
 
         out = tmp_path / "two_user.csv"
         assert cli.main(["simulate", "--n", "2", "--p", "1", "--shots", "10000",
                          "--seed", "1", "--out", str(out)]) == 0
-        counts = cli.read_histogram(str(out))
+        counts = read_histogram(out)
         assert set(counts) == {(0, 1), (1, 0)}
         assert sum(counts.values()) == 10000
 
@@ -100,8 +100,8 @@ def test_criterion_3_n_fold_enhancement():
             assert analytic.p_all_distinct == pytest.approx(
                 n * classical_probabilities(n).p_all_distinct, rel=1e-15)
 
-            probs = np.abs(end_to_end(n, phase).amplitudes) ** 2
-            permutation_mass = sum(probs[tuple_to_index(n, t)]
+            probs = (np.abs(end_to_end(n, phase).amplitudes) ** 2).reshape((n,) * n)
+            permutation_mass = sum(probs[t]
                                    for t in itertools.permutations(range(n)))
             assert abs(permutation_mass - analytic.p_all_distinct) < 1e-10
 
@@ -116,12 +116,12 @@ def test_criterion_4_worst_case_annihilation():
     with criterion(4, "worst-case annihilation under phase 1", budget_seconds=60.0):
         for n in range(2, 7):
             cfg = GameConfig(n, 1)
-            probs = np.abs(end_to_end(n, 1).amplitudes) ** 2
+            probs = (np.abs(end_to_end(n, 1).amplitudes) ** 2).reshape((n,) * n)
             for c in range(n):
                 constant = (c,) * n
                 assert abs(outcome_amplitude(cfg, constant)) ** 2 < 1e-24
                 assert abs(outcome_amplitude_closed_form(cfg, constant)) ** 2 < 1e-24
-                assert probs[tuple_to_index(n, constant)] < 1e-24
+                assert probs[constant] < 1e-24
 
         config = CellConfig(n_users=4, n_channels=4, primary_activity=0.0,
                             slots=1_000_000, seed=31)

@@ -71,11 +71,11 @@ def test_phase_or_regime_required():
 
 # --- simulate ------------------------------------------------------------------
 
-def test_simulate_two_user_histogram(tmp_path):
+def test_simulate_two_user_histogram(tmp_path, read_histogram):
     out = tmp_path / "hist.csv"
     assert cli.main(["simulate", "--n", "2", "--p", "1", "--shots", "10000",
                      "--seed", "5", "--out", str(out)]) == 0
-    counts = cli.read_histogram(str(out))
+    counts = read_histogram(out)
     assert set(counts) == {(0, 1), (1, 0)}
     assert sum(counts.values()) == 10000
 
@@ -96,14 +96,14 @@ def test_simulate_zero_shots(tmp_path):
     assert out.read_text() == "outcome,count,frequency\n"
 
 
-def test_simulate_circuit_engine_agrees_with_qudit(tmp_path):
+def test_simulate_circuit_engine_agrees_with_qudit(tmp_path, read_histogram):
     qudit_out = tmp_path / "qudit.csv"
     circuit_out = tmp_path / "circuit.csv"
     common = ["simulate", "--n", "4", "--p", "6", "--shots", "20000", "--seed", "3"]
     cli.main(common + ["--engine", "qudit", "--out", str(qudit_out)])
     cli.main(common + ["--engine", "circuit", "--out", str(circuit_out)])
-    a = cli.read_histogram(str(qudit_out))
-    b = cli.read_histogram(str(circuit_out))
+    a = read_histogram(qudit_out)
+    b = read_histogram(circuit_out)
     assert set(a) == set(b)
     assert all(abs(a[t] - b[t]) <= 4 * (a[t] ** 0.5 + 1) for t in a)
 
@@ -128,6 +128,12 @@ def test_simulate_dump_state(tmp_path):
 def test_simulate_dump_state_needs_out():
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["simulate", "--n", "2", "--p", "1", "--shots", "1", "--dump-state"])
+    assert exit_info.value.code == 2
+
+
+def test_simulate_negative_seed():
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["simulate", "--n", "2", "--p", "1", "--shots", "1", "--seed", "-1"])
     assert exit_info.value.code == 2
 
 
@@ -232,6 +238,12 @@ def test_mac_malformed_json(tmp_path, capsys):
     ({"policies": ["quantum-avoid-worst"]}, "at least two"),
     ({"topology": "mesh-rounds", "mesh_degree": 7}, "ring degree"),
     ({"topology": "mesh-rounds", "mesh_rounds": 0}, "arbitration round"),
+    ({"slots": 0}, "slots must be positive"),
+    ({"slots": 10.5}, "slots must be an integer"),
+    ({"n_users": 4.0, "n_channels": 4.0}, "n_users must be an integer"),
+    ({"topology": "mesh-rounds", "mesh_degree": 2.5}, "mesh_degree must be an integer"),
+    ({"slots": True}, "slots must be an integer"),
+    ({"seed": 1.5}, "seed must be an integer"),
 ))
 def test_mac_invalid_spec_exit_code(tmp_path, capsys, overrides, message):
     spec = run_spec_file(tmp_path, **overrides)

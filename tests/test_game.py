@@ -29,7 +29,6 @@ from qmg.game import (
     outcome_amplitude_closed_form,
     phase_for_regime,
     root_of_unity,
-    sample_outcome,
     sample_outcomes,
     strategy_matrix,
 )
@@ -278,7 +277,7 @@ def test_classical_probabilities_range():
 def test_sample_outcome_two_user_support():
     cfg = GameConfig(2, 1)
     rng = np.random.default_rng(0)
-    seen = {sample_outcome(cfg, rng) for _ in range(200)}
+    seen = {tuple(row) for row in sample_outcomes(cfg, rng, 200).tolist()}
     assert seen == {(0, 1), (1, 0)}
 
 
@@ -299,8 +298,8 @@ def test_sample_outcome_deterministic():
 @settings(max_examples=100)
 def test_sample_outcome_always_on_support(n, p, seed):
     cfg = GameConfig(n, p)
-    t = sample_outcome(cfg, np.random.default_rng(seed))
-    assert in_support(cfg, t)
+    for t in sample_outcomes(cfg, np.random.default_rng(seed), 5):
+        assert in_support(cfg, t)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))

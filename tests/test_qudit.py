@@ -1,5 +1,6 @@
 """Dense qudit simulator vs the closed-form oracle."""
 
+import io
 import itertools
 import math
 
@@ -19,14 +20,12 @@ from qmg.qudit import (
     QuditState,
     ResourceLimitError,
     StateIntegrityError,
+    PROB_FLOOR,
     apply_local_strategy,
-    distribution,
     dump_nonzero,
     indices_to_tuples,
-    measure,
     prepare_entangled,
     sample_counts,
-    tuple_to_index,
 )
 
 SQRT1_2 = 1 / math.sqrt(2)
@@ -36,12 +35,17 @@ def final_state(n, p):
     return apply_local_strategy(prepare_entangled(GameConfig(n, p)), strategy_matrix(n))
 
 
+def flat_index(n, outcome):
+    """Big-endian flat index of an assignment tuple (user 0 most significant)."""
+    return int(np.ravel_multi_index(outcome, (n,) * n))
+
+
 def test_index_round_trip():
-    assert tuple_to_index(4, (1, 1, 1, 1)) == 85
-    assert tuple_to_index(3, (2, 0, 1)) == 19
+    assert flat_index(4, (1, 1, 1, 1)) == 85
+    assert flat_index(3, (2, 0, 1)) == 19
     for n in (2, 3, 4):
         rows = indices_to_tuples(n, np.arange(n**n))
-        assert [tuple_to_index(n, row) for row in rows] == list(range(n**n))
+        assert np.array_equal(np.ravel_multi_index(rows.T, (n,) * n), np.arange(n**n))
 
 
 def test_indices_to_tuples_vectorized():
@@ -59,7 +63,7 @@ def test_prepare_two_user():
 def test_prepare_four_user_no_phase():
     state = prepare_entangled(GameConfig(4, 0))
     nonzero = np.nonzero(state.amplitudes)[0]
-    assert list(nonzero) == [tuple_to_index(4, (k,) * 4) for k in range(4)]
+    assert list(nonzero) == [flat_index(4, (k,) * 4) for k in range(4)]
     assert np.allclose(state.amplitudes[nonzero], 0.5, atol=1e-12)
 
 
@@ -95,87 +99,88 @@ def test_strategy_shape_mismatch():
 
 def test_amplitude_matches_oracle_pointwise():
     state = final_state(4, 6)
-    idx = tuple_to_index(4, (0, 1, 2, 3))
+    idx = flat_index(4, (0, 1, 2, 3))
     assert abs(state.amplitudes[idx]) ** 2 == pytest.approx(1 / 64, abs=1e-12)
 
 
 def test_site_order_independence():
+    """Local operators on distinct sites commute: contracting the sites in
+    any order gives the sweep's result."""
     state = prepare_entangled(GameConfig(4, 1))
     m = strategy_matrix(4)
     reference = apply_local_strategy(state, m).amplitudes
     for order in ((3, 2, 1, 0), (1, 3, 0, 2), (2, 0, 3, 1)):
-        permuted = apply_local_strategy(state, m, site_order=order).amplitudes
-        assert np.max(np.abs(permuted - reference)) < 1e-12
-
-
-def test_site_order_must_be_permutation():
-    state = prepare_entangled(GameConfig(3, 0))
-    with pytest.raises(DimensionError):
-        apply_local_strategy(state, strategy_matrix(3), site_order=(0, 0, 1))
+        psi = state.amplitudes.reshape((4,) * 4)
+        for site in order:
+            psi = np.moveaxis(np.tensordot(m, psi, axes=(1, site)), 0, site)
+        assert np.max(np.abs(psi.reshape(-1) - reference)) < 1e-12
 
 
 @given(n=st.integers(2, 5), p=st.integers(0, 20))
 @settings(max_examples=40, deadline=None)
 def test_norm_preserved_through_pipeline(n, p):
     state = prepare_entangled(GameConfig(n, p))
-    assert state.norm() == pytest.approx(1.0, abs=1e-10)
+    assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-10)
     after = apply_local_strategy(state, strategy_matrix(n))
-    assert after.norm() == pytest.approx(1.0, abs=1e-10)
+    assert np.linalg.norm(after.amplitudes) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_distribution_two_user():
-    dist = distribution(final_state(2, 1))
-    assert set(dist) == {(0, 1), (1, 0)}
-    assert dist[(0, 1)] == pytest.approx(0.5, abs=1e-12)
-    assert dist[(1, 0)] == pytest.approx(0.5, abs=1e-12)
+    probs = np.abs(final_state(2, 1).amplitudes) ** 2
+    assert np.allclose(probs, [0.0, 0.5, 0.5, 0.0], atol=1e-12)
 
 
 def test_distribution_of_fresh_state():
-    dist = distribution(prepare_entangled(GameConfig(4, 1)))
-    assert set(dist) == {(k, k, k, k) for k in range(4)}
-    assert all(v == pytest.approx(0.25, abs=1e-12) for v in dist.values())
+    probs = np.abs(prepare_entangled(GameConfig(4, 1)).amplitudes) ** 2
+    constants = [flat_index(4, (k,) * 4) for k in range(4)]
+    assert list(np.nonzero(probs > PROB_FLOOR)[0]) == constants
+    assert np.allclose(probs[constants], 0.25, atol=1e-12)
 
 
 def test_distribution_drops_floor_entries():
     amps = np.zeros(4, dtype=np.complex128)
     amps[0] = 1.0
     amps[3] = 1e-9  # probability 1e-18, below the floor
-    dist = distribution(QuditState(2, amps))
-    assert set(dist) == {(0, 0)}
+    stream = io.StringIO()
+    assert dump_nonzero(QuditState(2, amps), stream) == 1
+    assert stream.getvalue().split()[0] == "0"
 
 
 def test_distribution_sums_to_one():
     for n, p in ((3, 3), (4, 6), (5, 1)):
-        assert sum(distribution(final_state(n, p)).values()) == pytest.approx(1.0, abs=1e-10)
+        probs = np.abs(final_state(n, p).amplitudes) ** 2
+        assert probs.sum() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_measure_two_user_outcomes_only():
-    state = final_state(2, 1)
-    rng = np.random.default_rng(5)
-    assert {measure(state, rng) for _ in range(100)} == {(0, 1), (1, 0)}
+    counts = sample_counts(final_state(2, 1), np.random.default_rng(5), 100)
+    assert set(counts) == {(0, 1), (1, 0)}
 
 
 def test_measure_point_mass():
     amps = np.zeros(27, dtype=np.complex128)
-    amps[tuple_to_index(3, (2, 1, 0))] = 1.0
+    amps[flat_index(3, (2, 1, 0))] = 1.0
     state = QuditState(3, amps)
-    rng = np.random.default_rng(0)
-    assert all(measure(state, rng) == (2, 1, 0) for _ in range(20))
+    assert sample_counts(state, np.random.default_rng(0), 20) == {(2, 1, 0): 20}
 
 
 def test_measure_rejects_unnormalized():
     state = QuditState(2, np.full(4, 0.4, dtype=np.complex128))
-    with pytest.raises(StateIntegrityError):
-        measure(state, np.random.default_rng(0))
     with pytest.raises(StateIntegrityError):
         sample_counts(state, np.random.default_rng(0), 10)
 
 
 def test_measure_deterministic_given_seed():
     state = final_state(3, 3)
-    a = [measure(state, np.random.default_rng(9)) for _ in range(30)]
-    b = [measure(state, np.random.default_rng(9)) for _ in range(30)]
-    assert a == b
+    a = sample_counts(state, np.random.default_rng(9), 30)
+    b = sample_counts(state, np.random.default_rng(9), 30)
+    assert list(a.items()) == list(b.items())
+
+
+def test_sample_counts_lexicographic_order():
+    counts = sample_counts(final_state(4, 6), np.random.default_rng(4), 5_000)
+    assert len(counts) > 1
+    assert list(counts) == sorted(counts)
 
 
 def test_measured_all_distinct_fraction():
