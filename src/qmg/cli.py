@@ -67,6 +67,8 @@ def _json_text(document: dict) -> str:
 
 def _resolve_phase(parser: argparse.ArgumentParser, args) -> tuple[int, str]:
     if args.p is not None:
+        if args.p < 0:
+            parser.error("--p must be non-negative")
         return args.p, "custom"
     if args.regime is not None:
         return phase_for_regime(args.regime, args.n), args.regime
@@ -205,10 +207,16 @@ def cmd_mac(parser: argparse.ArgumentParser, args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     comparison = compare_policies(config, policies)
-    summary_path = comparison.write(args.out)
+    print(f"{'policy':>26} {'throughput':>11} {'collisions':>11} {'all-distinct':>13} "
+          f"{'all-same':>10} {'energy':>8}")
+    for run in comparison.runs:
+        m = run.metrics
+        print(f"{run.policy.kind:>26} {m.throughput:>11.4f} {m.collision_rate:>11.4f} "
+              f"{m.all_distinct_rate:>13.6f} {m.all_same_rate:>10.6f} {m.energy_proxy:>8.3f}")
     for kind, ratio in comparison.all_distinct_ratios().items():
         shown = "n/a" if ratio is None else f"{ratio:.4f}"
         print(f"all-distinct ratio {kind}/classical-uniform: {shown}")
+    summary_path = comparison.write(args.out)
     print(f"summary: {summary_path}")
     return EXIT_OK
 
@@ -256,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     mac = sub.add_parser("mac", help="run the slotted-MAC policy comparison from a JSON run spec")
     mac.add_argument("config", help="JSON file mirroring CellConfig plus a 'policies' list")
     mac.add_argument("--out", default="mac_run",
-                     help="output prefix; writes <out>.json and <out>.csv")
+                     help="output prefix; writes <out>.json and, for star runs, <out>.csv")
     mac.add_argument("--seed", type=int, default=None, help="override the run-spec seed")
     mac.set_defaults(func=cmd_mac, parser=mac)
 

@@ -115,6 +115,8 @@ class CellConfig:
                           else (numbers.Real, "a number"))
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ConfigFormatError(f"{name} must be {noun}, got {value!r}")
+            if name in _REAL_FIELDS and not math.isfinite(value):
+                raise ConfigFormatError(f"{name} must be finite, got {value!r}")
         if self.n_users != self.n_channels:
             raise ConfigFormatError(
                 f"the game is square: n_users ({self.n_users}) must equal n_channels ({self.n_channels})")
@@ -169,9 +171,8 @@ class SlotLog:
     def __len__(self) -> int:
         return len(self.successes)
 
-    def write_csv(self, stream: IO[str], policy_kind: str, header: bool = True) -> None:
-        if header:
-            stream.write(SLOT_CSV_HEADER + "\n")
+    def write_csv(self, stream: IO[str], policy_kind: str) -> None:
+        """Write one CSV row per slot, without the header line."""
         free_counts = self.free_mask.sum(axis=1)
         for i in range(len(self)):
             stream.write(f"{i},{int(free_counts[i])},{policy_kind},"
@@ -369,7 +370,7 @@ class PolicyComparison:
             with open(f"{prefix}.csv", "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(SLOT_CSV_HEADER + "\n")
                 for run in self.runs:
-                    run.log.write_csv(fh, run.policy.kind, header=False)
+                    run.log.write_csv(fh, run.policy.kind)
         return summary_path
 
 

@@ -63,6 +63,18 @@ def test_probs_out_of_range_n():
     assert exit_info.value.code == 2
 
 
+@pytest.mark.parametrize("argv", (
+    ["probs", "--n", "4"],
+    ["simulate", "--n", "4", "--shots", "1"],
+    ["audit-circuit", "--n", "4"],
+    ["export-circuit", "--n", "4"],
+))
+def test_negative_phase_is_usage_error(argv):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv + ["--p", "-1"])
+    assert exit_info.value.code == 2
+
+
 def test_phase_or_regime_required():
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["probs", "--n", "4"])
@@ -186,8 +198,12 @@ def test_mac_end_to_end(tmp_path, capsys):
     spec = run_spec_file(tmp_path)
     prefix = tmp_path / "out" / "run"
     assert cli.main(["mac", str(spec), "--out", str(prefix)]) == 0
-    printed = capsys.readouterr().out
-    assert "all-distinct ratio quantum-enhance-optimum/classical-uniform:" in printed
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].split() == ["policy", "throughput", "collisions", "all-distinct",
+                                  "all-same", "energy"]
+    assert [line.split()[0] for line in printed[1:4]] == [
+        "classical-uniform", "quantum-enhance-optimum", "quantum-avoid-worst"]
+    assert printed[4].startswith("all-distinct ratio quantum-enhance-optimum/classical-uniform:")
 
     summary = json.loads((tmp_path / "out" / "run.json").read_text())
     assert [entry["policy"] for entry in summary["policies"]] == [
@@ -200,6 +216,20 @@ def test_mac_end_to_end(tmp_path, capsys):
     csv_lines = (tmp_path / "out" / "run.csv").read_text().splitlines()
     assert csv_lines[0] == "slot,free_channels,policy,successes,colliders,all_same"
     assert len(csv_lines) == 1 + 3 * 5_000
+
+
+def test_mac_zero_baseline(tmp_path, capsys):
+    """At full primary occupancy nothing is delivered: the classical
+    all-distinct baseline is 0, so the ratios are undefined, and the energy
+    per delivery is infinite."""
+    spec = run_spec_file(tmp_path, primary_activity=1.0, slots=3000, seed=9)
+    assert cli.main(["mac", str(spec), "--out", str(tmp_path / "run")]) == 0
+    printed = capsys.readouterr().out
+    assert "quantum-enhance-optimum/classical-uniform: n/a" in printed
+    rows = [line.split() for line in printed.splitlines()[1:4]]
+    assert [row[0] for row in rows] == [
+        "classical-uniform", "quantum-enhance-optimum", "quantum-avoid-worst"]
+    assert all(row[-1] == "inf" for row in rows)
 
 
 def test_mac_byte_identical_reruns(tmp_path):
@@ -244,6 +274,9 @@ def test_mac_malformed_json(tmp_path, capsys):
     ({"topology": "mesh-rounds", "mesh_degree": 2.5}, "mesh_degree must be an integer"),
     ({"slots": True}, "slots must be an integer"),
     ({"seed": 1.5}, "seed must be an integer"),
+    ({"tx_cost": float("nan")}, "tx_cost must be finite"),
+    ({"topology": "mesh-rounds", "arbitration_cost": float("inf")},
+     "arbitration_cost must be finite"),
 ))
 def test_mac_invalid_spec_exit_code(tmp_path, capsys, overrides, message):
     spec = run_spec_file(tmp_path, **overrides)

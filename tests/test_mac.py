@@ -18,7 +18,6 @@ from qmg.mac import (
     EmptyRunError,
     InvalidTopologyError,
     MacMetrics,
-    SLOT_CSV_HEADER,
     compare_policies,
     load_run_spec,
     run_cell,
@@ -191,8 +190,8 @@ def test_slot_csv_shape():
     buffer = io.StringIO()
     log.write_csv(buffer, QUANTUM_AVOID_WORST)
     lines = buffer.getvalue().splitlines()
-    assert lines[0] == SLOT_CSV_HEADER
-    slot, free, policy, succ, coll, same = lines[1].split(",")
+    assert len(lines) == 3
+    slot, free, policy, succ, coll, same = lines[0].split(",")
     assert (slot, free, policy, same) == ("0", "4", QUANTUM_AVOID_WORST, "0")
     assert int(succ) + int(coll) == 4
 
