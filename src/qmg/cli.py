@@ -36,7 +36,13 @@ from .game import (
     phase_for_regime,
     strategy_matrix,
 )
-from .mac import ConfigFormatError, compare_policies, load_run_spec
+from .mac import (
+    SLOT_CSV_HEADER,
+    TOPOLOGY_MESH,
+    ConfigFormatError,
+    compare_policies,
+    load_run_spec,
+)
 from .qudit import (
     SITE_CAP,
     ResourceLimitError,
@@ -199,13 +205,19 @@ def cmd_mac(parser: argparse.ArgumentParser, args) -> int:
     path = Path(args.config)
     try:
         document = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigFormatError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     config, policies = load_run_spec(document)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
+    prefix = Path(args.out)
+    summary_path = Path(f"{prefix}.json")
+    csv_path = None if config.topology == TOPOLOGY_MESH else Path(f"{prefix}.csv")
+    for out in (summary_path, csv_path):
+        if out is not None and out.resolve() == path.resolve():
+            parser.error(f"--out {args.out} would overwrite the run spec {path}")
     comparison = compare_policies(config, policies)
     print(f"{'policy':>26} {'throughput':>11} {'collisions':>11} {'all-distinct':>13} "
           f"{'all-same':>10} {'energy':>8}")
@@ -216,7 +228,13 @@ def cmd_mac(parser: argparse.ArgumentParser, args) -> int:
     for kind, ratio in comparison.all_distinct_ratios().items():
         shown = "n/a" if ratio is None else f"{ratio:.4f}"
         print(f"all-distinct ratio {kind}/classical-uniform: {shown}")
-    summary_path = comparison.write(args.out)
+    prefix.parent.mkdir(parents=True, exist_ok=True)
+    _emit(_json_text(comparison.to_dict()), str(summary_path))
+    if csv_path is not None:
+        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(SLOT_CSV_HEADER + "\n")
+            for run in comparison.runs:
+                run.log.write_csv(fh, run.policy.kind)
     print(f"summary: {summary_path}")
     return EXIT_OK
 

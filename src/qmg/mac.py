@@ -9,6 +9,11 @@ slot.  Star topology runs one allocation per slot (the base station is the
 arbiter); mesh-rounds runs one allocation round per arbiter node per slot,
 each arbiter serving its ring neighborhood.
 
+A game digit indexes the round's free channels.  Only how many players
+share a channel decides a collision, so no metric depends on which
+physical channel a digit stands for, and the engine scores the digits
+directly; which users defer is still drawn at random.
+
 Randomness is split into independent streams derived from the config seed:
 an environment stream (occupancy and who defers, shared by every policy so
 comparisons use common random numbers) and one allocator stream per policy
@@ -18,11 +23,9 @@ listed twice in a comparison reproduces itself exactly.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import IO, Sequence
 
 import numpy as np
@@ -157,13 +160,15 @@ class MacMetrics:
 
 
 class SlotLog:
-    """Columnar per-slot results (``assignment`` holds -1 for users that
-    deferred); writes the per-slot CSV."""
+    """Per-slot aggregates, one column per slot-CSV field: free channels,
+    successful transmissions, colliding transmissions, and whether some
+    round put every player on one channel.  No column records which
+    physical channel a user took: game digits index the free channels, and
+    no metric depends on the labelling."""
 
-    def __init__(self, free_mask: np.ndarray, assignment: np.ndarray,
-                 successes: np.ndarray, colliders: np.ndarray, all_same: np.ndarray):
-        self.free_mask = free_mask
-        self.assignment = assignment
+    def __init__(self, free_counts: np.ndarray, successes: np.ndarray,
+                 colliders: np.ndarray, all_same: np.ndarray):
+        self.free_counts = free_counts
         self.successes = successes
         self.colliders = colliders
         self.all_same = all_same
@@ -173,9 +178,8 @@ class SlotLog:
 
     def write_csv(self, stream: IO[str], policy_kind: str) -> None:
         """Write one CSV row per slot, without the header line."""
-        free_counts = self.free_mask.sum(axis=1)
         for i in range(len(self)):
-            stream.write(f"{i},{int(free_counts[i])},{policy_kind},"
+            stream.write(f"{i},{int(self.free_counts[i])},{policy_kind},"
                          f"{int(self.successes[i])},{int(self.colliders[i])},"
                          f"{int(self.all_same[i])}\n")
 
@@ -194,49 +198,37 @@ def _game_digits(policy: AllocatorPolicy, size: int, count: int,
     return sample_outcomes(GameConfig(size, policy.game_phase(size)), rng, count)
 
 
-def _score_rows(channels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _score_rows(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-player 'alone on its channel' flags plus per-row success/all-same tallies."""
-    rows, size = channels.shape
-    order = np.argsort(channels, axis=1, kind="stable")
-    in_order = np.take_along_axis(channels, order, axis=1)
-    first = np.ones((rows, size), dtype=bool)
-    first[:, 1:] = in_order[:, 1:] != in_order[:, :-1]
-    last = np.ones((rows, size), dtype=bool)
-    last[:, :-1] = first[:, 1:]
-    alone_sorted = first & last
-    alone = np.empty_like(alone_sorted)
-    np.put_along_axis(alone, order, alone_sorted, axis=1)
-    successes = alone.sum(axis=1)
-    if size >= 2:
-        all_same = (channels == channels[:, :1]).all(axis=1)
-    else:
-        all_same = np.zeros(rows, dtype=bool)
+    rows, size = digits.shape
+    offsets = size * np.arange(rows)[:, None]
+    load = np.bincount((digits + offsets).ravel(), minlength=rows * size).reshape(rows, size)
+    alone = np.take_along_axis(load, digits, axis=1) == 1
+    successes = (load == 1).sum(axis=1)
+    all_same = (load.max(axis=1) == size) & (size >= 2)
     return alone, successes, all_same
 
 
 def _run_slots(config: CellConfig, policy: AllocatorPolicy, group: int, rounds: int,
-               arbitrations: int) -> tuple[MacMetrics, SlotLog | None]:
+               arbitrations: int) -> tuple[MacMetrics, SlotLog]:
     """The slot engine behind both topologies.
 
     Per slot, primary occupancy, then ``rounds`` arbitration rounds.  The
     arbiter of round r is node r mod n and serves itself plus the next
     group - 1 ring nodes; each round plays a square game of size
-    min(group, free): surplus participants defer and surplus free channels
-    go unused that round, both chosen at random from the environment
-    stream.  Energy charges ``tx_cost`` per attempt plus ``arbitrations``
-    times ``arbitration_cost``.  The per-slot log is kept for single-round
-    runs only, where each user transmits at most once per slot.
+    min(group, free).  Surplus participants defer, chosen at random from
+    the environment stream; the game's digits index the free channels and
+    are scored as they are, since which physical channels they name (and
+    which surplus channels go unused) changes no metric.  Energy charges
+    ``tx_cost`` per attempt plus ``arbitrations`` times ``arbitration_cost``.
     """
     n = config.n_users
     env = _stream(config.seed, _ENV_STREAM)
     alloc = _stream(config.seed, _ALLOC_STREAM, POLICY_KINDS.index(policy.kind))
     slots = config.slots
 
-    occupied = env.random((slots, n)) < config.primary_activity
-    free_mask = ~occupied
-    free_counts = free_mask.sum(axis=1)
+    free_counts = (env.random((slots, n)) >= config.primary_activity).sum(axis=1)
 
-    assignment = np.full((slots, n), -1, dtype=np.int8) if rounds == 1 else None
     successes = np.zeros(slots, dtype=np.int32)
     colliders = np.zeros(slots, dtype=np.int32)
     all_same = np.zeros(slots, dtype=bool)
@@ -246,28 +238,18 @@ def _run_slots(config: CellConfig, policy: AllocatorPolicy, group: int, rounds: 
     for r in range(rounds):
         members = (r % n + np.arange(group, dtype=np.int32)) % n
         member_priority = env.random((slots, group))
-        # read only when a round has fewer players than free channels
-        channel_priority = env.random((slots, n)) if group < n else None
         for f in range(1, n + 1):
             rows = np.nonzero(free_counts == f)[0]
             if rows.size == 0:
                 continue
             count = rows.size
             size = min(group, f)
-            pool = np.nonzero(free_mask[rows])[1].reshape(count, f)
-            if size < f:
-                priority = np.take_along_axis(channel_priority[rows], pool, axis=1)
-                picks = np.argsort(priority, axis=1, kind="stable")[:, :size]
-                pool = np.take_along_axis(pool, picks, axis=1)
             if size < group:
                 picks = np.argsort(member_priority[rows], axis=1, kind="stable")[:, :size]
                 players = members[picks]
             else:
                 players = np.broadcast_to(members, (count, size))
-            channels = np.take_along_axis(pool, _game_digits(policy, size, count, alloc), axis=1)
-            if assignment is not None:
-                assignment[rows[:, None], players] = channels
-            alone, round_succ, round_same = _score_rows(channels)
+            alone, round_succ, round_same = _score_rows(_game_digits(policy, size, count, alloc))
             successes[rows] += round_succ
             colliders[rows] += size - round_succ
             all_same[rows] |= round_same
@@ -284,8 +266,7 @@ def _run_slots(config: CellConfig, policy: AllocatorPolicy, group: int, rounds: 
         all_same_rate=float(np.mean(all_same)),
         energy_proxy=(energy_spent / total_successes) if total_successes else math.inf,
     )
-    log = None if assignment is None else SlotLog(free_mask, assignment, successes, colliders, all_same)
-    return metrics, log
+    return metrics, SlotLog(free_counts, successes, colliders, all_same)
 
 
 def run_cell(config: CellConfig, policy: AllocatorPolicy) -> tuple[MacMetrics, SlotLog]:
@@ -356,22 +337,6 @@ class PolicyComparison:
                          for run in self.runs],
             "all_distinct_ratios": self.all_distinct_ratios(),
         }
-
-    def write(self, prefix: str | Path) -> Path:
-        """Write the summary to ``<prefix>.json`` and, for star runs, the
-        per-slot rows of every policy to ``<prefix>.csv``; returns the
-        summary path."""
-        prefix = Path(prefix)
-        prefix.parent.mkdir(parents=True, exist_ok=True)
-        summary_path = Path(f"{prefix}.json")
-        summary_path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-                                encoding="utf-8", newline="\n")
-        if self.config.topology != TOPOLOGY_MESH:
-            with open(f"{prefix}.csv", "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(SLOT_CSV_HEADER + "\n")
-                for run in self.runs:
-                    run.log.write_csv(fh, run.policy.kind)
-        return summary_path
 
 
 def compare_policies(config: CellConfig, policies: Sequence[AllocatorPolicy]) -> PolicyComparison:

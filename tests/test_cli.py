@@ -295,6 +295,26 @@ def test_mac_unknown_field(tmp_path, capsys):
     assert "bandwidth" in capsys.readouterr().err
 
 
+def test_mac_non_utf8_spec(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert cli.main(["mac", str(path), "--out", str(tmp_path / "run")]) == 3
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "run.json").exists()
+
+
+@pytest.mark.parametrize("suffix", (".json", ".csv"))
+def test_mac_out_must_not_overwrite_spec(tmp_path, suffix):
+    """A star run writes <out>.json and <out>.csv; neither may be the spec."""
+    spec = run_spec_file(tmp_path).rename(tmp_path / f"cell{suffix}")
+    before = spec.read_bytes()
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["mac", str(spec), "--out", str(tmp_path / "cell")])
+    assert exit_info.value.code == 2
+    assert spec.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [spec]
+
+
 def test_mac_missing_file(tmp_path, capsys):
     assert cli.main(["mac", str(tmp_path / "nope.json")]) == 3
     assert "config error" in capsys.readouterr().err

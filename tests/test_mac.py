@@ -1,13 +1,14 @@
 """Slotted-MAC simulation: baselines, support guarantees, determinism, mesh."""
 
+import collections
 import dataclasses
 import io
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from qmg.game import GameConfig, in_support
 from qmg.mac import (
     CLASSICAL_UNIFORM,
     QUANTUM_AVOID_WORST,
@@ -27,6 +28,27 @@ from qmg.mac import (
 CLASSICAL = AllocatorPolicy(CLASSICAL_UNIFORM)
 ENHANCE = AllocatorPolicy(QUANTUM_ENHANCE_OPTIMUM)
 AVOID = AllocatorPolicy(QUANTUM_AVOID_WORST)
+
+
+# phase of the size-f game under each policy; None is the classical rule
+PHASES = {
+    CLASSICAL_UNIFORM: lambda f: None,
+    QUANTUM_ENHANCE_OPTIMUM: lambda f: f * (f - 1) // 2,
+    QUANTUM_AVOID_WORST: lambda f: 1,
+}
+
+
+def support_tallies(f, phase):
+    """(successes, all-same) of every equally likely outcome of the size-f
+    game: every digit tuple with (phase + sum) % f == 0, or all f^f tuples
+    when phase is None."""
+    tallies = []
+    for digits in itertools.product(range(f), repeat=f):
+        if phase is not None and (phase + sum(digits)) % f:
+            continue
+        load = collections.Counter(digits)
+        tallies.append((sum(load[d] == 1 for d in digits), f >= 2 and len(load) == 1))
+    return tallies
 
 
 def cell(n=4, activity=0.0, slots=10_000, seed=17, **kw):
@@ -116,8 +138,8 @@ def test_metrics_deterministic():
     first, log_a = run_cell(config, ENHANCE)
     second, log_b = run_cell(config, ENHANCE)
     assert first == second
-    assert np.array_equal(log_a.assignment, log_b.assignment)
-    assert np.array_equal(log_a.free_mask, log_b.free_mask)
+    for column in ("free_counts", "successes", "colliders", "all_same"):
+        assert np.array_equal(getattr(log_a, column), getattr(log_b, column))
 
 
 def test_same_policy_twice_identical():
@@ -132,39 +154,60 @@ def test_compare_needs_two_policies():
 
 @pytest.mark.parametrize("policy", (ENHANCE, AVOID))
 def test_quantum_assignments_on_support_at_activity_zero(policy):
+    """Every slot's tallies are those of some outcome on the game's support."""
     config = cell(slots=3_000, seed=12)
     metrics, log = run_cell(config, policy)
-    game = GameConfig(config.n_users, policy.game_phase(config.n_users))
-    for assignment in log.assignment.tolist():
-        assert in_support(game, assignment)
+    n = config.n_users
+    allowed = set(support_tallies(n, PHASES[policy.kind](n)))
+    assert np.all(log.free_counts == n)
+    assert np.array_equal(log.successes + log.colliders, log.free_counts)
+    assert set(zip(log.successes.tolist(), log.all_same.tolist())) <= allowed
     assert metrics.energy_proxy >= 1.0
 
 
 def test_quantum_assignments_stay_on_support_with_holes():
-    """Even in sub-block games the realized digits satisfy the support law."""
+    """In sub-block games of every size f the tallies stay on the size-f
+    support, and avoid-worst never puts every transmitter on one channel."""
     config = cell(activity=0.5, slots=4_000, seed=3)
     _, log = run_cell(config, AVOID)
-    free_counts = log.free_mask.sum(axis=1)
-    transmitting = log.assignment >= 0
-    assert np.array_equal(transmitting.sum(axis=1), free_counts)
-    assert np.array_equal(log.successes + log.colliders, free_counts)
-    # a game digit is the channel's rank among the slot's free channels
-    rank = np.cumsum(log.free_mask, axis=1) - 1
-    digits = np.take_along_axis(rank, np.maximum(log.assignment, 0).astype(np.intp), axis=1)
-    for f, row, sent in zip(free_counts.tolist(), digits, transmitting):
-        if f >= 2:
-            assert in_support(GameConfig(f, AVOID.game_phase(f)), row[sent])
+    assert np.array_equal(log.successes + log.colliders, log.free_counts)
+    assert not log.all_same.any()
+    for f in range(1, config.n_users + 1):
+        sel = log.free_counts == f
+        allowed = set(support_tallies(f, PHASES[QUANTUM_AVOID_WORST](f)))
+        assert set(zip(log.successes[sel].tolist(), log.all_same[sel].tolist())) <= allowed
 
 
 def test_slot_records_consistent():
     config = cell(activity=0.4, slots=500, seed=8)
     _, log = run_cell(config, CLASSICAL)
-    assert log.assignment.min() >= -1  # deferring users hold -1
-    transmitting = (log.assignment >= 0).sum(axis=1)
-    assert np.array_equal(log.successes + log.colliders, transmitting)
-    assert np.all(transmitting <= config.n_users)
-    slots, users = np.nonzero(log.assignment >= 0)
-    assert log.free_mask[slots, log.assignment[slots, users]].all()
+    assert len(log) == config.slots
+    assert np.all((0 <= log.free_counts) & (log.free_counts <= config.n_users))
+    assert np.array_equal(log.successes + log.colliders, log.free_counts)
+    assert not np.any(log.colliders == 1)  # a collision takes two
+    same = log.all_same
+    assert np.all(log.successes[same] == 0)
+    assert np.all(log.colliders[same] >= 2)
+
+
+@pytest.mark.parametrize("n", (4, 5))
+@pytest.mark.parametrize("policy", (CLASSICAL, ENHANCE, AVOID), ids=lambda p: p.kind)
+def test_star_per_free_count_law(n, policy):
+    """Slots with f free channels play the size-f game: per free count, the
+    mean successes and the all-same frequency lie within 5 sigma of an exact
+    enumeration of that game's outcomes (uniform over the support, or over
+    all f^f tuples for the classical rule)."""
+    _, log = run_cell(cell(n=n, activity=0.5, slots=100_000, seed=31), policy)
+    assert np.array_equal(log.successes + log.colliders, log.free_counts)
+    for f in range(1, n + 1):
+        sel = log.free_counts == f
+        count = int(sel.sum())
+        assert count > 1_000
+        tallies = np.array(support_tallies(f, PHASES[policy.kind](f)), dtype=float)
+        for got, column in ((log.successes[sel].mean(), tallies[:, 0]),
+                            (log.all_same[sel].mean(), tallies[:, 1])):
+            sigma = math.sqrt(column.var() / count)
+            assert abs(got - column.mean()) <= 5 * sigma + 1e-12, (f, got, column.mean())
 
 
 def test_throughput_monotone_in_activity():
@@ -182,7 +225,9 @@ def test_fully_occupied_spectrum():
     assert metrics.collision_rate == 0.0
     assert math.isinf(metrics.energy_proxy)
     assert metrics.to_dict()["energy_proxy"] is None
-    assert np.all(log.assignment == -1)
+    assert np.all(log.free_counts == 0)
+    for column in ("successes", "colliders", "all_same"):
+        assert not getattr(log, column).any()
 
 
 def test_slot_csv_shape():
