@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import AssignmentTuple, DimensionError, GameConfig, entangled_coefficient
-from .qudit import QuditState, ResourceLimitError
+from .game import GameConfig, entangled_coefficient
+from .qudit import QuditState, ResourceLimitError, constant_indices
 
 VARIANT_FIGURE = "figure"
 VARIANT_CORRECTED = "corrected"
@@ -92,15 +92,6 @@ def game_size_for_width(width: int) -> int:
         if (1 << log) * log == width:
             return 1 << log
     raise UnsupportedSizeError(f"register width {width} is not n*log2(n) for any n")
-
-
-def tuple_to_bits(outcome: AssignmentTuple) -> str:
-    """Pack an assignment into circuit bit order: one log2(n)-bit group per user."""
-    n = len(outcome)
-    log = qubits_per_user(n)
-    if any(c < 0 or c >= n for c in outcome):
-        raise DimensionError(f"channel indices must lie in [0, {n}), got {outcome}")
-    return "".join(format(int(c), f"0{log}b") for c in outcome)
 
 
 def branch_controls(n: int, k: int) -> tuple[tuple[int, int], ...]:
@@ -248,11 +239,11 @@ def audit_preparation_circuit(config: GameConfig, variant: str = VARIANT_FIGURE)
     log = qubits_per_user(n)
     width = n * log
     register = run_circuit(build_preparation_circuit(config, variant), width)
-    branch_index = np.array([int(tuple_to_bits((k,) * n), 2) for k in range(n)])
+    branch_index = constant_indices(n)
     actual = register.amplitudes[branch_index]
     target = np.array([entangled_coefficient(config, k) for k in range(n)])
-    off_branch = np.delete(register.amplitudes, branch_index)
-    leakage = float(np.max(np.abs(off_branch))) if off_branch.size else 0.0
+    register.amplitudes[branch_index] = 0  # the register is ours: what remains is leakage
+    leakage = float(np.max(np.abs(register.amplitudes)))
     best_shift, best_deviation = 0, math.inf
     for q in range(n):
         shifted = target * np.exp(2j * np.pi * q * np.arange(n) / n)

@@ -3,7 +3,7 @@ audits/exports, and MAC benchmarks, all emitting machine-readable CSV/JSON.
 
 Every subcommand is a pure function of its arguments (seeds included), so
 repeated runs produce byte-identical output files.  Exit codes: 0 success,
-2 usage error, 3 config-parse error, 4 resource limit.
+2 usage or output error, 3 config-parse error, 4 resource limit.
 """
 
 from __future__ import annotations
@@ -71,10 +71,18 @@ def _json_text(document: dict) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _resolve_phase(parser: argparse.ArgumentParser, args) -> tuple[int, str]:
     if args.p is not None:
-        if args.p < 0:
-            parser.error("--p must be non-negative")
         return args.p, "custom"
     if args.regime is not None:
         return phase_for_regime(args.regime, args.n), args.regime
@@ -82,7 +90,7 @@ def _resolve_phase(parser: argparse.ArgumentParser, args) -> tuple[int, str]:
 
 
 def _add_phase_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--p", type=int, default=None,
+    sub.add_argument("--p", type=_non_negative_int, default=None,
                      help="explicit phase parameter (overrides --regime)")
     sub.add_argument("--regime", choices=REGIMES, default=None,
                      help="named phase regime: enhance-optimum (p=n(n-1)/2) or avoid-worst (p=1)")
@@ -144,10 +152,6 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
         parser.error(f"engine qudit supports 2 <= n <= {SITE_CAP}")
     if args.engine == "circuit" and args.n not in CIRCUIT_SIZES:
         parser.error(f"engine circuit supports n in {CIRCUIT_SIZES}")
-    if args.shots < 0:
-        parser.error("--shots must be non-negative")
-    if args.seed < 0:
-        parser.error("--seed must be non-negative")
     if args.dump_state and args.out is None:
         parser.error("--dump-state requires --out")
     phase, _ = _resolve_phase(parser, args)
@@ -178,8 +182,6 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
 
 
 def cmd_audit_circuit(parser: argparse.ArgumentParser, args) -> int:
-    if args.n not in CIRCUIT_SIZES:
-        parser.error(f"--n must be one of {CIRCUIT_SIZES}")
     phase, _ = _resolve_phase(parser, args)
     audit = audit_preparation_circuit(GameConfig(args.n, phase), args.variant)
     record = {"n": args.n, "phase": phase, "variant": args.variant}
@@ -189,8 +191,6 @@ def cmd_audit_circuit(parser: argparse.ArgumentParser, args) -> int:
 
 
 def cmd_export_circuit(parser: argparse.ArgumentParser, args) -> int:
-    if args.n not in CIRCUIT_SIZES:
-        parser.error(f"--n must be one of {CIRCUIT_SIZES}")
     phase, _ = _resolve_phase(parser, args)
     config = GameConfig(args.n, phase)
     gates = build_preparation_circuit(config, args.variant)
@@ -218,6 +218,7 @@ def cmd_mac(parser: argparse.ArgumentParser, args) -> int:
     for out in (summary_path, csv_path):
         if out is not None and out.resolve() == path.resolve():
             parser.error(f"--out {args.out} would overwrite the run spec {path}")
+    prefix.parent.mkdir(parents=True, exist_ok=True)
     comparison = compare_policies(config, policies)
     print(f"{'policy':>26} {'throughput':>11} {'collisions':>11} {'all-distinct':>13} "
           f"{'all-same':>10} {'energy':>8}")
@@ -228,7 +229,6 @@ def cmd_mac(parser: argparse.ArgumentParser, args) -> int:
     for kind, ratio in comparison.all_distinct_ratios().items():
         shown = "n/a" if ratio is None else f"{ratio:.4f}"
         print(f"all-distinct ratio {kind}/classical-uniform: {shown}")
-    prefix.parent.mkdir(parents=True, exist_ok=True)
     _emit(_json_text(comparison.to_dict()), str(summary_path))
     if csv_path is not None:
         with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -256,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="prepare, apply strategies, and measure repeatedly")
     simulate.add_argument("--n", type=int, required=True)
     _add_phase_options(simulate)
-    simulate.add_argument("--shots", type=int, required=True)
-    simulate.add_argument("--seed", type=int, default=0)
+    simulate.add_argument("--shots", type=_non_negative_int, required=True)
+    simulate.add_argument("--seed", type=_non_negative_int, default=0)
     simulate.add_argument("--engine", choices=("qudit", "circuit"), default="qudit")
     simulate.add_argument("--format", choices=("csv", "json"), default="csv")
     simulate.add_argument("--out", default=None)
@@ -266,14 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(func=cmd_simulate, parser=simulate)
 
     audit = sub.add_parser("audit-circuit", help="audit a preparation circuit against the target state")
-    audit.add_argument("--n", type=int, required=True)
+    audit.add_argument("--n", type=int, required=True, choices=CIRCUIT_SIZES)
     _add_phase_options(audit)
     audit.add_argument("--variant", choices=VARIANTS, default=VARIANT_FIGURE)
     audit.add_argument("--out", default=None)
     audit.set_defaults(func=cmd_audit_circuit, parser=audit)
 
     export = sub.add_parser("export-circuit", help="write a preparation circuit as a plain-text gate list")
-    export.add_argument("--n", type=int, required=True)
+    export.add_argument("--n", type=int, required=True, choices=CIRCUIT_SIZES)
     _add_phase_options(export)
     export.add_argument("--variant", choices=VARIANTS, default=VARIANT_CORRECTED)
     export.add_argument("--out", default=None)
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     mac.add_argument("config", help="JSON file mirroring CellConfig plus a 'policies' list")
     mac.add_argument("--out", default="mac_run",
                      help="output prefix; writes <out>.json and, for star runs, <out>.csv")
-    mac.add_argument("--seed", type=int, default=None, help="override the run-spec seed")
+    mac.add_argument("--seed", type=_non_negative_int, default=None, help="override the run-spec seed")
     mac.set_defaults(func=cmd_mac, parser=mac)
 
     return parser
@@ -300,6 +300,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -18,8 +18,9 @@ phase = n*(n-1)//2 puts every all-distinct assignment on the support
 ("enhance-optimum"), while phase = 1 removes every all-same assignment
 ("avoid-worst").
 
-Everything here is exact and independent of the dense simulators; the
-simulators are tested against this module.
+Everything here is exact and independent of the dense simulators: the
+analytic probabilities and the support sampler follow from this law
+directly, and the tests hold the simulators against it.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class InvalidConfigError(ValueError):
 
 
 class DimensionError(ValueError):
-    """Assignment tuple does not fit the game dimensions."""
+    """An operator does not fit the game dimensions."""
 
 
 @dataclass(frozen=True)
@@ -113,43 +114,6 @@ def strategy_matrix(n: int) -> np.ndarray:
         raise InvalidConfigError(f"need n >= 2, got {n}")
     exponents = np.outer(np.arange(n), np.arange(n)) % n
     return np.exp(2j * np.pi * exponents / n) / np.sqrt(n)
-
-
-def _validated(config: GameConfig, outcome) -> AssignmentTuple:
-    t = tuple(int(c) for c in outcome)
-    if len(t) != config.n:
-        raise DimensionError(f"expected {config.n} entries, got {len(t)}")
-    if any(c < 0 or c >= config.n for c in t):
-        raise DimensionError(f"channel indices must lie in [0, {config.n}), got {t}")
-    return t
-
-
-def outcome_amplitude(config: GameConfig, outcome) -> complex:
-    """Final amplitude of one assignment, by direct evaluation of the
-    interference sum  n^(-(n+1)/2) * sum_k w^(k*m)  with m = phase + sum.
-
-    The closed-form branch lives in :func:`outcome_amplitude_closed_form`;
-    tests hold the two routes against each other.
-    """
-    t = _validated(config, outcome)
-    n = config.n
-    m = (config.phase + sum(t)) % n
-    total = sum(root_of_unity(n, k * m) for k in range(n))
-    return total * n ** (-(n + 1) / 2)
-
-
-def outcome_amplitude_closed_form(config: GameConfig, outcome) -> complex:
-    """Fast path for :func:`outcome_amplitude`: n^((1-n)/2) on the support, else 0."""
-    t = _validated(config, outcome)
-    if (config.phase + sum(t)) % config.n:
-        return 0j
-    return complex(config.n ** ((1 - config.n) / 2))
-
-
-def in_support(config: GameConfig, outcome) -> bool:
-    """True iff the assignment carries nonzero final amplitude."""
-    t = _validated(config, outcome)
-    return (config.phase + sum(t)) % config.n == 0
 
 
 @dataclass(frozen=True)

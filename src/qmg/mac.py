@@ -282,29 +282,29 @@ def run_cell(config: CellConfig, policy: AllocatorPolicy) -> tuple[MacMetrics, S
     return _run_slots(config, policy, group=config.n_users, rounds=1, arbitrations=0)
 
 
-def run_mesh_rounds(config: CellConfig, policy: AllocatorPolicy) -> MacMetrics:
+def run_mesh_rounds(config: CellConfig, policy: AllocatorPolicy) -> tuple[MacMetrics, SlotLog]:
     """Mesh variant: per slot, one arbitration round per arbiter node.
 
     Arbiter of round r is node r mod n; it serves itself plus its next
     ``mesh_degree`` ring neighbors (default: all other nodes) for
     ``mesh_rounds`` rounds (default: n).  Energy additionally charges one
-    arbitration per round.
+    arbitration per round.  The slot log aggregates each slot over its
+    rounds.
     """
     if config.topology != TOPOLOGY_MESH:
         raise InvalidTopologyError(f"run_mesh_rounds needs topology={TOPOLOGY_MESH!r}, got {config.topology!r}")
     n = config.n_users
     degree = config.mesh_degree if config.mesh_degree is not None else n - 1
     rounds = config.mesh_rounds if config.mesh_rounds is not None else n
-    metrics, _ = _run_slots(config, policy, group=degree + 1, rounds=rounds,
-                            arbitrations=rounds * config.slots)
-    return metrics
+    return _run_slots(config, policy, group=degree + 1, rounds=rounds,
+                      arbitrations=rounds * config.slots)
 
 
 @dataclass(frozen=True)
 class PolicyRun:
     policy: AllocatorPolicy
     metrics: MacMetrics
-    log: SlotLog | None
+    log: SlotLog
 
 
 @dataclass(frozen=True)
@@ -348,14 +348,9 @@ def compare_policies(config: CellConfig, policies: Sequence[AllocatorPolicy]) ->
     """
     if len(policies) < 2:
         raise ValueError("need at least two policies to compare")
-    runs = []
-    for policy in policies:
-        if config.topology == TOPOLOGY_MESH:
-            runs.append(PolicyRun(policy, run_mesh_rounds(config, policy), None))
-        else:
-            metrics, log = run_cell(config, policy)
-            runs.append(PolicyRun(policy, metrics, log))
-    return PolicyComparison(config, tuple(runs))
+    run = run_mesh_rounds if config.topology == TOPOLOGY_MESH else run_cell
+    return PolicyComparison(config, tuple(PolicyRun(policy, *run(config, policy))
+                                          for policy in policies))
 
 
 _REQUIRED_FIELDS = ("n_users", "n_channels", "primary_activity", "slots", "seed")

@@ -51,15 +51,18 @@ def indices_to_tuples(n: int, indices: np.ndarray) -> np.ndarray:
     return out
 
 
+def constant_indices(n: int) -> np.ndarray:
+    """Flat indices of the constant tuples (k, ..., k) for k = 0 .. n-1."""
+    return np.arange(n, dtype=np.int64) * ((n**n - 1) // (n - 1))
+
+
 def prepare_entangled(config: GameConfig) -> QuditState:
     """Entangled start state: one amplitude per constant tuple (k, ..., k)."""
     n = config.n
     if n > SITE_CAP:
         raise ResourceLimitError(f"dense simulation capped at n <= {SITE_CAP}, got n={n}")
     amplitudes = np.zeros(n**n, dtype=np.complex128)
-    stride = (n**n - 1) // (n - 1)  # flat index of (1, 1, ..., 1)
-    for k in range(n):
-        amplitudes[k * stride] = entangled_coefficient(config, k)
+    amplitudes[constant_indices(n)] = [entangled_coefficient(config, k) for k in range(n)]
     return QuditState(n, amplitudes)
 
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import brute_amplitude, closed_form_amplitude
 from qmg import cli
 from qmg.circuit import (
     VARIANT_CORRECTED,
@@ -24,14 +25,11 @@ from qmg.circuit import (
     qubits_per_user,
     register_to_qudit,
     run_circuit,
-    tuple_to_bits,
 )
 from qmg.game import (
     GameConfig,
     analytic_probabilities,
     classical_probabilities,
-    outcome_amplitude,
-    outcome_amplitude_closed_form,
     phase_for_regime,
     sample_outcomes,
     strategy_matrix,
@@ -115,12 +113,11 @@ def test_criterion_3_n_fold_enhancement():
 def test_criterion_4_worst_case_annihilation():
     with criterion(4, "worst-case annihilation under phase 1", budget_seconds=60.0):
         for n in range(2, 7):
-            cfg = GameConfig(n, 1)
             probs = (np.abs(end_to_end(n, 1).amplitudes) ** 2).reshape((n,) * n)
             for c in range(n):
                 constant = (c,) * n
-                assert abs(outcome_amplitude(cfg, constant)) ** 2 < 1e-24
-                assert abs(outcome_amplitude_closed_form(cfg, constant)) ** 2 < 1e-24
+                assert abs(brute_amplitude(n, 1, constant)) ** 2 < 1e-24
+                assert closed_form_amplitude(n, 1, constant) ** 2 < 1e-24
                 assert probs[constant] < 1e-24
 
         config = CellConfig(n_users=4, n_channels=4, primary_activity=0.0,
@@ -134,9 +131,8 @@ def test_criterion_5_support_law():
     with criterion(5, "support law: size, uniformity, normalization, fairness"):
         for n in range(2, 6):
             for phase in range(n):
-                cfg = GameConfig(n, phase)
                 tuples = list(itertools.product(range(n), repeat=n))
-                probs = np.array([abs(outcome_amplitude(cfg, t)) ** 2 for t in tuples])
+                probs = np.array([abs(brute_amplitude(n, phase, t)) ** 2 for t in tuples])
                 on_support = probs > 1e-13
                 assert on_support.sum() == n ** (n - 1)
                 assert np.all(np.abs(probs[on_support] - n ** (1 - n)) < 1e-12)
@@ -179,7 +175,7 @@ def test_criterion_7_oracle_equivalence():
                 cfg = GameConfig(n, phase_for_regime(regime, n))
                 probs = np.abs(end_to_end(cfg.n, cfg.phase).amplitudes) ** 2
                 for i, t in enumerate(itertools.product(range(n), repeat=n)):
-                    expected = abs(outcome_amplitude_closed_form(cfg, t)) ** 2
+                    expected = closed_form_amplitude(n, cfg.phase, t) ** 2
                     assert abs(probs[i] - expected) < 1e-10
 
 

@@ -143,9 +143,12 @@ def test_simulate_dump_state_needs_out():
     assert exit_info.value.code == 2
 
 
-def test_simulate_negative_seed():
+@pytest.mark.parametrize("command", ("simulate", "mac"))
+def test_simulate_negative_seed(tmp_path, command):
+    argv = (["simulate", "--n", "2", "--p", "1", "--shots", "1"] if command == "simulate"
+            else ["mac", str(run_spec_file(tmp_path))])
     with pytest.raises(SystemExit) as exit_info:
-        cli.main(["simulate", "--n", "2", "--p", "1", "--shots", "1", "--seed", "-1"])
+        cli.main(argv + ["--seed", "-1"])
     assert exit_info.value.code == 2
 
 
@@ -176,9 +179,10 @@ def test_audit_circuit_reports(tmp_path, capsys):
 
 
 def test_audit_circuit_size_check():
-    with pytest.raises(SystemExit) as exit_info:
-        cli.main(["audit-circuit", "--n", "5", "--p", "1"])
-    assert exit_info.value.code == 2
+    for command in ("audit-circuit", "export-circuit"):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, "--n", "5", "--p", "1"])
+        assert exit_info.value.code == 2
 
 
 def test_export_circuit_round_trip(tmp_path, capsys):
@@ -313,6 +317,27 @@ def test_mac_out_must_not_overwrite_spec(tmp_path, suffix):
     assert exit_info.value.code == 2
     assert spec.read_bytes() == before
     assert sorted(tmp_path.iterdir()) == [spec]
+
+
+@pytest.mark.parametrize("argv", (
+    ["mac", "{spec}", "--out", "{afile}/run"],
+    ["probs", "--n", "4", "--p", "1", "--out", "{nodir}/x.json"],
+    ["simulate", "--n", "2", "--p", "1", "--shots", "3", "--out", "{nodir}/h.csv"],
+    ["simulate", "--n", "2", "--p", "1", "--shots", "3", "--out", "{afile}/h.csv", "--dump-state"],
+    ["export-circuit", "--n", "4", "--p", "1", "--out", "{nodir}/c.txt"],
+), ids=("mac", "probs", "simulate", "simulate-dump-state", "export-circuit"))
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
+    """An --out that cannot be written exits 2 with one diagnostic line; mac
+    finds out before it simulates or prints anything."""
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    paths = {"spec": run_spec_file(tmp_path), "afile": afile, "nodir": tmp_path / "nodir"}
+    assert cli.main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("output error:") and "Traceback" not in captured.err
+    if argv[0] == "mac":
+        assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "cell.json"]
 
 
 def test_mac_missing_file(tmp_path, capsys):

@@ -257,9 +257,10 @@ def test_mesh_degree_bounds():
 
 def test_full_mesh_avoids_downtime():
     config = cell(activity=0.3, slots=30_000, topology="mesh-rounds")
-    metrics = run_mesh_rounds(config, AVOID)
+    metrics, log = run_mesh_rounds(config, AVOID)
     assert metrics.all_same_rate == 0.0
-    assert run_mesh_rounds(config, CLASSICAL).all_same_rate > 0.0
+    assert not log.all_same.any()
+    assert run_mesh_rounds(config, CLASSICAL)[0].all_same_rate > 0.0
 
 
 def test_single_round_full_mesh_reduces_to_star():
@@ -268,7 +269,7 @@ def test_single_round_full_mesh_reduces_to_star():
     star = cell(slots=50_000, arbitration_cost=0.0, seed=17)
     mesh = dataclasses.replace(star, topology="mesh-rounds", mesh_rounds=1)
     star_metrics, _ = run_cell(star, ENHANCE)
-    mesh_metrics = run_mesh_rounds(mesh, ENHANCE)
+    mesh_metrics, _ = run_mesh_rounds(mesh, ENHANCE)
     assert mesh_metrics == star_metrics
 
 
@@ -278,20 +279,40 @@ def test_single_round_full_mesh_near_star_with_holes():
     star = cell(activity=0.4, slots=50_000, arbitration_cost=0.0, seed=5)
     mesh = dataclasses.replace(star, topology="mesh-rounds", mesh_rounds=1)
     star_metrics, _ = run_cell(star, CLASSICAL)
-    mesh_metrics = run_mesh_rounds(mesh, CLASSICAL)
+    mesh_metrics, _ = run_mesh_rounds(mesh, CLASSICAL)
     assert mesh_metrics == star_metrics
 
 
 def test_mesh_quantum_energy_beats_classical():
     config = cell(slots=100_000, topology="mesh-rounds")
-    quantum = run_mesh_rounds(config, AVOID)
-    classical = run_mesh_rounds(config, CLASSICAL)
+    quantum, _ = run_mesh_rounds(config, AVOID)
+    classical, _ = run_mesh_rounds(config, CLASSICAL)
     assert quantum.energy_proxy < classical.energy_proxy
 
 
 def test_mesh_deterministic():
     config = cell(activity=0.2, slots=5_000, topology="mesh-rounds", mesh_degree=2)
-    assert run_mesh_rounds(config, AVOID) == run_mesh_rounds(config, AVOID)
+    (first, first_log), (second, second_log) = (run_mesh_rounds(config, AVOID) for _ in range(2))
+    assert first == second
+    for column in ("free_counts", "successes", "colliders", "all_same"):
+        assert np.array_equal(getattr(first_log, column), getattr(second_log, column))
+
+
+@pytest.mark.parametrize("n, degree, rounds", ((6, 2, 6), (6, 5, 6), (5, None, 3)))
+def test_mesh_slot_log_counts_every_round(n, degree, rounds):
+    """Each round plays a game of min(degree + 1, free) players, and every
+    player either succeeds or collides, so per slot successes + colliders
+    is rounds times that game size; the log's totals give the metrics."""
+    config = cell(n=n, activity=0.3, slots=20_000, topology="mesh-rounds",
+                  mesh_degree=degree, mesh_rounds=rounds)
+    group = (degree if degree is not None else n - 1) + 1
+    for policy in (CLASSICAL, ENHANCE, AVOID):
+        metrics, log = run_mesh_rounds(config, policy)
+        assert len(log) == config.slots
+        assert np.array_equal(log.successes + log.colliders,
+                              rounds * np.minimum(group, log.free_counts))
+        assert metrics.throughput == log.successes.sum() / config.slots
+        assert metrics.all_same_rate == log.all_same.mean()
 
 
 # --- run-spec loading ----------------------------------------------------------

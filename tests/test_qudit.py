@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import closed_form_amplitude
 from qmg.game import (
     DimensionError,
     GameConfig,
-    outcome_amplitude_closed_form,
     phase_for_regime,
     strategy_matrix,
 )
@@ -204,7 +204,7 @@ def test_oracle_equivalence(n, regime):
     state = apply_local_strategy(prepare_entangled(cfg), strategy_matrix(n))
     probs = np.abs(state.amplitudes) ** 2
     for i, t in enumerate(itertools.product(range(n), repeat=n)):
-        expected = abs(outcome_amplitude_closed_form(cfg, t)) ** 2
+        expected = closed_form_amplitude(n, cfg.phase, t) ** 2
         assert abs(probs[i] - expected) < 1e-10
 
 
