@@ -9,6 +9,7 @@ repeated runs produce byte-identical output files.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -81,6 +82,12 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _seed64(text: str) -> int:
+    if (value := _non_negative_int(text)) >= 2**64:
+        raise argparse.ArgumentTypeError(f"must be below 2**64, got {value}")
+    return value
+
+
 def _resolve_phase(parser: argparse.ArgumentParser, args) -> tuple[int, str]:
     if args.p is not None:
         return args.p, "custom"
@@ -94,10 +101,6 @@ def _add_phase_options(sub: argparse.ArgumentParser) -> None:
                      help="explicit phase parameter (overrides --regime)")
     sub.add_argument("--regime", choices=REGIMES, default=None,
                      help="named phase regime: enhance-optimum (p=n(n-1)/2) or avoid-worst (p=1)")
-
-
-def format_outcome(outcome) -> str:
-    return "-".join(str(int(c)) for c in outcome)
 
 
 def cmd_probs(parser: argparse.ArgumentParser, args) -> int:
@@ -158,6 +161,7 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
     state = _final_state(args.n, phase, args.engine)
     rng = np.random.default_rng(args.seed)
     counts = sample_counts(state, rng, args.shots)
+    label = "-".join(["{}"] * args.n)  # formats (2, 0, 1) as "2-0-1"
     if args.format == "json":
         record = {
             "n": args.n,
@@ -165,15 +169,14 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
             "engine": args.engine,
             "seed": args.seed,
             "shots": args.shots,
-            "counts": {format_outcome(t): c for t, c in counts.items()},
+            "counts": {label.format(*t): c for t, c in counts.items()},
         }
         _emit(_json_text(record), args.out)
     else:
-        lines = ["outcome,count,frequency"]
-        for outcome, count in counts.items():
-            freq = count / args.shots if args.shots else 0.0
-            lines.append(f"{format_outcome(outcome)},{count},{freq!r}")
-        _emit("\n".join(lines) + "\n", args.out)
+        row = label + ",{},{}\n"
+        freqs = {c: repr(c / args.shots) for c in set(counts.values())}  # few distinct counts
+        _emit("outcome,count,frequency\n" + "".join(
+            row.format(*t, c, freqs[c]) for t, c in counts.items()), args.out)
     if args.dump_state:
         dump_path = Path(args.out).with_suffix(Path(args.out).suffix + ".state.txt")
         with open(dump_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -219,22 +222,25 @@ def cmd_mac(parser: argparse.ArgumentParser, args) -> int:
         if out is not None and out.resolve() == path.resolve():
             parser.error(f"--out {args.out} would overwrite the run spec {path}")
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    comparison = compare_policies(config, policies)
-    print(f"{'policy':>26} {'throughput':>11} {'collisions':>11} {'all-distinct':>13} "
-          f"{'all-same':>10} {'energy':>8}")
-    for run in comparison.runs:
-        m = run.metrics
-        print(f"{run.policy.kind:>26} {m.throughput:>11.4f} {m.collision_rate:>11.4f} "
-              f"{m.all_distinct_rate:>13.6f} {m.all_same_rate:>10.6f} {m.energy_proxy:>8.3f}")
-    for kind, ratio in comparison.all_distinct_ratios().items():
-        shown = "n/a" if ratio is None else f"{ratio:.4f}"
-        print(f"all-distinct ratio {kind}/classical-uniform: {shown}")
-    _emit(_json_text(comparison.to_dict()), str(summary_path))
-    if csv_path is not None:
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(SLOT_CSV_HEADER + "\n")
+    # open the outputs first, so an unwritable one fails before the run
+    with (open(summary_path, "w", encoding="utf-8", newline="\n") as summary_fh,
+          contextlib.nullcontext() if csv_path is None
+          else open(csv_path, "w", encoding="utf-8", newline="\n") as csv_fh):
+        comparison = compare_policies(config, policies)
+        print(f"{'policy':>26} {'throughput':>11} {'collisions':>11} {'all-distinct':>13} "
+              f"{'all-same':>10} {'energy':>8}")
+        for run in comparison.runs:
+            m = run.metrics
+            print(f"{run.policy.kind:>26} {m.throughput:>11.4f} {m.collision_rate:>11.4f} "
+                  f"{m.all_distinct_rate:>13.6f} {m.all_same_rate:>10.6f} {m.energy_proxy:>8.3f}")
+        for kind, ratio in comparison.all_distinct_ratios().items():
+            shown = "n/a" if ratio is None else f"{ratio:.4f}"
+            print(f"all-distinct ratio {kind}/classical-uniform: {shown}")
+        summary_fh.write(_json_text(comparison.to_dict()))
+        if csv_fh is not None:
+            csv_fh.write(SLOT_CSV_HEADER + "\n")
             for run in comparison.runs:
-                run.log.write_csv(fh, run.policy.kind)
+                run.log.write_csv(csv_fh, run.policy.kind)
     print(f"summary: {summary_path}")
     return EXIT_OK
 
@@ -283,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     mac.add_argument("config", help="JSON file mirroring CellConfig plus a 'policies' list")
     mac.add_argument("--out", default="mac_run",
                      help="output prefix; writes <out>.json and, for star runs, <out>.csv")
-    mac.add_argument("--seed", type=_non_negative_int, default=None, help="override the run-spec seed")
+    mac.add_argument("--seed", type=_seed64, default=None, help="override the run-spec seed")
     mac.set_defaults(func=cmd_mac, parser=mac)
 
     return parser

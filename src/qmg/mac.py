@@ -51,6 +51,7 @@ _ENV_STREAM = 0
 _ALLOC_STREAM = 1
 
 SLOT_CSV_HEADER = "slot,free_channels,policy,successes,colliders,all_same"
+CSV_BLOCK_ROWS = 65_536  # slot-CSV rows per write: bounds the text held in memory
 
 
 class ConfigFormatError(ValueError):
@@ -177,11 +178,18 @@ class SlotLog:
         return len(self.successes)
 
     def write_csv(self, stream: IO[str], policy_kind: str) -> None:
-        """Write one CSV row per slot, without the header line."""
-        for i in range(len(self)):
-            stream.write(f"{i},{int(self.free_counts[i])},{policy_kind},"
-                         f"{int(self.successes[i])},{int(self.colliders[i])},"
-                         f"{int(self.all_same[i])}\n")
+        """Write one CSV row per slot, without the header, formatting each distinct row tail once."""
+        columns = (self.free_counts, self.successes, self.colliders, self.all_same)
+        # mixed radix over the column maxima: exact while their product fits int64
+        key = np.zeros(len(self), dtype=np.int64)
+        for column in columns:
+            key = key * (int(column.max(initial=0)) + 1) + column
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        tails = np.array([f",{f},{policy_kind},{s},{c},{a:d}\n" for f, s, c, a
+                          in zip(*(column[first].tolist() for column in columns))], dtype=object)
+        for start in range(0, len(self), CSV_BLOCK_ROWS):
+            block = tails[inverse[start:start + CSV_BLOCK_ROWS]].tolist()
+            stream.write("".join(map(str.__add__, map(str, range(start, start + len(block))), block)))
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:

@@ -95,10 +95,11 @@ def sample_counts(state: QuditState, rng: np.random.Generator,
     if abs(norm - 1.0) > NORM_TOL:
         raise StateIntegrityError(f"state norm = {norm!r}, expected 1 within {NORM_TOL}")
     cumulative = np.cumsum(probs)
-    draws = np.searchsorted(cumulative, rng.random(shots) * cumulative[-1], side="right")
-    draws = np.minimum(draws, probs.size - 1)
-    del probs, cumulative  # free both n**n arrays before decoding
-    values, counts = np.unique(draws, return_counts=True)
+    uniforms = rng.random(shots) * cumulative[-1]
+    uniforms.sort()  # same draws, far faster searchsorted; the counts ignore order
+    draws = np.searchsorted(cumulative, uniforms, side="right")
+    del probs, cumulative, uniforms  # free the n**n arrays before decoding
+    values, counts = np.unique(np.minimum(draws, state.amplitudes.size - 1), return_counts=True)
     outcomes = zip(*indices_to_tuples(state.n, values).T.tolist())
     return dict(zip(outcomes, counts.tolist()))
 

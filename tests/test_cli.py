@@ -2,11 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from qmg import cli
 from qmg.circuit import parse_circuit
-from qmg.qudit import ResourceLimitError
+from qmg.game import GameConfig, phase_for_regime, strategy_matrix
+from qmg.qudit import ResourceLimitError, apply_local_strategy, prepare_entangled, sample_counts
 
 
 def run_spec_file(tmp_path, **overrides):
@@ -108,6 +110,22 @@ def test_simulate_zero_shots(tmp_path):
     assert out.read_text() == "outcome,count,frequency\n"
 
 
+@pytest.mark.parametrize("regime", ("enhance-optimum", "avoid-worst"))
+def test_simulate_csv_matches_per_row_reference(tmp_path, regime):
+    """The histogram CSV is byte for byte the per-row writer's text over the
+    sampler's counts."""
+    out = tmp_path / "hist.csv"
+    assert cli.main(["simulate", "--n", "5", "--regime", regime, "--shots", "100000",
+                     "--seed", "21", "--out", str(out)]) == 0
+    state = apply_local_strategy(prepare_entangled(GameConfig(5, phase_for_regime(regime, 5))),
+                                 strategy_matrix(5))
+    counts = sample_counts(state, np.random.default_rng(21), 100_000)
+    lines = ["outcome,count,frequency"]
+    for outcome, count in counts.items():
+        lines.append(f"{'-'.join(str(int(c)) for c in outcome)},{count},{count / 100_000!r}")
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 def test_simulate_circuit_engine_agrees_with_qudit(tmp_path, read_histogram):
     qudit_out = tmp_path / "qudit.csv"
     circuit_out = tmp_path / "circuit.csv"
@@ -143,12 +161,14 @@ def test_simulate_dump_state_needs_out():
     assert exit_info.value.code == 2
 
 
-@pytest.mark.parametrize("command", ("simulate", "mac"))
-def test_simulate_negative_seed(tmp_path, command):
+@pytest.mark.parametrize("command, seed", (("simulate", "-1"), ("mac", "-1"), ("mac", str(2**64))),
+                         ids=("simulate", "mac", "mac-2**64"))
+def test_simulate_negative_seed(tmp_path, command, seed):
+    """A seed flag out of range is a usage error; a MAC seed must fit 64 bits."""
     argv = (["simulate", "--n", "2", "--p", "1", "--shots", "1"] if command == "simulate"
             else ["mac", str(run_spec_file(tmp_path))])
     with pytest.raises(SystemExit) as exit_info:
-        cli.main(argv + ["--seed", "-1"])
+        cli.main(argv + ["--seed", seed])
     assert exit_info.value.code == 2
 
 
@@ -321,23 +341,26 @@ def test_mac_out_must_not_overwrite_spec(tmp_path, suffix):
 
 @pytest.mark.parametrize("argv", (
     ["mac", "{spec}", "--out", "{afile}/run"],
+    ["mac", "{spec}", "--out", "{taken}"],
     ["probs", "--n", "4", "--p", "1", "--out", "{nodir}/x.json"],
     ["simulate", "--n", "2", "--p", "1", "--shots", "3", "--out", "{nodir}/h.csv"],
     ["simulate", "--n", "2", "--p", "1", "--shots", "3", "--out", "{afile}/h.csv", "--dump-state"],
     ["export-circuit", "--n", "4", "--p", "1", "--out", "{nodir}/c.txt"],
-), ids=("mac", "probs", "simulate", "simulate-dump-state", "export-circuit"))
+), ids=("mac", "mac-summary-is-dir", "probs", "simulate", "simulate-dump-state", "export-circuit"))
 def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
     """An --out that cannot be written exits 2 with one diagnostic line; mac
     finds out before it simulates or prints anything."""
     afile = tmp_path / "afile"
     afile.write_text("")
-    paths = {"spec": run_spec_file(tmp_path), "afile": afile, "nodir": tmp_path / "nodir"}
+    (tmp_path / "taken.json").mkdir()  # `--out taken` cannot write its summary
+    paths = {"spec": run_spec_file(tmp_path), "afile": afile, "nodir": tmp_path / "nodir",
+             "taken": tmp_path / "taken"}
     assert cli.main([arg.format(**paths) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("output error:") and "Traceback" not in captured.err
     if argv[0] == "mac":
         assert captured.out == ""
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "cell.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "cell.json", "taken.json"]
 
 
 def test_mac_missing_file(tmp_path, capsys):

@@ -11,6 +11,7 @@ import pytest
 
 from qmg.mac import (
     CLASSICAL_UNIFORM,
+    CSV_BLOCK_ROWS,
     QUANTUM_AVOID_WORST,
     QUANTUM_ENHANCE_OPTIMUM,
     AllocatorPolicy,
@@ -19,6 +20,7 @@ from qmg.mac import (
     EmptyRunError,
     InvalidTopologyError,
     MacMetrics,
+    SlotLog,
     compare_policies,
     load_run_spec,
     run_cell,
@@ -239,6 +241,25 @@ def test_slot_csv_shape():
     slot, free, policy, succ, coll, same = lines[0].split(",")
     assert (slot, free, policy, same) == ("0", "4", QUANTUM_AVOID_WORST, "0")
     assert int(succ) + int(coll) == 4
+
+
+@pytest.mark.parametrize("slots", (1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 3))
+def test_slot_csv_matches_per_row_reference(slots):
+    """The block writer emits exactly the rows of a one-f-string-per-slot
+    writer, across block boundaries and with mesh-sized counts."""
+    rng = np.random.default_rng(slots)
+    log = SlotLog(free_counts=rng.integers(0, 17, slots),
+                  successes=rng.integers(0, 40, slots).astype(np.int32),
+                  colliders=rng.integers(0, 40, slots).astype(np.int32),
+                  all_same=rng.random(slots) < 0.5)
+    if slots > 1:
+        log.all_same[:2] = (False, True)
+    buffer = io.StringIO()
+    log.write_csv(buffer, QUANTUM_ENHANCE_OPTIMUM)
+    expected = "".join(
+        f"{i},{int(log.free_counts[i])},{QUANTUM_ENHANCE_OPTIMUM},{int(log.successes[i])},"
+        f"{int(log.colliders[i])},{int(log.all_same[i])}\n" for i in range(slots))
+    assert buffer.getvalue() == expected
 
 
 # --- mesh rounds --------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Dense qudit simulator vs the closed-form oracle."""
 
+import collections
 import io
 import itertools
 import math
@@ -194,6 +195,30 @@ def test_measured_all_distinct_fraction():
 
 def test_sample_counts_zero_shots():
     assert sample_counts(final_state(2, 1), np.random.default_rng(0), 0) == {}
+
+
+def unsorted_sample_counts(state, rng, shots):
+    """Reference sampler: one inverse-CDF lookup per draw, in draw order."""
+    probs = np.abs(state.amplitudes) ** 2
+    cumulative = np.cumsum(probs)
+    draws = np.searchsorted(cumulative, rng.random(shots) * cumulative[-1], side="right")
+    counts = collections.Counter(np.minimum(draws, probs.size - 1).tolist())
+    shape = (state.n,) * state.n
+    return {tuple(int(c) for c in np.unravel_index(i, shape)): counts[i] for i in sorted(counts)}
+
+
+@pytest.mark.parametrize("n", (4, 5))
+@pytest.mark.parametrize("regime", ("enhance-optimum", "avoid-worst"))
+@pytest.mark.parametrize("shots", (0, 1, 100_000))
+def test_sample_counts_matches_unsorted_reference(n, regime, shots):
+    """Same counts, same order and the same random numbers used as the
+    draw-order reference at the same seed."""
+    state = final_state(n, phase_for_regime(regime, n))
+    rng, reference_rng = np.random.default_rng(shots + n), np.random.default_rng(shots + n)
+    counts = sample_counts(state, rng, shots)
+    expected = unsorted_sample_counts(state, reference_rng, shots)
+    assert list(counts.items()) == list(expected.items())
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
