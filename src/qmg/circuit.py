@@ -201,9 +201,8 @@ def run_circuit(gates: list[Gate], width: int) -> QubitRegister:
 
 
 def register_to_qudit(register: QubitRegister) -> QuditState:
-    """Reinterpret a register as a qudit state (the flat indices coincide)."""
-    n = game_size_for_width(register.width)
-    return QuditState(n, register.amplitudes.copy())
+    """View a register as a qudit state sharing its buffer (the flat indices coincide)."""
+    return QuditState(game_size_for_width(register.width), register.amplitudes)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,9 @@ repeated runs produce byte-identical output files.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -218,29 +218,43 @@ def cmd_mac(parser: argparse.ArgumentParser, args) -> int:
     prefix = Path(args.out)
     summary_path = Path(f"{prefix}.json")
     csv_path = None if config.topology == TOPOLOGY_MESH else Path(f"{prefix}.csv")
-    for out in (summary_path, csv_path):
-        if out is not None and out.resolve() == path.resolve():
+    finals = [out for out in (summary_path, csv_path) if out is not None]
+    for out in finals:
+        if out.resolve() == path.resolve():
             parser.error(f"--out {args.out} would overwrite the run spec {path}")
+        if out.is_dir():
+            raise IsADirectoryError(f"{out} is a directory")
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    # open the outputs first, so an unwritable one fails before the run
-    with (open(summary_path, "w", encoding="utf-8", newline="\n") as summary_fh,
-          contextlib.nullcontext() if csv_path is None
-          else open(csv_path, "w", encoding="utf-8", newline="\n") as csv_fh):
+    # write temporaries beside the outputs and move them into place only once
+    # both are complete, so a failed or interrupted run leaves earlier files as
+    # they were; opening them first makes an unwritable directory fail early
+    temps = []
+    try:
+        for out in finals:
+            temps.append(open(f"{out}.{os.getpid()}.tmp", "w", encoding="utf-8", newline="\n"))
         comparison = compare_policies(config, policies)
-        print(f"{'policy':>26} {'throughput':>11} {'collisions':>11} {'all-distinct':>13} "
-              f"{'all-same':>10} {'energy':>8}")
-        for run in comparison.runs:
-            m = run.metrics
-            print(f"{run.policy.kind:>26} {m.throughput:>11.4f} {m.collision_rate:>11.4f} "
-                  f"{m.all_distinct_rate:>13.6f} {m.all_same_rate:>10.6f} {m.energy_proxy:>8.3f}")
-        for kind, ratio in comparison.all_distinct_ratios().items():
-            shown = "n/a" if ratio is None else f"{ratio:.4f}"
-            print(f"all-distinct ratio {kind}/classical-uniform: {shown}")
-        summary_fh.write(_json_text(comparison.to_dict()))
-        if csv_fh is not None:
-            csv_fh.write(SLOT_CSV_HEADER + "\n")
+        temps[0].write(_json_text(comparison.to_dict()))
+        if csv_path is not None:
+            temps[1].write(SLOT_CSV_HEADER + "\n")
             for run in comparison.runs:
-                run.log.write_csv(csv_fh, run.policy.kind)
+                run.log.write_csv(temps[1], run.policy.kind)
+        for fh in temps:
+            fh.close()
+        for fh, out in zip(temps, finals):
+            os.replace(fh.name, out)
+    finally:
+        for fh in temps:
+            fh.close()
+            Path(fh.name).unlink(missing_ok=True)
+    print(f"{'policy':>26} {'throughput':>11} {'collisions':>11} {'all-distinct':>13} "
+          f"{'all-same':>10} {'energy':>8}")
+    for run in comparison.runs:
+        m = run.metrics
+        print(f"{run.policy.kind:>26} {m.throughput:>11.4f} {m.collision_rate:>11.4f} "
+              f"{m.all_distinct_rate:>13.6f} {m.all_same_rate:>10.6f} {m.energy_proxy:>8.3f}")
+    for kind, ratio in comparison.all_distinct_ratios().items():
+        shown = "n/a" if ratio is None else f"{ratio:.4f}"
+        print(f"all-distinct ratio {kind}/classical-uniform: {shown}")
     print(f"summary: {summary_path}")
     return EXIT_OK
 

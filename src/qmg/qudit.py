@@ -42,15 +42,6 @@ class QuditState:
     amplitudes: np.ndarray
 
 
-def indices_to_tuples(n: int, indices: np.ndarray) -> np.ndarray:
-    """One row of base-n digits per flat index (user 0 most significant)."""
-    out = np.empty((len(indices), n), dtype=np.int64)
-    rest = np.asarray(indices, dtype=np.int64)
-    for j in range(n - 1, -1, -1):
-        rest, out[:, j] = np.divmod(rest, n)
-    return out
-
-
 def constant_indices(n: int) -> np.ndarray:
     """Flat indices of the constant tuples (k, ..., k) for k = 0 .. n-1."""
     return np.arange(n, dtype=np.int64) * ((n**n - 1) // (n - 1))
@@ -69,17 +60,19 @@ def prepare_entangled(config: GameConfig) -> QuditState:
 def apply_local_strategy(state: QuditState, matrix: np.ndarray) -> QuditState:
     """Apply the same single-qudit operator to every site, one site at a time.
 
-    The sweep contracts one axis of the (n, ..., n)-shaped view per site
-    and never materializes the full n**n x n**n operator.
+    Each step contracts the leading site and rotates it to the back; n
+    rotations restore the site order.  The sweep holds at most two
+    state-sized arrays of its own and never builds the n**n x n**n operator.
     """
     n = state.n
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.shape != (n, n):
         raise DimensionError(f"operator shape {matrix.shape} does not match qudit dimension {n}")
-    psi = state.amplitudes.reshape((n,) * n)
-    for site in range(n):
-        psi = np.moveaxis(np.tensordot(matrix, psi, axes=(1, site)), 0, site)
-    return QuditState(n, np.ascontiguousarray(psi).reshape(-1))
+    psi = state.amplitudes
+    for _ in range(n):
+        psi = matrix @ psi.reshape(n, -1)
+        psi = psi.T.copy()
+    return QuditState(n, psi.reshape(-1))
 
 
 def sample_counts(state: QuditState, rng: np.random.Generator,
@@ -100,7 +93,7 @@ def sample_counts(state: QuditState, rng: np.random.Generator,
     draws = np.searchsorted(cumulative, uniforms, side="right")
     del probs, cumulative, uniforms  # free the n**n arrays before decoding
     values, counts = np.unique(np.minimum(draws, state.amplitudes.size - 1), return_counts=True)
-    outcomes = zip(*indices_to_tuples(state.n, values).T.tolist())
+    outcomes = zip(*(d.tolist() for d in np.unravel_index(values, (state.n,) * state.n)))
     return dict(zip(outcomes, counts.tolist()))
 
 

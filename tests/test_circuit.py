@@ -25,7 +25,7 @@ from qmg.circuit import (
     register_to_qudit,
     run_circuit,
 )
-from qmg.qudit import ResourceLimitError, constant_indices, indices_to_tuples, prepare_entangled
+from qmg.qudit import ResourceLimitError, constant_indices, prepare_entangled, sample_counts
 
 SQRT1_2 = 1 / math.sqrt(2)
 
@@ -175,22 +175,20 @@ def test_tuple_to_bits_examples():
     assert constant_indices(4).tolist() == [int(b, 2) for b in expected]
 
 
-@given(n=st.sampled_from((2, 4, 8)), data=st.data())
+@given(n=st.sampled_from((2, 4)), data=st.data())
 def test_bit_packing_round_trip(n, data):
     """Writing each user's channel into its own qubit group, most significant
-    bit first, lands on the assignment's flat base-n index, which
-    register_to_qudit decodes back to the assignment.  The index decodes back
-    at every size; the circuit runs only up to n = 4 (n = 8 is 24 qubits)."""
+    bit first, lands on the assignment's flat base-n index, which measuring
+    register_to_qudit's state decodes back to the assignment (n = 8 would run
+    a 24-qubit register per example)."""
     t = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
-    assert tuple(indices_to_tuples(n, np.array([flat_index(t)]))[0]) == t
-    if n > 4:
-        return
     log = qubits_per_user(n)
     gates = [Gate("x", targets=(user * log + j,))
              for user, c in enumerate(t) for j in range(log) if (c >> (log - 1 - j)) & 1]
     state = register_to_qudit(run_circuit(gates, n * log))
     (index,) = np.nonzero(state.amplitudes)[0]
     assert index == flat_index(t)
+    assert sample_counts(state, np.random.default_rng(0), 3) == {t: 3}
 
 
 def test_bit_packing_rejects_bad_sizes():

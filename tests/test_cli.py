@@ -339,6 +339,37 @@ def test_mac_out_must_not_overwrite_spec(tmp_path, suffix):
     assert sorted(tmp_path.iterdir()) == [spec]
 
 
+def test_mac_unwritable_csv_keeps_earlier_summary(tmp_path, capsys):
+    """When only <out>.csv cannot be written, the earlier <out>.json stays."""
+    spec = run_spec_file(tmp_path)
+    (tmp_path / "run.json").write_text("earlier summary\n")
+    (tmp_path / "run.csv").mkdir()
+    before = sorted(tmp_path.iterdir())
+    assert cli.main(["mac", str(spec), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "run.json").read_text() == "earlier summary\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_mac_interrupted_run_keeps_earlier_outputs(tmp_path, monkeypatch, capsys):
+    """A run stopped mid-simulation leaves an earlier run's files as they were
+    and no temporary behind."""
+    spec = run_spec_file(tmp_path, slots=200)
+    prefix = tmp_path / "run"
+    assert cli.main(["mac", str(spec), "--out", str(prefix)]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+
+    def interrupted(config, policies):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "compare_policies", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["mac", str(spec), "--out", str(prefix)])
+    assert capsys.readouterr().out == ""
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 @pytest.mark.parametrize("argv", (
     ["mac", "{spec}", "--out", "{afile}/run"],
     ["mac", "{spec}", "--out", "{taken}"],

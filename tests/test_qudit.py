@@ -1,6 +1,7 @@
 """Dense qudit simulator vs the closed-form oracle."""
 
 import collections
+import functools
 import io
 import itertools
 import math
@@ -24,7 +25,6 @@ from qmg.qudit import (
     PROB_FLOOR,
     apply_local_strategy,
     dump_nonzero,
-    indices_to_tuples,
     prepare_entangled,
     sample_counts,
 )
@@ -44,16 +44,6 @@ def flat_index(n, outcome):
 def test_index_round_trip():
     assert flat_index(4, (1, 1, 1, 1)) == 85
     assert flat_index(3, (2, 0, 1)) == 19
-    for n in (2, 3, 4):
-        rows = indices_to_tuples(n, np.arange(n**n))
-        assert np.array_equal(np.ravel_multi_index(rows.T, (n,) * n), np.arange(n**n))
-
-
-def test_indices_to_tuples_vectorized():
-    idx = np.arange(3**3)
-    rows = indices_to_tuples(3, idx)
-    assert rows.shape == (27, 3)
-    assert tuple(rows[19]) == (2, 0, 1)
 
 
 def test_prepare_two_user():
@@ -102,6 +92,19 @@ def test_amplitude_matches_oracle_pointwise():
     state = final_state(4, 6)
     idx = flat_index(4, (0, 1, 2, 3))
     assert abs(state.amplitudes[idx]) ** 2 == pytest.approx(1 / 64, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_sweep_matches_kron_operator(n):
+    """A random non-symmetric operator on every site equals the explicit
+    Kronecker product with user 0 as the leftmost factor."""
+    rng = np.random.default_rng(n)
+    matrix = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    amps = rng.normal(size=n**n) + 1j * rng.normal(size=n**n)
+    amps /= np.linalg.norm(amps)
+    operator = functools.reduce(np.kron, [matrix] * n)
+    swept = apply_local_strategy(QuditState(n, amps), matrix).amplitudes
+    assert np.max(np.abs(swept - operator @ amps)) < 1e-12
 
 
 def test_site_order_independence():
@@ -158,11 +161,14 @@ def test_measure_two_user_outcomes_only():
     assert set(counts) == {(0, 1), (1, 0)}
 
 
-def test_measure_point_mass():
-    amps = np.zeros(27, dtype=np.complex128)
-    amps[flat_index(3, (2, 1, 0))] = 1.0
-    state = QuditState(3, amps)
-    assert sample_counts(state, np.random.default_rng(0), 20) == {(2, 1, 0): 20}
+@given(n=st.integers(2, 7), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_measure_point_mass(n, data):
+    """Every draw of a point mass decodes back to its assignment."""
+    t = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    amps = np.zeros(n**n, dtype=np.complex128)
+    amps[flat_index(n, t)] = 1.0
+    assert sample_counts(QuditState(n, amps), np.random.default_rng(0), 20) == {t: 20}
 
 
 def test_measure_rejects_unnormalized():
