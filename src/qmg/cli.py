@@ -9,6 +9,7 @@ repeated runs produce byte-identical output files.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -61,11 +62,32 @@ EXIT_RESOURCE = 4
 CIRCUIT_SIZES = (2, 4, 8)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8", newline="\n")
+@contextlib.contextmanager
+def _outputs(*paths):
+    """Yield one text stream per path, stdout for None; files appear complete or
+    not at all.  Temporaries beside the targets are opened before any work,
+    moved onto them once every stream is done, and deleted on any exception,
+    KeyboardInterrupt included.  Symlinks are written through; an existing
+    target that is not a regular file (a directory, a FIFO, /dev/null) is
+    refused, and so is one named twice, whose temporary already exists."""
+    suffix, streams, temps = f".{os.getpid()}.tmp", [], []
+    try:
+        for path in paths:
+            if path is not None and os.path.exists(path) and not os.path.isfile(path):
+                raise OSError(f"{path} is not a regular file")
+            if path is not None:
+                temps.append(open(os.path.realpath(path) + suffix, "x", encoding="utf-8",
+                                  newline="\n"))
+            streams.append(sys.stdout if path is None else temps[-1])
+        yield streams
+        for fh in temps:
+            fh.close()
+        for fh in temps:
+            os.replace(fh.name, fh.name.removesuffix(suffix))
+    finally:
+        for fh in temps:
+            fh.close()
+            Path(fh.name).unlink(missing_ok=True)
 
 
 def _json_text(document: dict) -> str:
@@ -107,36 +129,33 @@ def cmd_probs(parser: argparse.ArgumentParser, args) -> int:
     if not 2 <= args.n <= MAX_N:
         parser.error(f"--n must lie in [2, {MAX_N}]")
     phase, regime = _resolve_phase(parser, args)
-    quantum = analytic_probabilities(GameConfig(args.n, phase))
-    classical = classical_probabilities(args.n)
-    ratio = (quantum.p_all_distinct / classical.p_all_distinct
-             if classical.p_all_distinct else None)
-    record = {
-        "n": args.n,
-        "phase": phase,
-        "regime": regime,
-        "classical": dataclasses.asdict(classical),
-        "quantum": dataclasses.asdict(quantum),
-        "enhancement_ratio": ratio,
-    }
-    if args.format == "json":
-        _emit(_json_text(record), args.out)
-    else:
-        rows = [
-            ("n", args.n),
-            ("phase", phase),
-            ("regime", regime),
-            ("classical_all_distinct", classical.p_all_distinct),
-            ("quantum_all_distinct", quantum.p_all_distinct),
-            ("classical_all_same", classical.p_all_same),
-            ("quantum_all_same", quantum.p_all_same),
-            ("support_size", quantum.support_size),
-            ("per_outcome_prob", quantum.per_outcome_prob),
-            ("enhancement_ratio", ratio),
-        ]
-        text = "metric,value\n" + "".join(f"{k},{v!r}\n" if isinstance(v, float)
-                                          else f"{k},{v}\n" for k, v in rows)
-        _emit(text, args.out)
+    with _outputs(args.out) as (stream,):
+        quantum = analytic_probabilities(GameConfig(args.n, phase))
+        classical = classical_probabilities(args.n)
+        ratio = (quantum.p_all_distinct / classical.p_all_distinct
+                 if classical.p_all_distinct else None)
+        record = {
+            "n": args.n,
+            "phase": phase,
+            "regime": regime,
+            "classical": dataclasses.asdict(classical),
+            "quantum": dataclasses.asdict(quantum),
+            "enhancement_ratio": ratio,
+        }
+        if args.format == "json":
+            text = _json_text(record)
+        else:
+            rows = [("n", args.n), ("phase", phase), ("regime", regime),
+                    ("classical_all_distinct", classical.p_all_distinct),
+                    ("quantum_all_distinct", quantum.p_all_distinct),
+                    ("classical_all_same", classical.p_all_same),
+                    ("quantum_all_same", quantum.p_all_same),
+                    ("support_size", quantum.support_size),
+                    ("per_outcome_prob", quantum.per_outcome_prob),
+                    ("enhancement_ratio", ratio)]
+            text = "metric,value\n" + "".join(f"{k},{v!r}\n" if isinstance(v, float)
+                                              else f"{k},{v}\n" for k, v in rows)
+        stream.write(text)
     return EXIT_OK
 
 
@@ -158,49 +177,48 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
     if args.dump_state and args.out is None:
         parser.error("--dump-state requires --out")
     phase, _ = _resolve_phase(parser, args)
-    state = _final_state(args.n, phase, args.engine)
-    rng = np.random.default_rng(args.seed)
-    counts = sample_counts(state, rng, args.shots)
-    label = "-".join(["{}"] * args.n)  # formats (2, 0, 1) as "2-0-1"
-    if args.format == "json":
-        record = {
-            "n": args.n,
-            "phase": phase,
-            "engine": args.engine,
-            "seed": args.seed,
-            "shots": args.shots,
-            "counts": {label.format(*t): c for t, c in counts.items()},
-        }
-        _emit(_json_text(record), args.out)
-    else:
-        row = label + ",{},{}\n"
-        freqs = {c: repr(c / args.shots) for c in set(counts.values())}  # few distinct counts
-        _emit("outcome,count,frequency\n" + "".join(
-            row.format(*t, c, freqs[c]) for t, c in counts.items()), args.out)
-    if args.dump_state:
-        dump_path = Path(args.out).with_suffix(Path(args.out).suffix + ".state.txt")
-        with open(dump_path, "w", encoding="utf-8", newline="\n") as fh:
-            dump_nonzero(state, fh)
+    paths = [args.out] + ([f"{args.out}.state.txt"] if args.dump_state else [])
+    with _outputs(*paths) as streams:
+        state = _final_state(args.n, phase, args.engine)
+        counts = sample_counts(state, np.random.default_rng(args.seed), args.shots)
+        label = "-".join(["{}"] * args.n)  # formats (2, 0, 1) as "2-0-1"
+        if args.format == "json":
+            record = {
+                "n": args.n,
+                "phase": phase,
+                "engine": args.engine,
+                "seed": args.seed,
+                "shots": args.shots,
+                "counts": {label.format(*t): c for t, c in counts.items()},
+            }
+            streams[0].write(_json_text(record))
+        else:
+            row = label + ",{},{}\n"
+            freqs = {c: repr(c / args.shots) for c in set(counts.values())}  # few distinct counts
+            streams[0].write("outcome,count,frequency\n" + "".join(
+                row.format(*t, c, freqs[c]) for t, c in counts.items()))
+        if args.dump_state:
+            dump_nonzero(state, streams[1])
     return EXIT_OK
 
 
 def cmd_audit_circuit(parser: argparse.ArgumentParser, args) -> int:
     phase, _ = _resolve_phase(parser, args)
-    audit = audit_preparation_circuit(GameConfig(args.n, phase), args.variant)
-    record = {"n": args.n, "phase": phase, "variant": args.variant}
-    record.update(audit.to_dict())
-    _emit(_json_text(record), args.out)
+    with _outputs(args.out) as (stream,):
+        audit = audit_preparation_circuit(GameConfig(args.n, phase), args.variant)
+        record = {"n": args.n, "phase": phase, "variant": args.variant}
+        record.update(audit.to_dict())
+        stream.write(_json_text(record))
     return EXIT_OK
 
 
 def cmd_export_circuit(parser: argparse.ArgumentParser, args) -> int:
     phase, _ = _resolve_phase(parser, args)
-    config = GameConfig(args.n, phase)
-    gates = build_preparation_circuit(config, args.variant)
-    width = args.n * qubits_per_user(args.n)
-    header = (f"# preparation circuit: n={args.n} phase={phase} "
-              f"variant={args.variant} width={width}\n")
-    _emit(header + export_circuit(gates), args.out)
+    with _outputs(args.out) as (stream,):
+        gates = build_preparation_circuit(GameConfig(args.n, phase), args.variant)
+        width = args.n * qubits_per_user(args.n)
+        stream.write(f"# preparation circuit: n={args.n} phase={phase} "
+                     f"variant={args.variant} width={width}\n" + export_circuit(gates))
     return EXIT_OK
 
 
@@ -216,36 +234,18 @@ def cmd_mac(parser: argparse.ArgumentParser, args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     prefix = Path(args.out)
-    summary_path = Path(f"{prefix}.json")
-    csv_path = None if config.topology == TOPOLOGY_MESH else Path(f"{prefix}.csv")
-    finals = [out for out in (summary_path, csv_path) if out is not None]
-    for out in finals:
-        if out.resolve() == path.resolve():
-            parser.error(f"--out {args.out} would overwrite the run spec {path}")
-        if out.is_dir():
-            raise IsADirectoryError(f"{out} is a directory")
+    suffixes = (".json",) if config.topology == TOPOLOGY_MESH else (".json", ".csv")
+    finals = [Path(f"{prefix}{suffix}") for suffix in suffixes]
+    if any(out.resolve() == path.resolve() for out in finals):
+        parser.error(f"--out {args.out} would overwrite the run spec {path}")
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    # write temporaries beside the outputs and move them into place only once
-    # both are complete, so a failed or interrupted run leaves earlier files as
-    # they were; opening them first makes an unwritable directory fail early
-    temps = []
-    try:
-        for out in finals:
-            temps.append(open(f"{out}.{os.getpid()}.tmp", "w", encoding="utf-8", newline="\n"))
+    with _outputs(*finals) as (summary, *csv):
         comparison = compare_policies(config, policies)
-        temps[0].write(_json_text(comparison.to_dict()))
-        if csv_path is not None:
-            temps[1].write(SLOT_CSV_HEADER + "\n")
+        summary.write(_json_text(comparison.to_dict()))
+        for stream in csv:  # star runs only
+            stream.write(SLOT_CSV_HEADER + "\n")
             for run in comparison.runs:
-                run.log.write_csv(temps[1], run.policy.kind)
-        for fh in temps:
-            fh.close()
-        for fh, out in zip(temps, finals):
-            os.replace(fh.name, out)
-    finally:
-        for fh in temps:
-            fh.close()
-            Path(fh.name).unlink(missing_ok=True)
+                run.log.write_csv(stream, run.policy.kind)
     print(f"{'policy':>26} {'throughput':>11} {'collisions':>11} {'all-distinct':>13} "
           f"{'all-same':>10} {'energy':>8}")
     for run in comparison.runs:
@@ -255,7 +255,7 @@ def cmd_mac(parser: argparse.ArgumentParser, args) -> int:
     for kind, ratio in comparison.all_distinct_ratios().items():
         shown = "n/a" if ratio is None else f"{ratio:.4f}"
         print(f"all-distinct ratio {kind}/classical-uniform: {shown}")
-    print(f"summary: {summary_path}")
+    print(f"summary: {finals[0]}")
     return EXIT_OK
 
 

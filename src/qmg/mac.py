@@ -38,6 +38,7 @@ from .game import (
     phase_for_regime,
     sample_outcomes,
 )
+from .qudit import check_footprint
 
 CLASSICAL_UNIFORM = "classical-uniform"
 QUANTUM_ENHANCE_OPTIMUM = "quantum-enhance-optimum"
@@ -234,6 +235,7 @@ def _run_slots(config: CellConfig, policy: AllocatorPolicy, group: int, rounds: 
     env = _stream(config.seed, _ENV_STREAM)
     alloc = _stream(config.seed, _ALLOC_STREAM, POLICY_KINDS.index(policy.kind))
     slots = config.slots
+    check_footprint(8 * n * slots, f"{slots} slots of {n} users")  # occupancy draws
 
     free_counts = (env.random((slots, n)) >= config.primary_activity).sum(axis=1)
 

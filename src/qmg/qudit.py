@@ -9,6 +9,7 @@ states; nothing here mutates its input.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import IO
 
@@ -25,9 +26,20 @@ PROB_FLOOR = 1e-15
 #: measurement refuses states whose norm drifted further than this
 NORM_TOL = 1e-6
 
+#: bytes of physical memory, the ceiling for a run's planned footprint
+PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
 
 class ResourceLimitError(RuntimeError):
-    """The dense representation would exceed the memory ceiling."""
+    """A run would exceed a memory ceiling: the dense-state cap or, by its
+    planned footprint, physical memory."""
+
+
+def check_footprint(planned_bytes: int, what: str) -> None:
+    """Refuse, before allocating, a run planned to need more than physical memory."""
+    if planned_bytes > PHYSICAL_MEMORY:
+        raise ResourceLimitError(f"{what} need at least {planned_bytes} bytes, more than "
+                                 f"the {PHYSICAL_MEMORY} bytes of physical memory")
 
 
 class StateIntegrityError(RuntimeError):
@@ -83,6 +95,7 @@ def sample_counts(state: QuditState, rng: np.random.Generator,
     order of their big-endian flat indices).  Refuses a state whose norm
     is off 1 by more than ``NORM_TOL``.
     """
+    check_footprint(16 * shots, f"{shots} shots")  # uniforms and draw indices
     probs = np.abs(state.amplitudes) ** 2
     norm = math.sqrt(probs.sum())
     if abs(norm - 1.0) > NORM_TOL:

@@ -1,11 +1,14 @@
 """CLI behavior: outputs, determinism, exit codes."""
 
 import json
+import os
+import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qmg import cli
+from qmg import cli, qudit
 from qmg.circuit import parse_circuit
 from qmg.game import GameConfig, phase_for_regime, strategy_matrix
 from qmg.qudit import ResourceLimitError, apply_local_strategy, prepare_entangled, sample_counts
@@ -339,35 +342,93 @@ def test_mac_out_must_not_overwrite_spec(tmp_path, suffix):
     assert sorted(tmp_path.iterdir()) == [spec]
 
 
-def test_mac_unwritable_csv_keeps_earlier_summary(tmp_path, capsys):
-    """When only <out>.csv cannot be written, the earlier <out>.json stays."""
+@pytest.mark.parametrize("argv, earlier, blocked", (
+    (["mac", "{spec}", "--out", "{tmp}/run"], "run.json", "run.csv"),
+    (["simulate", "--n", "2", "--p", "1", "--shots", "3", "--out", "{tmp}/h.csv", "--dump-state"],
+     "h.csv", "h.csv.state.txt"),
+), ids=("mac", "simulate-dump-state"))
+def test_mac_unwritable_csv_keeps_earlier_summary(tmp_path, capsys, argv, earlier, blocked):
+    """When only the second output (the slot CSV, the state dump) cannot be
+    written, the earlier first output keeps its bytes and no file is added."""
     spec = run_spec_file(tmp_path)
-    (tmp_path / "run.json").write_text("earlier summary\n")
-    (tmp_path / "run.csv").mkdir()
+    (tmp_path / earlier).write_text("earlier output\n")
+    (tmp_path / blocked).mkdir()
     before = sorted(tmp_path.iterdir())
-    assert cli.main(["mac", str(spec), "--out", str(tmp_path / "run")]) == 2
-    assert capsys.readouterr().out == ""
-    assert (tmp_path / "run.json").read_text() == "earlier summary\n"
+    assert cli.main([arg.format(spec=spec, tmp=tmp_path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("output error:")
+    assert (tmp_path / earlier).read_text() == "earlier output\n"
     assert sorted(tmp_path.iterdir()) == before
 
 
-def test_mac_interrupted_run_keeps_earlier_outputs(tmp_path, monkeypatch, capsys):
-    """A run stopped mid-simulation leaves an earlier run's files as they were
-    and no temporary behind."""
+@pytest.mark.parametrize("argv, outputs, last_call", (
+    (["mac", "{spec}", "--out", "{tmp}/run"], ("run.json", "run.csv"), "compare_policies"),
+    (["simulate", "--n", "3", "--p", "1", "--shots", "50", "--out", "{tmp}/h.csv", "--dump-state"],
+     ("h.csv", "h.csv.state.txt"), "dump_nonzero"),
+    (["probs", "--n", "4", "--p", "1", "--out", "{tmp}/p.json"], ("p.json",),
+     "analytic_probabilities"),
+    (["audit-circuit", "--n", "2", "--p", "1", "--out", "{tmp}/a.json"], ("a.json",),
+     "audit_preparation_circuit"),
+    (["export-circuit", "--n", "2", "--p", "1", "--out", "{tmp}/c.txt"], ("c.txt",),
+     "export_circuit"),
+), ids=("mac", "simulate", "probs", "audit-circuit", "export-circuit"))
+def test_mac_interrupted_run_keeps_earlier_outputs(tmp_path, monkeypatch, capsys,
+                                                   argv, outputs, last_call):
+    """A run stopped at its last call before the write (for simulate, the
+    state dump, after the histogram) leaves earlier files as they were and
+    no temporary behind."""
     spec = run_spec_file(tmp_path, slots=200)
-    prefix = tmp_path / "run"
-    assert cli.main(["mac", str(spec), "--out", str(prefix)]) == 0
+    for name in outputs:
+        (tmp_path / name).write_text(f"earlier {name}\n")
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    capsys.readouterr()
 
-    def interrupted(config, policies):
+    def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "compare_policies", interrupted)
+    monkeypatch.setattr(cli, last_call, interrupted)
     with pytest.raises(KeyboardInterrupt):
-        cli.main(["mac", str(spec), "--out", str(prefix)])
+        cli.main([arg.format(spec=spec, tmp=tmp_path) for arg in argv])
     assert capsys.readouterr().out == ""
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_symlinked_out_is_written_through(tmp_path):
+    """A symlinked --out receives the bytes through the link and stays a link."""
+    argv = ["simulate", "--n", "3", "--p", "1", "--shots", "40", "--dump-state", "--out"]
+    assert cli.main(argv + [str(tmp_path / "plain.csv")]) == 0
+    (tmp_path / "real.csv").write_text("earlier output\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to("real.csv")
+    assert cli.main(argv + [str(link)]) == 0
+    assert link.is_symlink() and link.readlink() == Path("real.csv")
+    assert (tmp_path / "real.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    assert ((tmp_path / "link.csv.state.txt").read_bytes()
+            == (tmp_path / "plain.csv.state.txt").read_bytes())
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_output_named_twice_is_usage_error(tmp_path, capsys):
+    """A state dump that is a symlink to the histogram names one file twice:
+    exit 2 before any work, and the earlier histogram keeps its bytes."""
+    (tmp_path / "h.csv").write_text("earlier output\n")
+    (tmp_path / "h.csv.state.txt").symlink_to("h.csv")
+    before = sorted(tmp_path.iterdir())
+    assert cli.main(["simulate", "--n", "3", "--p", "1", "--shots", "50",
+                     "--out", str(tmp_path / "h.csv"), "--dump-state"]) == 2
+    assert capsys.readouterr().err.startswith("output error:")
+    assert (tmp_path / "h.csv").read_text() == "earlier output\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_fifo_out_is_usage_error(tmp_path, capsys):
+    """An --out that exists but is not a regular file exits 2 before any work
+    and is neither opened nor replaced."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    assert cli.main(["probs", "--n", "4", "--p", "1", "--out", str(fifo)]) == 2
+    assert capsys.readouterr().err.startswith(f"output error: {fifo} is not a regular file")
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(tmp_path.iterdir()) == [fifo]
 
 
 @pytest.mark.parametrize("argv", (
@@ -405,3 +466,28 @@ def test_resource_limit_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_final_state", explode)
     assert cli.main(["simulate", "--n", "4", "--p", "1", "--shots", "1"]) == 4
     assert "resource limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, size, memory", (
+    ("mac", 10**30, None),
+    ("simulate", 10**30, None),
+    ("mac", 100_000, 2**20),
+    ("simulate", 100_000, 2**20),
+), ids=("mac-10**30-slots", "simulate-10**30-shots", "mac-1MiB", "simulate-1MiB"))
+def test_planned_footprint_over_memory_exits_4(tmp_path, monkeypatch, capsys,
+                                                command, size, memory):
+    """A run whose planned footprint exceeds physical memory stops before it
+    allocates: exit 4, nothing printed, no output file.  The guard is tested
+    by planning; with ``memory`` set it sees that much physical memory."""
+    if memory is not None:
+        monkeypatch.setattr(qudit, "PHYSICAL_MEMORY", memory)
+    if command == "mac":
+        argv = ["mac", str(run_spec_file(tmp_path, slots=size)), "--out", str(tmp_path / "run")]
+    else:
+        argv = ["simulate", "--n", "4", "--p", "1", "--shots", str(size),
+                "--out", str(tmp_path / "h.csv")]
+    assert cli.main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource limit:") and "Traceback" not in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cell.json"] * (command == "mac")
