@@ -238,19 +238,26 @@ def cmd_mac(parser: argparse.ArgumentParser, args) -> int:
     finals = [Path(f"{prefix}{suffix}") for suffix in suffixes]
     if any(out.resolve() == path.resolve() for out in finals):
         parser.error(f"--out {args.out} would overwrite the run spec {path}")
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    with _outputs(*finals) as (summary, *csv):
-        comparison = compare_policies(config, policies)
-        summary.write(_json_text(comparison.to_dict()))
-        for stream in csv:  # star runs only
-            stream.write(SLOT_CSV_HEADER + "\n")
-            for run in comparison.runs:
-                run.log.write_csv(stream, run.policy.kind)
+    created = [d for d in (prefix.parent, *prefix.parent.parents) if not d.exists()]
+    try:
+        prefix.parent.mkdir(parents=True, exist_ok=True)
+        with _outputs(*finals) as (summary, *csv):
+            comparison = compare_policies(config, policies)
+            summary.write(_json_text(comparison.to_dict()))
+            for stream in csv:  # star runs only
+                stream.write(SLOT_CSV_HEADER + "\n")
+                for run in comparison.runs:
+                    run.log.write_csv(stream, run.policy)
+    except BaseException:
+        for directory in created:  # deepest first: a failed run leaves no new directory
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
     print(f"{'policy':>26} {'throughput':>11} {'collisions':>11} {'all-distinct':>13} "
           f"{'all-same':>10} {'energy':>8}")
     for run in comparison.runs:
         m = run.metrics
-        print(f"{run.policy.kind:>26} {m.throughput:>11.4f} {m.collision_rate:>11.4f} "
+        print(f"{run.policy:>26} {m.throughput:>11.4f} {m.collision_rate:>11.4f} "
               f"{m.all_distinct_rate:>13.6f} {m.all_same_rate:>10.6f} {m.energy_proxy:>8.3f}")
     for kind, ratio in comparison.all_distinct_ratios().items():
         shown = "n/a" if ratio is None else f"{ratio:.4f}"

@@ -2,12 +2,12 @@
 
 One cell, n users, n channels.  Each slot the primary users occupy channels
 independently with probability ``primary_activity``; the remaining free
-channels are contested by the cognitive users under a pluggable allocation
-policy.  The allocation game is always square: when f < n channels are
-free, f randomly chosen users contend for them and the rest defer for the
-slot.  Star topology runs one allocation per slot (the base station is the
-arbiter); mesh-rounds runs one allocation round per arbiter node per slot,
-each arbiter serving its ring neighborhood.
+channels are contested by the cognitive users under an allocation policy,
+one of ``POLICY_KINDS``.  The allocation game is always square: when f < n
+channels are free, f randomly chosen users contend for them and the rest
+defer for the slot.  Star topology runs one allocation per slot (the base
+station is the arbiter); mesh-rounds runs one allocation round per arbiter
+node per slot, each arbiter serving its ring neighborhood.
 
 A game digit indexes the round's free channels.  Only how many players
 share a channel decides a collision, so no metric depends on which
@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass
-from typing import IO, Sequence
+from dataclasses import MISSING, asdict, dataclass, fields
+from typing import IO, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -43,7 +43,10 @@ from .qudit import check_footprint
 CLASSICAL_UNIFORM = "classical-uniform"
 QUANTUM_ENHANCE_OPTIMUM = "quantum-enhance-optimum"
 QUANTUM_AVOID_WORST = "quantum-avoid-worst"
-POLICY_KINDS = (CLASSICAL_UNIFORM, QUANTUM_ENHANCE_OPTIMUM, QUANTUM_AVOID_WORST)
+# the game regime each policy kind plays; None is the classical uniform rule
+_REGIMES = {CLASSICAL_UNIFORM: None, QUANTUM_ENHANCE_OPTIMUM: REGIME_ENHANCE_OPTIMUM,
+            QUANTUM_AVOID_WORST: REGIME_AVOID_WORST}
+POLICY_KINDS = tuple(_REGIMES)
 
 TOPOLOGY_STAR = "star"
 TOPOLOGY_MESH = "mesh-rounds"
@@ -59,33 +62,8 @@ class ConfigFormatError(ValueError):
     """A run-spec document does not describe a valid cell configuration."""
 
 
-class EmptyRunError(ConfigFormatError):
-    """A simulation over zero slots was requested."""
-
-
-class InvalidTopologyError(ConfigFormatError):
-    """Topology parameters are inconsistent with the cell size."""
-
-
-@dataclass(frozen=True)
-class AllocatorPolicy:
-    """Channel-allocation rule: classical uniform or one of the two
-    entangled-game regimes (enhance-optimum tunes the phase to n*(n-1)/2,
-    avoid-worst to 1)."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in POLICY_KINDS:
-            raise ValueError(f"unknown policy kind {self.kind!r}; expected one of {POLICY_KINDS}")
-
-    def game_phase(self, n: int) -> int | None:
-        """Phase parameter for a game of size n; None for the classical rule."""
-        if self.kind == QUANTUM_ENHANCE_OPTIMUM:
-            return phase_for_regime(REGIME_ENHANCE_OPTIMUM, n)
-        if self.kind == QUANTUM_AVOID_WORST:
-            return phase_for_regime(REGIME_AVOID_WORST, n)
-        return None
+# a field's annotation -> the values it accepts and their name in error messages
+_SCALARS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
 
 
 @dataclass(frozen=True)
@@ -97,7 +75,7 @@ class CellConfig:
     (default: full mesh, n_users - 1); ``mesh_rounds`` the arbitration
     rounds per slot (default: one per node).  Energy accounting charges
     ``tx_cost`` per transmission attempt and, in mesh mode, an additional
-    ``arbitration_cost`` per round.
+    ``arbitration_cost`` per round.  ``int`` and ``float`` fields are type-checked.
     """
 
     n_users: int
@@ -112,15 +90,15 @@ class CellConfig:
     arbitration_cost: float = 0.1
 
     def __post_init__(self):
-        for name in _INTEGER_FIELDS + _REAL_FIELDS:
+        for name, hint in get_type_hints(CellConfig).items():
             value = getattr(self, name)
-            if value is None and name in ("mesh_degree", "mesh_rounds"):
+            scalar, *nullable = get_args(hint) or (hint,)  # `int | None` gives (int, None)
+            if scalar not in _SCALARS or (value is None and nullable):
                 continue
-            kind, noun = ((numbers.Integral, "an integer") if name in _INTEGER_FIELDS
-                          else (numbers.Real, "a number"))
+            kind, noun = _SCALARS[scalar]
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ConfigFormatError(f"{name} must be {noun}, got {value!r}")
-            if name in _REAL_FIELDS and not math.isfinite(value):
+            if scalar is float and not math.isfinite(value):
                 raise ConfigFormatError(f"{name} must be finite, got {value!r}")
         if self.n_users != self.n_channels:
             raise ConfigFormatError(
@@ -130,7 +108,7 @@ class CellConfig:
         if not 0.0 <= self.primary_activity <= 1.0:
             raise ConfigFormatError(f"primary_activity must lie in [0, 1], got {self.primary_activity}")
         if self.slots < 1:
-            raise EmptyRunError(f"slots must be positive, got {self.slots}")
+            raise ConfigFormatError(f"slots must be positive, got {self.slots}")
         if not 0 <= self.seed < 2**64:
             raise ConfigFormatError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.topology not in (TOPOLOGY_STAR, TOPOLOGY_MESH):
@@ -138,10 +116,10 @@ class CellConfig:
         if self.tx_cost < 0 or self.arbitration_cost < 0:
             raise ConfigFormatError("costs must be non-negative")
         if self.mesh_degree is not None and not 1 <= self.mesh_degree <= self.n_users - 1:
-            raise InvalidTopologyError(
+            raise ConfigFormatError(
                 f"ring degree must lie in [1, {self.n_users - 1}], got {self.mesh_degree}")
         if self.mesh_rounds is not None and self.mesh_rounds < 1:
-            raise InvalidTopologyError(f"need at least one arbitration round, got {self.mesh_rounds}")
+            raise ConfigFormatError(f"need at least one arbitration round, got {self.mesh_rounds}")
 
 
 @dataclass(frozen=True)
@@ -197,14 +175,13 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, *key)))
 
 
-def _game_digits(policy: AllocatorPolicy, size: int, count: int,
-                 rng: np.random.Generator) -> np.ndarray:
+def _game_digits(policy: str, size: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """(count, size) channel digits in [0, size) for `count` games of `size` players."""
     if size == 1:
         return np.zeros((count, 1), dtype=np.int64)
-    if policy.kind == CLASSICAL_UNIFORM:
+    if (regime := _REGIMES[policy]) is None:
         return rng.integers(0, size, size=(count, size))
-    return sample_outcomes(GameConfig(size, policy.game_phase(size)), rng, count)
+    return sample_outcomes(GameConfig(size, phase_for_regime(regime, size)), rng, count)
 
 
 def _score_rows(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -218,7 +195,7 @@ def _score_rows(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return alone, successes, all_same
 
 
-def _run_slots(config: CellConfig, policy: AllocatorPolicy, group: int, rounds: int,
+def _run_slots(config: CellConfig, policy: str, group: int, rounds: int,
                arbitrations: int) -> tuple[MacMetrics, SlotLog]:
     """The slot engine behind both topologies.
 
@@ -233,7 +210,7 @@ def _run_slots(config: CellConfig, policy: AllocatorPolicy, group: int, rounds: 
     """
     n = config.n_users
     env = _stream(config.seed, _ENV_STREAM)
-    alloc = _stream(config.seed, _ALLOC_STREAM, POLICY_KINDS.index(policy.kind))
+    alloc = _stream(config.seed, _ALLOC_STREAM, POLICY_KINDS.index(policy))
     slots = config.slots
     check_footprint(8 * n * slots, f"{slots} slots of {n} users")  # occupancy draws
 
@@ -279,7 +256,7 @@ def _run_slots(config: CellConfig, policy: AllocatorPolicy, group: int, rounds: 
     return metrics, SlotLog(free_counts, successes, colliders, all_same)
 
 
-def run_cell(config: CellConfig, policy: AllocatorPolicy) -> tuple[MacMetrics, SlotLog]:
+def run_cell(config: CellConfig, policy: str) -> tuple[MacMetrics, SlotLog]:
     """Simulate one star cell: per slot, primary occupancy, then one square
     allocation game over the free channels.
 
@@ -292,7 +269,7 @@ def run_cell(config: CellConfig, policy: AllocatorPolicy) -> tuple[MacMetrics, S
     return _run_slots(config, policy, group=config.n_users, rounds=1, arbitrations=0)
 
 
-def run_mesh_rounds(config: CellConfig, policy: AllocatorPolicy) -> tuple[MacMetrics, SlotLog]:
+def run_mesh_rounds(config: CellConfig, policy: str) -> tuple[MacMetrics, SlotLog]:
     """Mesh variant: per slot, one arbitration round per arbiter node.
 
     Arbiter of round r is node r mod n; it serves itself plus its next
@@ -302,7 +279,7 @@ def run_mesh_rounds(config: CellConfig, policy: AllocatorPolicy) -> tuple[MacMet
     rounds.
     """
     if config.topology != TOPOLOGY_MESH:
-        raise InvalidTopologyError(f"run_mesh_rounds needs topology={TOPOLOGY_MESH!r}, got {config.topology!r}")
+        raise ConfigFormatError(f"run_mesh_rounds needs topology={TOPOLOGY_MESH!r}, got {config.topology!r}")
     n = config.n_users
     degree = config.mesh_degree if config.mesh_degree is not None else n - 1
     rounds = config.mesh_rounds if config.mesh_rounds is not None else n
@@ -312,7 +289,7 @@ def run_mesh_rounds(config: CellConfig, policy: AllocatorPolicy) -> tuple[MacMet
 
 @dataclass(frozen=True)
 class PolicyRun:
-    policy: AllocatorPolicy
+    policy: str
     metrics: MacMetrics
     log: SlotLog
 
@@ -328,28 +305,21 @@ class PolicyComparison:
         """Each non-classical policy's all-distinct rate over the classical
         baseline's (None without a baseline or with a zero baseline)."""
         baseline = next((r.metrics.all_distinct_rate for r in self.runs
-                         if r.policy.kind == CLASSICAL_UNIFORM), None)
-        ratios: dict[str, float | None] = {}
-        for run in self.runs:
-            if run.policy.kind == CLASSICAL_UNIFORM:
-                continue
-            if baseline:
-                ratios[run.policy.kind] = run.metrics.all_distinct_rate / baseline
-            else:
-                ratios[run.policy.kind] = None
-        return ratios
+                         if r.policy == CLASSICAL_UNIFORM), None)
+        return {run.policy: run.metrics.all_distinct_rate / baseline if baseline else None
+                for run in self.runs if run.policy != CLASSICAL_UNIFORM}
 
     def to_dict(self) -> dict:
         """The summary document: config, per-policy metrics and ratios."""
         return {
             "config": asdict(self.config),
-            "policies": [{"policy": run.policy.kind, "metrics": run.metrics.to_dict()}
+            "policies": [{"policy": run.policy, "metrics": run.metrics.to_dict()}
                          for run in self.runs],
             "all_distinct_ratios": self.all_distinct_ratios(),
         }
 
 
-def compare_policies(config: CellConfig, policies: Sequence[AllocatorPolicy]) -> PolicyComparison:
+def compare_policies(config: CellConfig, policies: Sequence[str]) -> PolicyComparison:
     """Run every policy against the same primary-user occupancy sequence.
 
     The environment stream depends only on the seed, so occupancy (and the
@@ -363,25 +333,20 @@ def compare_policies(config: CellConfig, policies: Sequence[AllocatorPolicy]) ->
                                           for policy in policies))
 
 
-_REQUIRED_FIELDS = ("n_users", "n_channels", "primary_activity", "slots", "seed")
-_OPTIONAL_FIELDS = ("topology", "mesh_degree", "mesh_rounds", "tx_cost", "arbitration_cost")
-_INTEGER_FIELDS = ("n_users", "n_channels", "slots", "seed", "mesh_degree", "mesh_rounds")
-_REAL_FIELDS = ("primary_activity", "tx_cost", "arbitration_cost")
+def load_run_spec(document: dict) -> tuple[CellConfig, list[str]]:
+    """Build (CellConfig, policy kinds) from a plain JSON-style dict.
 
-
-def load_run_spec(document: dict) -> tuple[CellConfig, list[AllocatorPolicy]]:
-    """Build (CellConfig, policies) from a plain JSON-style dict.
-
-    Field names mirror :class:`CellConfig` exactly, plus a ``policies``
-    list of at least two policy kind names.  Unknown or missing fields
-    raise :class:`ConfigFormatError` naming the offender.
+    The fields of :class:`CellConfig` are the schema, those without a
+    default required, plus a ``policies`` list of at least two kind names.
+    Unknown or missing fields raise :class:`ConfigFormatError` naming them.
     """
     if not isinstance(document, dict):
         raise ConfigFormatError(f"run spec must be a JSON object, got {type(document).__name__}")
-    unknown = set(document) - set(_REQUIRED_FIELDS) - set(_OPTIONAL_FIELDS) - {"policies"}
+    schema = fields(CellConfig)
+    unknown = set(document) - {f.name for f in schema} - {"policies"}
     if unknown:
         raise ConfigFormatError(f"unknown field(s): {', '.join(sorted(unknown))}")
-    missing = [f for f in _REQUIRED_FIELDS if f not in document]
+    missing = [f.name for f in schema if f.default is MISSING and f.name not in document]
     if missing:
         raise ConfigFormatError(f"missing field(s): {', '.join(missing)}")
     if "policies" not in document:
@@ -389,13 +354,7 @@ def load_run_spec(document: dict) -> tuple[CellConfig, list[AllocatorPolicy]]:
     kinds = document["policies"]
     if not isinstance(kinds, list) or len(kinds) < 2:
         raise ConfigFormatError("policies must be a list of at least two policy kind names")
-    try:
-        policies = [AllocatorPolicy(kind) for kind in kinds]
-    except ValueError as exc:
-        raise ConfigFormatError(str(exc)) from exc
-    fields = {k: document[k] for k in _REQUIRED_FIELDS + _OPTIONAL_FIELDS if k in document}
-    try:
-        config = CellConfig(**fields)
-    except TypeError as exc:
-        raise ConfigFormatError(str(exc)) from exc
-    return config, policies
+    for kind in kinds:
+        if kind not in POLICY_KINDS:
+            raise ConfigFormatError(f"unknown policy kind {kind!r}; expected one of {POLICY_KINDS}")
+    return CellConfig(**{f.name: document[f.name] for f in schema if f.name in document}), kinds

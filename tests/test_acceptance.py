@@ -38,7 +38,6 @@ from qmg.mac import (
     CLASSICAL_UNIFORM,
     QUANTUM_AVOID_WORST,
     QUANTUM_ENHANCE_OPTIMUM,
-    AllocatorPolicy,
     CellConfig,
     compare_policies,
     run_cell,
@@ -122,7 +121,7 @@ def test_criterion_4_worst_case_annihilation():
 
         config = CellConfig(n_users=4, n_channels=4, primary_activity=0.0,
                             slots=1_000_000, seed=31)
-        metrics, log = run_cell(config, AllocatorPolicy(QUANTUM_AVOID_WORST))
+        metrics, log = run_cell(config, QUANTUM_AVOID_WORST)
         assert metrics.all_same_rate == 0.0
         assert not log.all_same.any()
 
@@ -183,11 +182,9 @@ def test_criterion_8_mac_comparison(tmp_path):
     with criterion(8, "MAC policy comparison at n=4", budget_seconds=120.0):
         config = CellConfig(n_users=4, n_channels=4, primary_activity=0.0,
                             slots=1_000_000, seed=404)
-        policies = [AllocatorPolicy(CLASSICAL_UNIFORM),
-                    AllocatorPolicy(QUANTUM_ENHANCE_OPTIMUM),
-                    AllocatorPolicy(QUANTUM_AVOID_WORST)]
+        policies = [CLASSICAL_UNIFORM, QUANTUM_ENHANCE_OPTIMUM, QUANTUM_AVOID_WORST]
         comparison = compare_policies(config, policies)
-        by_kind = {run.policy.kind: run.metrics for run in comparison.runs}
+        by_kind = {run.policy: run.metrics for run in comparison.runs}
 
         ratio = comparison.all_distinct_ratios()[QUANTUM_ENHANCE_OPTIMUM]
         assert abs(ratio - 4.0) < 0.1

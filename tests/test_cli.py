@@ -455,6 +455,27 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "cell.json", "taken.json"]
 
 
+@pytest.mark.parametrize("failure", ("resource-limit", "interrupt"))
+def test_mac_failed_run_removes_the_directories_it_made(tmp_path, monkeypatch, capsys, failure):
+    """mac makes a missing --out directory, parents included, before it
+    simulates; a run that then fails removes what it made, deepest first,
+    and keeps directories that were there before."""
+    spec = run_spec_file(tmp_path, slots=10**30 if failure == "resource-limit" else 200)
+    (tmp_path / "kept").mkdir()
+    argv = ["mac", str(spec), "--out", str(tmp_path / "kept" / "newdir" / "sub" / "run")]
+    if failure == "resource-limit":
+        assert cli.main(argv) == 4
+        assert capsys.readouterr().err.startswith("resource limit:")
+    else:
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(cli, "compare_policies", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(argv)
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "cell.json", "kept"]
+
+
 def test_mac_missing_file(tmp_path, capsys):
     assert cli.main(["mac", str(tmp_path / "nope.json")]) == 3
     assert "config error" in capsys.readouterr().err

@@ -4,21 +4,21 @@ import collections
 import dataclasses
 import io
 import itertools
+import json
 import math
+import typing
 
 import numpy as np
 import pytest
 
+from qmg import cli
 from qmg.mac import (
     CLASSICAL_UNIFORM,
     CSV_BLOCK_ROWS,
     QUANTUM_AVOID_WORST,
     QUANTUM_ENHANCE_OPTIMUM,
-    AllocatorPolicy,
     CellConfig,
     ConfigFormatError,
-    EmptyRunError,
-    InvalidTopologyError,
     MacMetrics,
     SlotLog,
     compare_policies,
@@ -27,9 +27,7 @@ from qmg.mac import (
     run_mesh_rounds,
 )
 
-CLASSICAL = AllocatorPolicy(CLASSICAL_UNIFORM)
-ENHANCE = AllocatorPolicy(QUANTUM_ENHANCE_OPTIMUM)
-AVOID = AllocatorPolicy(QUANTUM_AVOID_WORST)
+CLASSICAL, ENHANCE, AVOID = CLASSICAL_UNIFORM, QUANTUM_ENHANCE_OPTIMUM, QUANTUM_AVOID_WORST
 
 
 # phase of the size-f game under each policy; None is the classical rule
@@ -74,7 +72,7 @@ def test_config_bounds():
         cell(topology="bus")
     with pytest.raises(ConfigFormatError):
         cell(seed=-1)
-    with pytest.raises(InvalidTopologyError):
+    with pytest.raises(ConfigFormatError, match="arbitration round"):
         cell(topology="mesh-rounds", mesh_rounds=0)
     with pytest.raises(ConfigFormatError):
         cell(activity=True)
@@ -83,21 +81,23 @@ def test_config_bounds():
     assert cell(activity=1, tx_cost=2).tx_cost == 2  # ints are numbers too
 
 
-def test_policy_kind_checked():
-    with pytest.raises(ValueError):
-        AllocatorPolicy("quantum-perfect")
-
-
-def test_policy_phases():
-    assert ENHANCE.game_phase(4) == 6
-    assert AVOID.game_phase(4) == 1
-    assert CLASSICAL.game_phase(4) is None
+def test_policy_kind_checked(tmp_path, capsys):
+    """A policy is its kind name: an unknown name is a config error, in the
+    loader and at the command line."""
+    spec = good_spec() | {"policies": [CLASSICAL_UNIFORM, "quantum-perfect"]}
+    with pytest.raises(ConfigFormatError, match="unknown policy kind 'quantum-perfect'"):
+        load_run_spec(spec)
+    path = tmp_path / "cell.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["mac", str(path), "--out", str(tmp_path / "run")]) == 3
+    assert "config error: unknown policy kind 'quantum-perfect'" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 # --- star cell ---------------------------------------------------------------
 
 def test_zero_slots_rejected():
-    with pytest.raises(EmptyRunError):
+    with pytest.raises(ConfigFormatError, match="slots must be positive"):
         run_cell(cell(slots=0), CLASSICAL)
 
 
@@ -160,7 +160,7 @@ def test_quantum_assignments_on_support_at_activity_zero(policy):
     config = cell(slots=3_000, seed=12)
     metrics, log = run_cell(config, policy)
     n = config.n_users
-    allowed = set(support_tallies(n, PHASES[policy.kind](n)))
+    allowed = set(support_tallies(n, PHASES[policy](n)))
     assert np.all(log.free_counts == n)
     assert np.array_equal(log.successes + log.colliders, log.free_counts)
     assert set(zip(log.successes.tolist(), log.all_same.tolist())) <= allowed
@@ -193,7 +193,7 @@ def test_slot_records_consistent():
 
 
 @pytest.mark.parametrize("n", (4, 5))
-@pytest.mark.parametrize("policy", (CLASSICAL, ENHANCE, AVOID), ids=lambda p: p.kind)
+@pytest.mark.parametrize("policy", (CLASSICAL, ENHANCE, AVOID))
 def test_star_per_free_count_law(n, policy):
     """Slots with f free channels play the size-f game: per free count, the
     mean successes and the all-same frequency lie within 5 sigma of an exact
@@ -205,7 +205,7 @@ def test_star_per_free_count_law(n, policy):
         sel = log.free_counts == f
         count = int(sel.sum())
         assert count > 1_000
-        tallies = np.array(support_tallies(f, PHASES[policy.kind](f)), dtype=float)
+        tallies = np.array(support_tallies(f, PHASES[policy](f)), dtype=float)
         for got, column in ((log.successes[sel].mean(), tallies[:, 0]),
                             (log.all_same[sel].mean(), tallies[:, 1])):
             sigma = math.sqrt(column.var() / count)
@@ -265,14 +265,14 @@ def test_slot_csv_matches_per_row_reference(slots):
 # --- mesh rounds --------------------------------------------------------------
 
 def test_mesh_requires_mesh_topology():
-    with pytest.raises(InvalidTopologyError):
+    with pytest.raises(ConfigFormatError, match="needs topology"):
         run_mesh_rounds(cell(), AVOID)
 
 
 def test_mesh_degree_bounds():
-    with pytest.raises(InvalidTopologyError):
+    with pytest.raises(ConfigFormatError, match="ring degree"):
         run_mesh_rounds(cell(topology="mesh-rounds", mesh_degree=4), AVOID)
-    with pytest.raises(InvalidTopologyError):
+    with pytest.raises(ConfigFormatError, match="ring degree"):
         run_mesh_rounds(cell(topology="mesh-rounds", mesh_degree=0), AVOID)
 
 
@@ -352,7 +352,7 @@ def good_spec():
 def test_load_run_spec_round_trip():
     config, policies = load_run_spec(good_spec())
     assert config.n_users == 4 and config.seed == 7
-    assert [p.kind for p in policies] == [CLASSICAL_UNIFORM, QUANTUM_AVOID_WORST]
+    assert policies == [CLASSICAL_UNIFORM, QUANTUM_AVOID_WORST]
 
 
 def test_load_run_spec_unknown_field():
@@ -377,6 +377,35 @@ def test_load_run_spec_bad_policies():
         load_run_spec(good_spec() | {"policies": ["quantum-telepathy"]})
     with pytest.raises(ConfigFormatError):
         load_run_spec([1, 2])
+
+
+#: a valid value for every CellConfig field, none of them its default
+FULL_SPEC = {"n_users": 4, "n_channels": 4, "primary_activity": 0.25, "slots": 10, "seed": 3,
+             "topology": "mesh-rounds", "mesh_degree": 2, "mesh_rounds": 3, "tx_cost": 1.5,
+             "arbitration_cost": 0.25}
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(CellConfig), ids=lambda f: f.name)
+def test_run_spec_schema_is_cell_config(field):
+    """Every CellConfig field is a run-spec field: it loads as given; its
+    annotation type-checks it (a bool or a string is no number, 2.5 is no
+    integer, a float must be finite); and it is required unless it has a
+    default."""
+    name = field.name
+    document = FULL_SPEC | {"policies": [CLASSICAL_UNIFORM, QUANTUM_AVOID_WORST]}
+    assert getattr(load_run_spec(document)[0], name) == FULL_SPEC[name]
+    hint = typing.get_type_hints(CellConfig)[name]
+    scalar = (typing.get_args(hint) or (hint,))[0]  # `int | None` gives int
+    bad = {int: [2.5], float: [math.nan, math.inf, -math.inf], str: []}[scalar]
+    for value in [True, "x"] + bad:
+        with pytest.raises(ConfigFormatError, match=rf"^({name} must be|unknown {name}) "):
+            load_run_spec(document | {name: value})
+    del document[name]
+    if field.default is dataclasses.MISSING:
+        with pytest.raises(ConfigFormatError, match=rf"^missing field\(s\): {name}$"):
+            load_run_spec(document)
+    else:
+        assert getattr(load_run_spec(document)[0], name) == field.default
 
 
 def test_metrics_dict_round_trip():
