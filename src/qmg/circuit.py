@@ -31,14 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameConfig, entangled_coefficient
-from .qudit import QuditState, ResourceLimitError, constant_indices
+from .qudit import QuditState, ResourceLimitError, check_footprint, constant_indices
 
 VARIANT_FIGURE = "figure"
 VARIANT_CORRECTED = "corrected"
 VARIANTS = (VARIANT_FIGURE, VARIANT_CORRECTED)
-
-#: 2**24 amplitudes (n=8 at 24 qubits, ~270 MB) is the dense ceiling
-WIDTH_CAP = 24
 
 AUDIT_TOL = 1e-10
 
@@ -71,10 +68,19 @@ class Gate:
 
 @dataclass
 class QubitRegister:
-    """Dense amplitudes over ``width`` qubits (length 2**width)."""
+    """A state over ``width`` qubits by its support: the sorted basis
+    ``indices`` (qubit 0 the most significant bit) and the ``amplitudes``
+    there.  Every other amplitude is zero."""
 
     width: int
+    indices: np.ndarray
     amplitudes: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        """All 2**width amplitudes."""
+        out = np.zeros(2**self.width, dtype=np.complex128)
+        out[self.indices] = self.amplitudes
+        return out
 
 
 def qubits_per_user(n: int) -> int:
@@ -152,57 +158,52 @@ def _validate_gate(gate: Gate, width: int) -> None:
 def run_circuit(gates: list[Gate], width: int) -> QubitRegister:
     """Apply the gates left to right to |0...0> and return the register.
 
-    Each gate acts on the view of the (2,)*width amplitude tensor that its
-    controls select.  The trailing ``...`` in every index keeps that view
-    writable even when the controls fix every axis it indexes.
+    Only the support is kept.  ``x`` gates relabel it and ``phase`` gates
+    scale it; ``h``/``r`` gates first add each missing partner as an
+    explicit zero, then mix the pairs with the dense engine's arithmetic.
     """
     if width < 1:
         raise CircuitValidationError(f"register width must be positive, got {width}")
-    if width > WIDTH_CAP:
-        raise ResourceLimitError(f"dense qubit simulation capped at {WIDTH_CAP} qubits, got {width}")
+    if width > 64:
+        raise ResourceLimitError(f"basis indices are 64-bit: at most 64 qubits, got {width}")
     for gate in gates:
         _validate_gate(gate, width)
-    amplitudes = np.zeros(2**width, dtype=np.complex128)
-    amplitudes[0] = 1.0
-    psi = amplitudes.reshape((2,) * width)
-    i = 0
-    while i < len(gates):
-        gate = gates[i]
-        i += 1
-        index: list = [slice(None)] * width
-        for q, bit in gate.controls:
-            index[q] = bit
-        if gate.kind == "x":
-            # fuse a run of X gates sharing one control pattern into a single
-            # exact relocation: flipping a qubit reverses its axis
-            flips = {gate.targets[0]}
-            while i < len(gates) and gates[i].kind == "x" and gates[i].controls == gate.controls:
-                flips ^= set(gates[i].targets)
-                i += 1
-            flipped = [slice(None, None, -1) if q in flips else index[q] for q in range(width)]
-            psi[(*index, ...)] = psi[(*flipped, ...)].copy()
-        elif gate.kind == "phase":
+    rotations = sum(gate.kind in ("h", "r") for gate in gates)
+    check_footprint(24 * 2 ** min(rotations, width), f"{rotations} rotations")  # index + amplitude
+    indices = np.zeros(1, dtype=np.uint64)
+    amplitudes = np.ones(1, dtype=np.complex128)
+    for gate in gates:
+        mask = np.uint64(sum(1 << (width - 1 - q) for q, _ in gate.controls))
+        value = np.uint64(sum(bit << (width - 1 - q) for q, bit in gate.controls))
+        selected = (indices & mask) == value
+        if gate.kind == "phase":
             if gate.angle != 0.0:
-                psi[(*index, ...)] *= cmath.exp(1j * gate.angle)
-        else:
-            (target,) = gate.targets
-            index[target] = 0
-            v0 = psi[(*index, ...)]
-            index[target] = 1
-            v1 = psi[(*index, ...)]
-            # h rows are (1,1)s and (1,-1)s; r rows are (1,1)s and (-1,1)s
-            diff = (v0 - v1) if gate.kind == "h" else (v1 - v0)
-            np.add(v0, v1, out=v0)
-            v0 *= _SQRT1_2
-            diff *= _SQRT1_2
-            v1[...] = diff
-            del diff  # free the half-register temporary before the next gate
-    return QubitRegister(width, amplitudes)
+                amplitudes[selected] *= cmath.exp(1j * gate.angle)
+            continue
+        flip = np.uint64(1 << (width - 1 - gate.targets[0]))
+        if gate.kind == "x":
+            indices[selected] ^= flip  # the order is restored once, at the end
+            continue
+        support = np.union1d(indices, indices[selected] ^ flip)
+        padded = np.zeros(support.size, dtype=np.complex128)
+        padded[np.searchsorted(support, indices)] = amplitudes
+        indices, amplitudes = support, padded
+        low = np.nonzero((indices & (mask | flip)) == value)[0]  # target bit 0
+        high = np.searchsorted(indices, indices[low] | flip)
+        v0, v1 = amplitudes[low], amplitudes[high]
+        # h rows are (1,1)s and (1,-1)s; r rows are (1,1)s and (-1,1)s
+        diff = (v0 - v1) if gate.kind == "h" else (v1 - v0)
+        np.add(v0, v1, out=v0)
+        v0 *= _SQRT1_2
+        diff *= _SQRT1_2
+        amplitudes[low], amplitudes[high] = v0, diff
+    order = np.argsort(indices)
+    return QubitRegister(width, indices[order], amplitudes[order])
 
 
 def register_to_qudit(register: QubitRegister) -> QuditState:
-    """View a register as a qudit state sharing its buffer (the flat indices coincide)."""
-    return QuditState(game_size_for_width(register.width), register.amplitudes)
+    """The register as a dense qudit state (the flat indices coincide)."""
+    return QuditState(game_size_for_width(register.width), register.dense())
 
 
 @dataclass(frozen=True)
@@ -238,11 +239,12 @@ def audit_preparation_circuit(config: GameConfig, variant: str = VARIANT_FIGURE)
     log = qubits_per_user(n)
     width = n * log
     register = run_circuit(build_preparation_circuit(config, variant), width)
-    branch_index = constant_indices(n)
-    actual = register.amplitudes[branch_index]
+    branches = constant_indices(n).astype(np.uint64)
+    on_branch = np.isin(register.indices, branches)
+    actual = np.zeros(n, dtype=np.complex128)
+    actual[np.searchsorted(branches, register.indices[on_branch])] = register.amplitudes[on_branch]
     target = np.array([entangled_coefficient(config, k) for k in range(n)])
-    register.amplitudes[branch_index] = 0  # the register is ours: what remains is leakage
-    leakage = float(np.max(np.abs(register.amplitudes)))
+    leakage = float(np.max(np.abs(register.amplitudes[~on_branch]), initial=0.0))
     best_shift, best_deviation = 0, math.inf
     for q in range(n):
         shifted = target * np.exp(2j * np.pi * q * np.arange(n) / n)

@@ -50,6 +50,8 @@ POLICY_KINDS = tuple(_REGIMES)
 
 TOPOLOGY_STAR = "star"
 TOPOLOGY_MESH = "mesh-rounds"
+#: arbitration rounds per slot: each is a pass over every slot, so a count is bounded
+MAX_MESH_ROUNDS = 1024
 
 _ENV_STREAM = 0
 _ALLOC_STREAM = 1
@@ -118,8 +120,9 @@ class CellConfig:
         if self.mesh_degree is not None and not 1 <= self.mesh_degree <= self.n_users - 1:
             raise ConfigFormatError(
                 f"ring degree must lie in [1, {self.n_users - 1}], got {self.mesh_degree}")
-        if self.mesh_rounds is not None and self.mesh_rounds < 1:
-            raise ConfigFormatError(f"need at least one arbitration round, got {self.mesh_rounds}")
+        if self.mesh_rounds is not None and not 1 <= self.mesh_rounds <= MAX_MESH_ROUNDS:
+            raise ConfigFormatError(
+                f"need 1 to {MAX_MESH_ROUNDS} arbitration rounds per slot, got {self.mesh_rounds}")
 
 
 @dataclass(frozen=True)
@@ -212,7 +215,11 @@ def _run_slots(config: CellConfig, policy: str, group: int, rounds: int,
     env = _stream(config.seed, _ENV_STREAM)
     alloc = _stream(config.seed, _ALLOC_STREAM, POLICY_KINDS.index(policy))
     slots = config.slots
-    check_footprint(8 * n * slots, f"{slots} slots of {n} users")  # occupancy draws
+    # bytes per slot at the peak, one round's game: free_counts and the four
+    # result arrays (21), the row index and per-row sums (28), and 44 per
+    # member: the priority draw (8), defer picks (12), digits and two scoring
+    # temporaries (24).  The occupancy draws come first, 9 bytes per user.
+    check_footprint(max(49 + 44 * group, 8 + 9 * n) * slots, f"{slots} slots of {n} users")
 
     free_counts = (env.random((slots, n)) >= config.primary_activity).sum(axis=1)
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmg import circuit
+from conftest import dense_run_circuit
+from qmg import circuit, qudit
 from qmg.game import GameConfig
 from qmg.circuit import (
     Gate,
@@ -15,6 +16,7 @@ from qmg.circuit import (
     UnsupportedSizeError,
     VARIANT_CORRECTED,
     VARIANT_FIGURE,
+    VARIANTS,
     audit_preparation_circuit,
     branch_controls,
     build_preparation_circuit,
@@ -44,25 +46,25 @@ def bits(t):
 
 def amplitudes_by_bits(register):
     return {format(i, f"0{register.width}b"): a
-            for i, a in enumerate(register.amplitudes) if abs(a) > 1e-12}
+            for i, a in enumerate(register.dense()) if abs(a) > 1e-12}
 
 
 # --- elementary execution ---------------------------------------------------
 
 def test_single_hadamard():
     reg = run_circuit([Gate("h", targets=(0,))], 1)
-    assert np.allclose(reg.amplitudes, [SQRT1_2, SQRT1_2])
+    assert np.allclose(reg.dense(), [SQRT1_2, SQRT1_2])
 
 
 def test_single_r_rotation():
     # column 0 of R is (1, -1)/sqrt(2)
     reg = run_circuit([Gate("r", targets=(0,))], 1)
-    assert np.allclose(reg.amplitudes, [SQRT1_2, -SQRT1_2])
+    assert np.allclose(reg.dense(), [SQRT1_2, -SQRT1_2])
 
 
 def test_x_and_phase():
     reg = run_circuit([Gate("x", targets=(0,)), Gate("phase", controls=((0, 1),), angle=math.pi / 2)], 1)
-    assert np.allclose(reg.amplitudes, [0, 1j])
+    assert np.allclose(reg.dense(), [0, 1j])
 
 
 def test_controlled_x_polarities():
@@ -87,9 +89,25 @@ def test_gate_validation():
         run_circuit([Gate("phase", targets=(0,), angle=1.0)], 2)
 
 
-def test_width_cap():
+def test_width_above_64_is_a_resource_limit():
+    """Basis indices are uint64: 64 qubits fit, 65 do not."""
+    reg = run_circuit([Gate("x", targets=(0,)), Gate("h", targets=(63,))], 64)
+    assert reg.indices.tolist() == [2**63, 2**63 + 1]
     with pytest.raises(ResourceLimitError):
-        run_circuit([], 25)
+        run_circuit([], 65)
+
+
+def test_footprint_guard_counts_rotations(monkeypatch):
+    """The planned support is 24 B per entry and 2**(h/r gates) entries, at
+    most 2**width: three rotations plan 192 B, x gates add nothing, and six
+    rotations on three qubits still plan 192 B."""
+    gates = [Gate(kind, targets=(q,)) for kind, q in (("h", 0), ("r", 1), ("h", 2), ("x", 0))]
+    monkeypatch.setattr(qudit, "PHYSICAL_MEMORY", 191)
+    with pytest.raises(ResourceLimitError, match="192 bytes"):
+        run_circuit(gates, 3)
+    monkeypatch.setattr(qudit, "PHYSICAL_MEMORY", 192)
+    assert run_circuit(gates, 3).indices.size == 8
+    assert run_circuit(gates + gates, 3).indices.size == 8
 
 
 @st.composite
@@ -161,7 +179,27 @@ def test_random_circuits_match_dense_operators(data, width):
     expected[0] = 1.0
     for gate in gates:
         expected = dense_operator(gate, width) @ expected
-    assert np.max(np.abs(run_circuit(gates, width).amplitudes - expected)) < 1e-12
+    reg = run_circuit(gates, width)
+    assert np.all(reg.indices[1:] > reg.indices[:-1])
+    assert np.max(np.abs(reg.dense() - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("n, phase", [(n, p) for n in (2, 4) for p in range(2 * n)] + [(8, 1)])
+def test_sparse_engine_matches_dense_oracle(n, phase, variant):
+    """On the preparation circuits the sparse engine is the dense one bit for
+    bit: every support amplitude, signed zeros included, and only zeros off
+    the support, where the oracle's phase gates leave some as -0."""
+    width = n * qubits_per_user(n)
+    gates = build_preparation_circuit(GameConfig(n, phase), variant)
+    reg = run_circuit(gates, width)
+    assert reg.indices.dtype == np.uint64 and np.all(reg.indices[1:] > reg.indices[:-1])
+    reference = dense_run_circuit(gates, width)
+    off = np.ones(reference.size, dtype=bool)
+    off[reg.indices.astype(np.intp)] = False
+    assert np.count_nonzero(reference) == np.count_nonzero(reference[~off])
+    reference[off] = 0
+    assert np.array_equal(reg.dense().view(np.uint64), reference.view(np.uint64))
 
 
 # --- bit packing ------------------------------------------------------------
@@ -229,8 +267,8 @@ def test_two_user_preparations():
     corrected = run_circuit(build_preparation_circuit(GameConfig(2, 1), VARIANT_CORRECTED), 2)
     figure = run_circuit(build_preparation_circuit(GameConfig(2, 0), VARIANT_FIGURE), 2)
     expected = np.array([SQRT1_2, 0, 0, -SQRT1_2])
-    assert np.allclose(corrected.amplitudes, expected, atol=1e-12)
-    assert np.allclose(figure.amplitudes, expected, atol=1e-12)
+    assert np.allclose(corrected.dense(), expected, atol=1e-12)
+    assert np.allclose(figure.dense(), expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", (2, 4))
@@ -255,9 +293,9 @@ def test_controlled_block_ignores_other_branches():
         # reach the basis state |start_k 0 0 0> with X gates, then run the block
         setup = [Gate("x", targets=(j,)) for j, bit in branch_controls(n, start_k) if bit]
         start = flat_index((start_k,) + (0,) * (n - 1))
-        reg = run_circuit(setup + block, width)
-        assert reg.amplitudes[start] == pytest.approx(1.0)
-        assert np.sum(np.abs(reg.amplitudes) > 1e-12) == 1
+        amplitudes = run_circuit(setup + block, width).dense()
+        assert amplitudes[start] == pytest.approx(1.0)
+        assert np.sum(np.abs(amplitudes) > 1e-12) == 1
 
 
 def test_build_rejects_non_power_of_two():
@@ -303,7 +341,7 @@ def test_audit_counts_leakage_off_the_branches(monkeypatch, n):
     width = n * qubits_per_user(n)
     extra = Gate("h", targets=(width - 1,))
     cfg = GameConfig(n, 1)
-    amplitudes = run_circuit(build(cfg, VARIANT_CORRECTED) + [extra], width).amplitudes
+    amplitudes = run_circuit(build(cfg, VARIANT_CORRECTED) + [extra], width).dense()
     branches = [flat_index((k,) * n) for k in range(n)]
     leaked = np.abs(np.delete(amplitudes, branches)).max()
     assert leaked > 0.3

@@ -3,6 +3,7 @@
 import json
 import os
 import stat
+import time
 from pathlib import Path
 
 import numpy as np
@@ -494,7 +495,9 @@ def test_resource_limit_exit_code(monkeypatch, capsys):
     ("simulate", 10**30, None),
     ("mac", 100_000, 2**20),
     ("simulate", 100_000, 2**20),
-), ids=("mac-10**30-slots", "simulate-10**30-shots", "mac-1MiB", "simulate-1MiB"))
+    ("audit-circuit", 8, 100),
+), ids=("mac-10**30-slots", "simulate-10**30-shots", "mac-1MiB", "simulate-1MiB",
+        "audit-circuit-100B"))
 def test_planned_footprint_over_memory_exits_4(tmp_path, monkeypatch, capsys,
                                                 command, size, memory):
     """A run whose planned footprint exceeds physical memory stops before it
@@ -504,6 +507,8 @@ def test_planned_footprint_over_memory_exits_4(tmp_path, monkeypatch, capsys,
         monkeypatch.setattr(qudit, "PHYSICAL_MEMORY", memory)
     if command == "mac":
         argv = ["mac", str(run_spec_file(tmp_path, slots=size)), "--out", str(tmp_path / "run")]
+    elif command == "audit-circuit":
+        argv = ["audit-circuit", "--n", str(size), "--p", "1", "--out", str(tmp_path / "a.json")]
     else:
         argv = ["simulate", "--n", "4", "--p", "1", "--shots", str(size),
                 "--out", str(tmp_path / "h.csv")]
@@ -512,3 +517,15 @@ def test_planned_footprint_over_memory_exits_4(tmp_path, monkeypatch, capsys,
     assert captured.out == ""
     assert captured.err.startswith("resource limit:") and "Traceback" not in captured.err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cell.json"] * (command == "mac")
+
+
+def test_huge_mesh_rounds_exits_3_at_once(tmp_path, capsys):
+    """Rounds cost time, not memory, so their count is bounded in the spec:
+    a 1-slot mesh with 10**15 rounds, which would run for ages, is refused
+    before any work."""
+    spec = run_spec_file(tmp_path, slots=1, topology="mesh-rounds", mesh_rounds=10**15)
+    start = time.monotonic()
+    assert cli.main(["mac", str(spec), "--out", str(tmp_path / "run")]) == 3
+    assert time.monotonic() - start < 1.0
+    assert capsys.readouterr().err.startswith("config error: need 1 to 1024 arbitration rounds")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cell.json"]

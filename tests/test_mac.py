@@ -6,15 +6,17 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 import typing
 
 import numpy as np
 import pytest
 
-from qmg import cli
+from qmg import cli, mac
 from qmg.mac import (
     CLASSICAL_UNIFORM,
     CSV_BLOCK_ROWS,
+    MAX_MESH_ROUNDS,
     QUANTUM_AVOID_WORST,
     QUANTUM_ENHANCE_OPTIMUM,
     CellConfig,
@@ -74,6 +76,9 @@ def test_config_bounds():
         cell(seed=-1)
     with pytest.raises(ConfigFormatError, match="arbitration round"):
         cell(topology="mesh-rounds", mesh_rounds=0)
+    assert cell(topology="mesh-rounds", mesh_rounds=MAX_MESH_ROUNDS).mesh_rounds == MAX_MESH_ROUNDS
+    with pytest.raises(ConfigFormatError, match=f"1 to {MAX_MESH_ROUNDS} arbitration rounds"):
+        cell(topology="mesh-rounds", mesh_rounds=MAX_MESH_ROUNDS + 1)
     with pytest.raises(ConfigFormatError):
         cell(activity=True)
     with pytest.raises(ConfigFormatError):
@@ -417,3 +422,24 @@ def test_metrics_dict_round_trip():
         "all_same_rate": 0.0,
         "energy_proxy": 2.5,
     }
+
+
+@pytest.mark.parametrize("n", (4, 16))
+@pytest.mark.parametrize("activity", (0.0, 0.3))
+@pytest.mark.parametrize("run", (run_cell, run_mesh_rounds))
+def test_memory_guard_plans_the_peak(monkeypatch, run, activity, n):
+    """The bytes the slot engine plans before it draws bound the tracemalloc
+    peak of the run.  Activity 0 puts every slot in the full-size game; 0.3
+    also runs the defer picks."""
+    topology = "mesh-rounds" if run is run_mesh_rounds else "star"
+    config = cell(n=n, activity=activity, slots=20_000, topology=topology)
+    run(dataclasses.replace(config, slots=10), AVOID)  # one-time allocations stay out of the peak
+    planned = []
+    monkeypatch.setattr(mac, "check_footprint", lambda planned_bytes, what: planned.append(planned_bytes))
+    tracemalloc.start()
+    try:
+        run(config, AVOID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= planned[0]
