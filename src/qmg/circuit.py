@@ -77,7 +77,8 @@ class QubitRegister:
     amplitudes: np.ndarray
 
     def dense(self) -> np.ndarray:
-        """All 2**width amplitudes."""
+        """All 2**width amplitudes; a register beyond physical memory is refused."""
+        check_footprint(16 * 2**self.width, f"a dense {self.width}-qubit register")
         out = np.zeros(2**self.width, dtype=np.complex128)
         out[self.indices] = self.amplitudes
         return out

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -181,7 +182,11 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
     with _outputs(*paths) as streams:
         state = _final_state(args.n, phase, args.engine)
         counts = sample_counts(state, np.random.default_rng(args.seed), args.shots)
-        label = "-".join(["{}"] * args.n)  # formats (2, 0, 1) as "2-0-1"
+        # flat index v spells as "2-0-1": hi labels its leading n//2 digits, lo the rest
+        hi, lo = (["-".join(map(str, t)) for t in itertools.product(range(args.n), repeat=k)]
+                  for k in (args.n // 2, (args.n + 1) // 2))
+        base = len(lo)
+        labels = (hi[v // base] + "-" + lo[v % base] for v in counts)
         if args.format == "json":
             record = {
                 "n": args.n,
@@ -189,14 +194,13 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
                 "engine": args.engine,
                 "seed": args.seed,
                 "shots": args.shots,
-                "counts": {label.format(*t): c for t, c in counts.items()},
+                "counts": dict(zip(labels, counts.values())),
             }
             streams[0].write(_json_text(record))
         else:
-            row = label + ",{},{}\n"
-            freqs = {c: repr(c / args.shots) for c in set(counts.values())}  # few distinct counts
+            tails = {c: f",{c},{c / args.shots!r}\n" for c in set(counts.values())}  # few distinct
             streams[0].write("outcome,count,frequency\n" + "".join(
-                row.format(*t, c, freqs[c]) for t, c in counts.items()))
+                label + tails[c] for label, c in zip(labels, counts.values())))
         if args.dump_state:
             dump_nonzero(state, streams[1])
     return EXIT_OK

@@ -40,8 +40,6 @@ REGIME_ENHANCE_OPTIMUM = "enhance-optimum"
 REGIME_AVOID_WORST = "avoid-worst"
 REGIMES = (REGIME_ENHANCE_OPTIMUM, REGIME_AVOID_WORST)
 
-AssignmentTuple = tuple[int, ...]
-
 
 class InvalidConfigError(ValueError):
     """Game size or phase parameter outside the supported domain."""

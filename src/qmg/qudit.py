@@ -2,8 +2,8 @@
 
 The joint state is a length n**n complex vector indexed by assignment
 tuples in big-endian user order: (c_0, ..., c_{n-1}) sits at flat index
-sum(c_j * n**(n-1-j)), user 0 most significant.  All operations return new
-states; nothing here mutates its input.
+sum(c_j * n**(n-1-j)), user 0 most significant; measurement histograms are
+keyed by that flat index.  All operations return new states and mutate no input.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import IO
 
 import numpy as np
 
-from .game import AssignmentTuple, DimensionError, GameConfig, entangled_coefficient
+from .game import DimensionError, GameConfig, entangled_coefficient
 
 #: n**n amplitudes at complex128; 8**8 is ~1.7e7 values (~270 MB), the ceiling.
 SITE_CAP = 8
@@ -87,13 +87,11 @@ def apply_local_strategy(state: QuditState, matrix: np.ndarray) -> QuditState:
     return QuditState(n, psi.reshape(-1))
 
 
-def sample_counts(state: QuditState, rng: np.random.Generator,
-                  shots: int) -> dict[AssignmentTuple, int]:
-    """Histogram of ``shots`` independent measurements of the same state.
+def sample_counts(state: QuditState, rng: np.random.Generator, shots: int) -> dict[int, int]:
+    """Histogram of ``shots`` independent measurements of the same state, keyed
+    by flat index in increasing order (the assignment tuples' lexicographic order).
 
-    Outcomes come in lexicographic order of their assignment tuples (the
-    order of their big-endian flat indices).  Refuses a state whose norm
-    is off 1 by more than ``NORM_TOL``.
+    Refuses a state whose norm is off 1 by more than ``NORM_TOL``.
     """
     check_footprint(16 * shots, f"{shots} shots")  # uniforms and draw indices
     probs = np.abs(state.amplitudes) ** 2
@@ -104,10 +102,9 @@ def sample_counts(state: QuditState, rng: np.random.Generator,
     uniforms = rng.random(shots) * cumulative[-1]
     uniforms.sort()  # same draws, far faster searchsorted; the counts ignore order
     draws = np.searchsorted(cumulative, uniforms, side="right")
-    del probs, cumulative, uniforms  # free the n**n arrays before decoding
+    del probs, cumulative, uniforms  # free the n**n arrays before counting
     values, counts = np.unique(np.minimum(draws, state.amplitudes.size - 1), return_counts=True)
-    outcomes = zip(*(d.tolist() for d in np.unravel_index(values, (state.n,) * state.n)))
-    return dict(zip(outcomes, counts.tolist()))
+    return dict(zip(values.tolist(), counts.tolist()))
 
 
 def dump_nonzero(state: QuditState, stream: IO[str]) -> int:

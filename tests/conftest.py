@@ -26,6 +26,19 @@ def brute_amplitude(n, p, t):
     return total * n ** (-(n + 1) / 2)
 
 
+def decode_counts(n, counts) -> dict[tuple[int, ...], int]:
+    """Re-key a flat-index histogram by assignment tuple, in the same order.
+    The digits come from repeated divmod by n; user 0 is most significant."""
+    decoded = {}
+    for index, count in counts.items():
+        digits = []
+        for _ in range(n):
+            index, digit = divmod(index, n)
+            digits.append(digit)
+        decoded[tuple(reversed(digits))] = count
+    return decoded
+
+
 def dense_run_circuit(gates, width) -> np.ndarray:
     """Oracle: the dense circuit engine, all 2**width amplitudes of the
     (2,)*width tensor, each gate acting on the view its controls select.

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_run_circuit
+from conftest import decode_counts, dense_run_circuit
 from qmg import circuit, qudit
 from qmg.game import GameConfig
 from qmg.circuit import (
@@ -95,6 +95,14 @@ def test_width_above_64_is_a_resource_limit():
     assert reg.indices.tolist() == [2**63, 2**63 + 1]
     with pytest.raises(ResourceLimitError):
         run_circuit([], 65)
+
+
+@pytest.mark.parametrize("width", (40, 64))
+def test_dense_beyond_memory_is_a_resource_limit(width):
+    """Densifying plans 16 B per amplitude and refuses before allocating."""
+    reg = run_circuit([Gate("x", targets=(0,))], width)
+    with pytest.raises(ResourceLimitError):
+        reg.dense()
 
 
 def test_footprint_guard_counts_rotations(monkeypatch):
@@ -226,7 +234,7 @@ def test_bit_packing_round_trip(n, data):
     state = register_to_qudit(run_circuit(gates, n * log))
     (index,) = np.nonzero(state.amplitudes)[0]
     assert index == flat_index(t)
-    assert sample_counts(state, np.random.default_rng(0), 3) == {t: 3}
+    assert decode_counts(n, sample_counts(state, np.random.default_rng(0), 3)) == {t: 3}
 
 
 def test_bit_packing_rejects_bad_sizes():

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import decode_counts
 from qmg import cli, qudit
 from qmg.circuit import parse_circuit
 from qmg.game import GameConfig, phase_for_regime, strategy_matrix
@@ -114,20 +115,28 @@ def test_simulate_zero_shots(tmp_path):
     assert out.read_text() == "outcome,count,frequency\n"
 
 
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+@pytest.mark.parametrize("n", (2, 3, 4, 7))
 @pytest.mark.parametrize("regime", ("enhance-optimum", "avoid-worst"))
-def test_simulate_csv_matches_per_row_reference(tmp_path, regime):
-    """The histogram CSV is byte for byte the per-row writer's text over the
-    sampler's counts."""
-    out = tmp_path / "hist.csv"
-    assert cli.main(["simulate", "--n", "5", "--regime", regime, "--shots", "100000",
-                     "--seed", "21", "--out", str(out)]) == 0
-    state = apply_local_strategy(prepare_entangled(GameConfig(5, phase_for_regime(regime, 5))),
-                                 strategy_matrix(5))
-    counts = sample_counts(state, np.random.default_rng(21), 100_000)
-    lines = ["outcome,count,frequency"]
-    for outcome, count in counts.items():
-        lines.append(f"{'-'.join(str(int(c)) for c in outcome)},{count},{count / 100_000!r}")
-    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+def test_simulate_histogram_matches_label_oracle(tmp_path, regime, n, fmt):
+    """The histogram is byte for byte the per-row writer's text over the
+    sampler's counts, each outcome spelled from its own divmod digits.  Odd n
+    splits the digits unevenly between the writer's two label tables."""
+    out = tmp_path / f"hist.{fmt}"
+    assert cli.main(["simulate", "--n", str(n), "--regime", regime, "--shots", "100000",
+                     "--seed", "21", "--format", fmt, "--out", str(out)]) == 0
+    phase = phase_for_regime(regime, n)
+    state = apply_local_strategy(prepare_entangled(GameConfig(n, phase)), strategy_matrix(n))
+    counts = decode_counts(n, sample_counts(state, np.random.default_rng(21), 100_000))
+    labelled = {"-".join(str(c) for c in outcome): count for outcome, count in counts.items()}
+    if fmt == "json":
+        record = {"n": n, "phase": phase, "engine": "qudit", "seed": 21, "shots": 100_000,
+                  "counts": labelled}
+        expected = json.dumps(record, indent=2, sort_keys=True) + "\n"
+    else:
+        expected = "outcome,count,frequency\n" + "".join(
+            f"{label},{count},{count / 100_000!r}\n" for label, count in labelled.items())
+    assert out.read_bytes() == expected.encode()
 
 
 def test_simulate_circuit_engine_agrees_with_qudit(tmp_path, read_histogram):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import closed_form_amplitude
+from conftest import closed_form_amplitude, decode_counts
 from qmg.game import (
     DimensionError,
     GameConfig,
@@ -158,7 +158,7 @@ def test_distribution_sums_to_one():
 
 def test_measure_two_user_outcomes_only():
     counts = sample_counts(final_state(2, 1), np.random.default_rng(5), 100)
-    assert set(counts) == {(0, 1), (1, 0)}
+    assert set(decode_counts(2, counts)) == {(0, 1), (1, 0)}
 
 
 @given(n=st.integers(2, 7), data=st.data())
@@ -168,7 +168,7 @@ def test_measure_point_mass(n, data):
     t = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
     amps = np.zeros(n**n, dtype=np.complex128)
     amps[flat_index(n, t)] = 1.0
-    assert sample_counts(QuditState(n, amps), np.random.default_rng(0), 20) == {t: 20}
+    assert decode_counts(n, sample_counts(QuditState(n, amps), np.random.default_rng(0), 20)) == {t: 20}
 
 
 def test_measure_rejects_unnormalized():
@@ -192,7 +192,7 @@ def test_sample_counts_lexicographic_order():
 
 def test_measured_all_distinct_fraction():
     # enhance regime at n=3: expect 3*3!/27 = 2/3 all-distinct outcomes
-    counts = sample_counts(final_state(3, 3), np.random.default_rng(123), 100_000)
+    counts = decode_counts(3, sample_counts(final_state(3, 3), np.random.default_rng(123), 100_000))
     assert sum(counts.values()) == 100_000
     distinct = sum(c for t, c in counts.items() if len(set(t)) == 3)
     sigma = math.sqrt((2 / 3) * (1 / 3) / 100_000)
@@ -209,8 +209,7 @@ def unsorted_sample_counts(state, rng, shots):
     cumulative = np.cumsum(probs)
     draws = np.searchsorted(cumulative, rng.random(shots) * cumulative[-1], side="right")
     counts = collections.Counter(np.minimum(draws, probs.size - 1).tolist())
-    shape = (state.n,) * state.n
-    return {tuple(int(c) for c in np.unravel_index(i, shape)): counts[i] for i in sorted(counts)}
+    return decode_counts(state.n, {i: counts[i] for i in sorted(counts)})
 
 
 @pytest.mark.parametrize("n", (4, 5))
@@ -221,7 +220,7 @@ def test_sample_counts_matches_unsorted_reference(n, regime, shots):
     draw-order reference at the same seed."""
     state = final_state(n, phase_for_regime(regime, n))
     rng, reference_rng = np.random.default_rng(shots + n), np.random.default_rng(shots + n)
-    counts = sample_counts(state, rng, shots)
+    counts = decode_counts(n, sample_counts(state, rng, shots))
     expected = unsorted_sample_counts(state, reference_rng, shots)
     assert list(counts.items()) == list(expected.items())
     assert rng.bit_generator.state == reference_rng.bit_generator.state
