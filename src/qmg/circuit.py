@@ -240,7 +240,7 @@ def audit_preparation_circuit(config: GameConfig, variant: str = VARIANT_FIGURE)
     log = qubits_per_user(n)
     width = n * log
     register = run_circuit(build_preparation_circuit(config, variant), width)
-    branches = constant_indices(n).astype(np.uint64)
+    branches = constant_indices(n)
     on_branch = np.isin(register.indices, branches)
     actual = np.zeros(n, dtype=np.complex128)
     actual[np.searchsorted(branches, register.indices[on_branch])] = register.amplitudes[on_branch]

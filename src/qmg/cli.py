@@ -23,6 +23,7 @@ from .circuit import (
     VARIANT_CORRECTED,
     VARIANT_FIGURE,
     VARIANTS,
+    UnsupportedSizeError,
     audit_preparation_circuit,
     build_preparation_circuit,
     export_circuit,
@@ -31,16 +32,15 @@ from .circuit import (
     run_circuit,
 )
 from .game import (
-    MAX_N,
     REGIMES,
     GameConfig,
+    InvalidConfigError,
     analytic_probabilities,
     classical_probabilities,
     phase_for_regime,
     strategy_matrix,
 )
 from .mac import (
-    SLOT_CSV_HEADER,
     TOPOLOGY_MESH,
     ConfigFormatError,
     compare_policies,
@@ -59,8 +59,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_RESOURCE = 4
-
-CIRCUIT_SIZES = (2, 4, 8)
 
 
 @contextlib.contextmanager
@@ -127,8 +125,6 @@ def _add_phase_options(sub: argparse.ArgumentParser) -> None:
 
 
 def cmd_probs(parser: argparse.ArgumentParser, args) -> int:
-    if not 2 <= args.n <= MAX_N:
-        parser.error(f"--n must lie in [2, {MAX_N}]")
     phase, regime = _resolve_phase(parser, args)
     with _outputs(args.out) as (stream,):
         quantum = analytic_probabilities(GameConfig(args.n, phase))
@@ -171,10 +167,8 @@ def _final_state(n: int, phase: int, engine: str):
 
 
 def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
-    if args.engine == "qudit" and not 2 <= args.n <= SITE_CAP:
-        parser.error(f"engine qudit supports 2 <= n <= {SITE_CAP}")
-    if args.engine == "circuit" and args.n not in CIRCUIT_SIZES:
-        parser.error(f"engine circuit supports n in {CIRCUIT_SIZES}")
+    if not 2 <= args.n <= SITE_CAP:  # the dense state both engines measure
+        parser.error(f"simulate supports 2 <= n <= {SITE_CAP}")
     if args.dump_state and args.out is None:
         parser.error("--dump-state requires --out")
     phase, _ = _resolve_phase(parser, args)
@@ -245,13 +239,9 @@ def cmd_mac(parser: argparse.ArgumentParser, args) -> int:
     created = [d for d in (prefix.parent, *prefix.parent.parents) if not d.exists()]
     try:
         prefix.parent.mkdir(parents=True, exist_ok=True)
-        with _outputs(*finals) as (summary, *csv):
-            comparison = compare_policies(config, policies)
+        with _outputs(*finals) as (summary, *csv):  # star runs only write a slot CSV
+            comparison = compare_policies(config, policies, *csv)
             summary.write(_json_text(comparison.to_dict()))
-            for stream in csv:  # star runs only
-                stream.write(SLOT_CSV_HEADER + "\n")
-                for run in comparison.runs:
-                    run.log.write_csv(stream, run.policy)
     except BaseException:
         for directory in created:  # deepest first: a failed run leaves no new directory
             with contextlib.suppress(OSError):
@@ -259,9 +249,8 @@ def cmd_mac(parser: argparse.ArgumentParser, args) -> int:
         raise
     print(f"{'policy':>26} {'throughput':>11} {'collisions':>11} {'all-distinct':>13} "
           f"{'all-same':>10} {'energy':>8}")
-    for run in comparison.runs:
-        m = run.metrics
-        print(f"{run.policy:>26} {m.throughput:>11.4f} {m.collision_rate:>11.4f} "
+    for policy, m in comparison.runs:
+        print(f"{policy:>26} {m.throughput:>11.4f} {m.collision_rate:>11.4f} "
               f"{m.all_distinct_rate:>13.6f} {m.all_same_rate:>10.6f} {m.energy_proxy:>8.3f}")
     for kind, ratio in comparison.all_distinct_ratios().items():
         shown = "n/a" if ratio is None else f"{ratio:.4f}"
@@ -297,14 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(func=cmd_simulate, parser=simulate)
 
     audit = sub.add_parser("audit-circuit", help="audit a preparation circuit against the target state")
-    audit.add_argument("--n", type=int, required=True, choices=CIRCUIT_SIZES)
+    audit.add_argument("--n", type=int, required=True)
     _add_phase_options(audit)
     audit.add_argument("--variant", choices=VARIANTS, default=VARIANT_FIGURE)
     audit.add_argument("--out", default=None)
     audit.set_defaults(func=cmd_audit_circuit, parser=audit)
 
     export = sub.add_parser("export-circuit", help="write a preparation circuit as a plain-text gate list")
-    export.add_argument("--n", type=int, required=True, choices=CIRCUIT_SIZES)
+    export.add_argument("--n", type=int, required=True)
     _add_phase_options(export)
     export.add_argument("--variant", choices=VARIANTS, default=VARIANT_CORRECTED)
     export.add_argument("--out", default=None)
@@ -325,6 +314,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args.parser, args)
+    except (InvalidConfigError, UnsupportedSizeError) as exc:
+        args.parser.error(str(exc))
     except ConfigFormatError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -295,49 +295,55 @@ def run_mesh_rounds(config: CellConfig, policy: str) -> tuple[MacMetrics, SlotLo
 
 
 @dataclass(frozen=True)
-class PolicyRun:
-    policy: str
-    metrics: MacMetrics
-    log: SlotLog
-
-
-@dataclass(frozen=True)
 class PolicyComparison:
-    """Per-policy metrics over a shared primary-occupancy sequence."""
+    """Per-policy metrics over a shared primary-occupancy sequence, as
+    (policy kind, metrics) pairs in the order the policies were listed."""
 
     config: CellConfig
-    runs: tuple[PolicyRun, ...]
+    runs: tuple[tuple[str, MacMetrics], ...]
 
     def all_distinct_ratios(self) -> dict[str, float | None]:
         """Each non-classical policy's all-distinct rate over the classical
         baseline's (None without a baseline or with a zero baseline)."""
-        baseline = next((r.metrics.all_distinct_rate for r in self.runs
-                         if r.policy == CLASSICAL_UNIFORM), None)
-        return {run.policy: run.metrics.all_distinct_rate / baseline if baseline else None
-                for run in self.runs if run.policy != CLASSICAL_UNIFORM}
+        baseline = next((metrics.all_distinct_rate for policy, metrics in self.runs
+                         if policy == CLASSICAL_UNIFORM), None)
+        return {policy: metrics.all_distinct_rate / baseline if baseline else None
+                for policy, metrics in self.runs if policy != CLASSICAL_UNIFORM}
 
     def to_dict(self) -> dict:
         """The summary document: config, per-policy metrics and ratios."""
         return {
             "config": asdict(self.config),
-            "policies": [{"policy": run.policy, "metrics": run.metrics.to_dict()}
-                         for run in self.runs],
+            "policies": [{"policy": policy, "metrics": metrics.to_dict()}
+                         for policy, metrics in self.runs],
             "all_distinct_ratios": self.all_distinct_ratios(),
         }
 
 
-def compare_policies(config: CellConfig, policies: Sequence[str]) -> PolicyComparison:
+def compare_policies(config: CellConfig, policies: Sequence[str],
+                     csv: IO[str] | None = None) -> PolicyComparison:
     """Run every policy against the same primary-user occupancy sequence.
 
     The environment stream depends only on the seed, so occupancy (and the
     defer choices) are common random numbers; allocator sampling stays on
-    independent per-policy streams.
+    independent per-policy streams.  Given a ``csv`` stream, writes the slot
+    CSV there: the header, then each policy's rows as soon as it has run.
+    Either way one policy's slot log is held at a time, so the slot
+    engine's memory plan bounds the whole comparison.
     """
     if len(policies) < 2:
         raise ValueError("need at least two policies to compare")
     run = run_mesh_rounds if config.topology == TOPOLOGY_MESH else run_cell
-    return PolicyComparison(config, tuple(PolicyRun(policy, *run(config, policy))
-                                          for policy in policies))
+    if csv is not None:
+        csv.write(SLOT_CSV_HEADER + "\n")
+    runs = []
+    for policy in policies:
+        metrics, log = run(config, policy)
+        if csv is not None:
+            log.write_csv(csv, policy)
+        del log  # free it before the next policy runs
+        runs.append((policy, metrics))
+    return PolicyComparison(config, tuple(runs))
 
 
 def load_run_spec(document: dict) -> tuple[CellConfig, list[str]]:

@@ -55,8 +55,9 @@ class QuditState:
 
 
 def constant_indices(n: int) -> np.ndarray:
-    """Flat indices of the constant tuples (k, ..., k) for k = 0 .. n-1."""
-    return np.arange(n, dtype=np.int64) * ((n**n - 1) // (n - 1))
+    """Flat indices of the constant tuples (k, ..., k) for k = 0 .. n-1, in
+    uint64: at n = 16 they reach 16**16 - 1, past the int64 range."""
+    return np.arange(n, dtype=np.uint64) * np.uint64((n**n - 1) // (n - 1))
 
 
 def prepare_entangled(config: GameConfig) -> QuditState:

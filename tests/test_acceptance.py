@@ -185,7 +185,7 @@ def test_criterion_8_mac_comparison(tmp_path):
                             slots=1_000_000, seed=404)
         policies = [CLASSICAL_UNIFORM, QUANTUM_ENHANCE_OPTIMUM, QUANTUM_AVOID_WORST]
         comparison = compare_policies(config, policies)
-        by_kind = {run.policy: run.metrics for run in comparison.runs}
+        by_kind = dict(comparison.runs)
 
         ratio = comparison.all_distinct_ratios()[QUANTUM_ENHANCE_OPTIMUM]
         assert abs(ratio - 4.0) < 0.1

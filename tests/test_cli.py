@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import decode_counts
-from qmg import cli, qudit
-from qmg.circuit import parse_circuit
+from qmg import cli, mac, qudit
+from qmg.circuit import build_preparation_circuit, parse_circuit
 from qmg.game import GameConfig, phase_for_regime, strategy_matrix
 from qmg.qudit import ResourceLimitError, apply_local_strategy, prepare_entangled, sample_counts
 
@@ -29,6 +29,11 @@ def run_spec_file(tmp_path, **overrides):
     path = tmp_path / "cell.json"
     path.write_text(json.dumps(spec))
     return path
+
+
+def tree(root):
+    """Every path under root: file bytes, None for a directory."""
+    return {p.relative_to(root): None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}
 
 
 # --- probs -------------------------------------------------------------------
@@ -189,9 +194,11 @@ def test_simulate_engine_size_mismatch():
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["simulate", "--n", "3", "--p", "1", "--shots", "1", "--engine", "circuit"])
     assert exit_info.value.code == 2
-    with pytest.raises(SystemExit) as exit_info:
-        cli.main(["simulate", "--n", "9", "--p", "1", "--shots", "1"])
-    assert exit_info.value.code == 2
+    for engine in ("qudit", "circuit"):  # both measure a dense state, capped at n = 8
+        for n in ("9", "16"):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(["simulate", "--n", n, "--p", "1", "--shots", "1", "--engine", engine])
+            assert exit_info.value.code == 2
 
 
 # --- circuit subcommands ---------------------------------------------------------
@@ -210,12 +217,23 @@ def test_audit_circuit_reports(tmp_path, capsys):
               "--out", str(out)])
     assert json.loads(out.read_text())["matches"] is True
 
+    # n = 16 is 64 qubits: the corrected preparation matches at p = 1 and
+    # p = 16*15/2, and the figure's R rotations spoil every phase
+    def audit(p, variant):
+        assert cli.main(["audit-circuit", "--n", "16", "--p", str(p), "--variant", variant]) == 0
+        return json.loads(capsys.readouterr().out)["matches"]
+
+    assert audit(1, "corrected") is True and audit(120, "corrected") is True
+    assert not any(audit(p, "figure") for p in range(16))
+
 
 def test_audit_circuit_size_check():
+    """n = 3 and 5 have no qubit encoding; n = 32 is past the game's cap."""
     for command in ("audit-circuit", "export-circuit"):
-        with pytest.raises(SystemExit) as exit_info:
-            cli.main([command, "--n", "5", "--p", "1"])
-        assert exit_info.value.code == 2
+        for n in ("3", "5", "32"):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main([command, "--n", n, "--p", "1"])
+            assert exit_info.value.code == 2
 
 
 def test_export_circuit_round_trip(tmp_path, capsys):
@@ -227,6 +245,10 @@ def test_export_circuit_round_trip(tmp_path, capsys):
     out = tmp_path / "gates.txt"
     cli.main(["export-circuit", "--n", "2", "--p", "1", "--variant", "figure", "--out", str(out)])
     assert parse_circuit(out.read_text())[0].kind == "r"
+    assert cli.main(["export-circuit", "--n", "16", "--p", "1"]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("# preparation circuit: n=16 phase=1 variant=corrected width=64\n")
+    assert parse_circuit(text) == build_preparation_circuit(GameConfig(16, 1))
 
 
 # --- mac -------------------------------------------------------------------------
@@ -372,34 +394,46 @@ def test_mac_unwritable_csv_keeps_earlier_summary(tmp_path, capsys, argv, earlie
 
 
 @pytest.mark.parametrize("argv, outputs, last_call", (
-    (["mac", "{spec}", "--out", "{tmp}/run"], ("run.json", "run.csv"), "compare_policies"),
+    (["mac", "{spec}", "--out", "{tmp}/run"], ("run.json", "run.csv"), (cli, "compare_policies", 0)),
     (["simulate", "--n", "3", "--p", "1", "--shots", "50", "--out", "{tmp}/h.csv", "--dump-state"],
-     ("h.csv", "h.csv.state.txt"), "dump_nonzero"),
+     ("h.csv", "h.csv.state.txt"), (cli, "dump_nonzero", 0)),
     (["probs", "--n", "4", "--p", "1", "--out", "{tmp}/p.json"], ("p.json",),
-     "analytic_probabilities"),
+     (cli, "analytic_probabilities", 0)),
     (["audit-circuit", "--n", "2", "--p", "1", "--out", "{tmp}/a.json"], ("a.json",),
-     "audit_preparation_circuit"),
+     (cli, "audit_preparation_circuit", 0)),
     (["export-circuit", "--n", "2", "--p", "1", "--out", "{tmp}/c.txt"], ("c.txt",),
-     "export_circuit"),
-), ids=("mac", "simulate", "probs", "audit-circuit", "export-circuit"))
+     (cli, "export_circuit", 0)),
+    (["mac", "{spec}", "--out", "{tmp}/new/run"], ("run.json", "run.csv"), (mac, "run_cell", 1)),
+), ids=("mac", "simulate", "probs", "audit-circuit", "export-circuit", "mac-second-policy"))
 def test_mac_interrupted_run_keeps_earlier_outputs(tmp_path, monkeypatch, capsys,
                                                    argv, outputs, last_call):
     """A run stopped at its last call before the write (for simulate, the
-    state dump, after the histogram) leaves earlier files as they were and
-    no temporary behind."""
+    state dump, after the histogram; for mac-second-policy, the second
+    policy's run, after the first policy's rows went to the temporary CSV
+    in a directory the run made) leaves earlier files as they were and no
+    temporary or new directory behind."""
     spec = run_spec_file(tmp_path, slots=200)
     for name in outputs:
         (tmp_path / name).write_text(f"earlier {name}\n")
-    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    before = tree(tmp_path)
+    module, name, calls_through = last_call
+    real, calls, temporaries = getattr(module, name), [], []
 
     def interrupted(*args, **kwargs):
+        calls.append(args)
+        if len(calls) <= calls_through:
+            return real(*args, **kwargs)
+        temporaries.extend(p.relative_to(tmp_path).parent for p in tmp_path.rglob("*.tmp"))
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, last_call, interrupted)
+    monkeypatch.setattr(module, name, interrupted)
     with pytest.raises(KeyboardInterrupt):
         cli.main([arg.format(spec=spec, tmp=tmp_path) for arg in argv])
     assert capsys.readouterr().out == ""
-    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert len(calls) == calls_through + 1
+    if calls_through:
+        assert temporaries == [Path("new"), Path("new")]
+    assert tree(tmp_path) == before
 
 
 def test_symlinked_out_is_written_through(tmp_path):

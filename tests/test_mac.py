@@ -19,6 +19,7 @@ from qmg.mac import (
     MAX_MESH_ROUNDS,
     QUANTUM_AVOID_WORST,
     QUANTUM_ENHANCE_OPTIMUM,
+    SLOT_CSV_HEADER,
     CellConfig,
     ConfigFormatError,
     MacMetrics,
@@ -150,8 +151,22 @@ def test_metrics_deterministic():
 
 
 def test_same_policy_twice_identical():
-    comparison = compare_policies(cell(activity=0.2, slots=5_000), [AVOID, AVOID])
-    assert comparison.runs[0].metrics == comparison.runs[1].metrics
+    (_, first), (_, second) = compare_policies(cell(activity=0.2, slots=5_000), [AVOID, AVOID]).runs
+    assert first == second
+
+
+def test_compare_policies_streams_the_slot_csv():
+    """The slot CSV is the header, then each listed policy's rows in order,
+    a repeated policy included; the metrics are those of a run without one."""
+    config, policies = cell(activity=0.2, slots=2_000), [AVOID, CLASSICAL, AVOID]
+    stream = io.StringIO()
+    comparison = compare_policies(config, policies, stream)
+    expected = io.StringIO()
+    expected.write(SLOT_CSV_HEADER + "\n")
+    for policy in policies:
+        run_cell(config, policy)[1].write_csv(expected, policy)
+    assert stream.getvalue() == expected.getvalue()
+    assert comparison == compare_policies(config, policies)
 
 
 def test_compare_needs_two_policies():
@@ -424,13 +439,18 @@ def test_metrics_dict_round_trip():
     }
 
 
+def compare_eight_policies(config, policy):
+    return compare_policies(config, [policy] * 8)
+
+
 @pytest.mark.parametrize("n", (4, 16))
 @pytest.mark.parametrize("activity", (0.0, 0.3))
-@pytest.mark.parametrize("run", (run_cell, run_mesh_rounds))
+@pytest.mark.parametrize("run", (run_cell, run_mesh_rounds, compare_eight_policies))
 def test_memory_guard_plans_the_peak(monkeypatch, run, activity, n):
     """The bytes the slot engine plans before it draws bound the tracemalloc
-    peak of the run.  Activity 0 puts every slot in the full-size game; 0.3
-    also runs the defer picks."""
+    peak of the run, and of a comparison of any number of policies, which
+    holds one policy's slot log at a time.  Activity 0 puts every slot in
+    the full-size game; 0.3 also runs the defer picks."""
     topology = "mesh-rounds" if run is run_mesh_rounds else "star"
     config = cell(n=n, activity=activity, slots=20_000, topology=topology)
     run(dataclasses.replace(config, slots=10), AVOID)  # one-time allocations stay out of the peak

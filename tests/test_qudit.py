@@ -24,6 +24,7 @@ from qmg.qudit import (
     StateIntegrityError,
     PROB_FLOOR,
     apply_local_strategy,
+    constant_indices,
     dump_nonzero,
     prepare_entangled,
     sample_counts,
@@ -44,6 +45,15 @@ def flat_index(n, outcome):
 def test_index_round_trip():
     assert flat_index(4, (1, 1, 1, 1)) == 85
     assert flat_index(3, (2, 0, 1)) == 19
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_constant_indices_exact(n):
+    """(k, ..., k) sits at k * (n**n - 1) / (n - 1); at n = 16 the top
+    indices exceed the int64 range, so the array is uint64."""
+    indices = constant_indices(n)
+    assert indices.dtype == np.uint64
+    assert indices.tolist() == [k * (n**n - 1) // (n - 1) for k in range(n)]
 
 
 def test_prepare_two_user():
