@@ -285,14 +285,11 @@ def parse_circuit(text: str) -> list[Gate]:
             continue
         try:
             kind, controls_field, targets_field, angle_field = line.split()
-        except ValueError as exc:
+            # a control token is a qubit and its required bit: b for 1, w for 0
+            controls = () if controls_field == "-" else tuple(
+                (int(token[:-1]), "wb".index(token[-1])) for token in controls_field.split(","))
+            targets = () if targets_field == "-" else tuple(int(t) for t in targets_field.split(","))
+            gates.append(Gate(kind, targets, controls, float(angle_field)))
+        except (ValueError, IndexError) as exc:
             raise CircuitValidationError(f"bad gate line {line!r}") from exc
-        controls = []
-        if controls_field != "-":
-            for token in controls_field.split(","):
-                if token[-1] not in "bw":
-                    raise CircuitValidationError(f"bad control token {token!r}")
-                controls.append((int(token[:-1]), 1 if token[-1] == "b" else 0))
-        targets = tuple(int(t) for t in targets_field.split(",")) if targets_field != "-" else ()
-        gates.append(Gate(kind, targets, tuple(controls), float(angle_field)))
     return gates

@@ -224,10 +224,10 @@ def cmd_mac(parser: argparse.ArgumentParser, args) -> int:
     path = Path(args.config)
     try:
         document = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigFormatError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8, too long or deep
+        raise ConfigFormatError(f"{path}: {exc}") from exc
     config, policies = load_run_spec(document)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)

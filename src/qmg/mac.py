@@ -215,16 +215,19 @@ def _run_slots(config: CellConfig, policy: str, group: int, rounds: int,
     env = _stream(config.seed, _ENV_STREAM)
     alloc = _stream(config.seed, _ALLOC_STREAM, POLICY_KINDS.index(policy))
     slots = config.slots
-    # bytes per slot at the peak, one round's game: free_counts and the four
-    # result arrays (21), the row index and per-row sums (28), and 44 per
-    # member: the priority draw (8), defer picks (12), digits and two scoring
-    # temporaries (24).  The occupancy draws come first, 9 bytes per user.
-    check_footprint(max(49 + 44 * group, 8 + 9 * n) * slots, f"{slots} slots of {n} users")
+    # bytes per slot at the peak, one round's game: free counts, successes,
+    # all-same and the delivery mask (17), the partition indices (8), the
+    # game's per-row sums (20), and 44 per member: the priority draw (8),
+    # defer picks (12), digits and two scoring temporaries (24).  The
+    # occupancy draws come first, 9 bytes per user.
+    check_footprint(max(45 + 44 * group, 8 + 9 * n) * slots, f"{slots} slots of {n} users")
 
     free_counts = (env.random((slots, n)) >= config.primary_activity).sum(axis=1)
+    # the slots with each free count and the size of the game they play, found once
+    games = [(rows, min(group, f)) for f in range(1, n + 1)
+             if (rows := np.nonzero(free_counts == f)[0]).size]
 
     successes = np.zeros(slots, dtype=np.int32)
-    colliders = np.zeros(slots, dtype=np.int32)
     all_same = np.zeros(slots, dtype=bool)
     # bit u set once user u was alone on its channel in some round of the slot
     delivered = np.zeros(slots, dtype=np.int32)
@@ -232,22 +235,16 @@ def _run_slots(config: CellConfig, policy: str, group: int, rounds: int,
     for r in range(rounds):
         members = (r % n + np.arange(group, dtype=np.int32)) % n
         member_priority = env.random((slots, group))
-        for f in range(1, n + 1):
-            rows = np.nonzero(free_counts == f)[0]
-            if rows.size == 0:
-                continue
-            count = rows.size
-            size = min(group, f)
+        for rows, size in games:
+            players = members  # the whole group plays, or the first `size` by priority
             if size < group:
-                picks = np.argsort(member_priority[rows], axis=1, kind="stable")[:, :size]
-                players = members[picks]
-            else:
-                players = np.broadcast_to(members, (count, size))
-            alone, round_succ, round_same = _score_rows(_game_digits(policy, size, count, alloc))
+                players = members[np.argsort(member_priority[rows], axis=1, kind="stable")[:, :size]]
+            alone, round_succ, round_same = _score_rows(_game_digits(policy, size, rows.size, alloc))
             successes[rows] += round_succ
-            colliders[rows] += size - round_succ
             all_same[rows] |= round_same
             delivered[rows] |= (alone.astype(np.int32) << players).sum(axis=1, dtype=np.int32)
+    # every player of every round either succeeded or collided
+    colliders = (rounds * np.minimum(free_counts, group) - successes).astype(np.int32)
 
     total_successes = int(successes.sum())
     total_colliders = int(colliders.sum())

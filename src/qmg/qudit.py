@@ -94,7 +94,10 @@ def sample_counts(state: QuditState, rng: np.random.Generator, shots: int) -> di
 
     Refuses a state whose norm is off 1 by more than ``NORM_TOL``.
     """
-    check_footprint(16 * shots, f"{shots} shots")  # uniforms and draw indices
+    # per amplitude, the probabilities and their cumulative sums (16); per
+    # shot, the larger of the uniforms with their draw indices (16) and the
+    # draws with np.unique's sorted copy and two masks (18)
+    check_footprint(16 * state.amplitudes.size + 18 * shots, f"{shots} shots")
     probs = np.abs(state.amplitudes) ** 2
     norm = math.sqrt(probs.sum())
     if abs(norm - 1.0) > NORM_TOL:
@@ -104,7 +107,8 @@ def sample_counts(state: QuditState, rng: np.random.Generator, shots: int) -> di
     uniforms.sort()  # same draws, far faster searchsorted; the counts ignore order
     draws = np.searchsorted(cumulative, uniforms, side="right")
     del probs, cumulative, uniforms  # free the n**n arrays before counting
-    values, counts = np.unique(np.minimum(draws, state.amplitudes.size - 1), return_counts=True)
+    np.minimum(draws, state.amplitudes.size - 1, out=draws)  # in place: one copy fewer
+    values, counts = np.unique(draws, return_counts=True)
     return dict(zip(values.tolist(), counts.tolist()))
 
 

@@ -1,6 +1,7 @@
 """Qubit circuit construction, execution, audit, and export."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -385,7 +386,14 @@ def test_export_line_shape():
 
 
 def test_parse_rejects_garbage():
-    with pytest.raises(CircuitValidationError):
-        parse_circuit("h - 0\n")
-    with pytest.raises(CircuitValidationError):
-        parse_circuit("x 0q 1 0.0\n")
+    """Any malformed line raises CircuitValidationError naming that line."""
+    for line in (
+        "h - 0",  # three fields
+        "x 0q 1 0.0",  # a control bit other than b or w
+        "h 1b,,2b 0 0.0",  # an empty control token
+        "h xb 0 0.0",  # a control qubit that is not an integer
+        "h - a 0.0",  # a target that is not an integer
+        "h - 0 zz",  # an angle that is not a number
+    ):
+        with pytest.raises(CircuitValidationError, match=f"^bad gate line {re.escape(repr(line))}$"):
+            parse_circuit(f"h - 0 0.0\n{line}\n")

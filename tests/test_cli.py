@@ -1,5 +1,6 @@
 """CLI behavior: outputs, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import stat
@@ -299,6 +300,24 @@ def test_mac_byte_identical_reruns(tmp_path):
     assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
 
 
+@pytest.mark.parametrize("overrides, digests", (
+    ({"primary_activity": 0.3, "slots": 2000, "seed": 5}, {
+        "run.json": "a5aa745c506407582416bdaa505be09a803641dac53270477e3a092a8a73b3d0",
+        "run.csv": "7cc1f6d96d6abb88b865783cea1e9146656092b73921ce87e5d5017e68e65033"}),
+    ({"n_users": 6, "n_channels": 6, "primary_activity": 0.3, "slots": 2000, "seed": 5,
+      "topology": "mesh-rounds", "mesh_degree": 2, "mesh_rounds": 4}, {
+        "run.json": "dd95d7551184a3c9a4d04765fd7fa867de880fa58900c30fab1a5f2864a82a45"}),
+), ids=("star", "mesh"))
+def test_mac_fixed_seed_bytes(tmp_path, overrides, digests):
+    """Fixed-seed output files keep their bytes across refactors.  They hold
+    only integers and ratios of exact integer sums, so the platform cannot
+    move them; a change in random-number use must update these digests."""
+    spec = run_spec_file(tmp_path, **overrides)
+    assert cli.main(["mac", str(spec), "--out", str(tmp_path / "out" / "run")]) == 0
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (tmp_path / "out").iterdir()} == digests
+
+
 def test_mac_seed_override_changes_slots(tmp_path):
     spec = run_spec_file(tmp_path)
     cli.main(["mac", str(spec), "--out", str(tmp_path / "base")])
@@ -315,12 +334,23 @@ def test_mac_mesh_topology_summary_only(tmp_path):
 
 
 def test_mac_malformed_json(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text('{"n_users": 4,,}')
-    assert cli.main(["mac", str(path)]) == 3
-    err = capsys.readouterr().err
-    assert "config error" in err and ":2:" not in err  # line 1 diagnostic
-    assert ":1:" in err
+    """A spec that cannot be decoded is a config error: exit 3, no traceback,
+    no output.  Only a syntax error has a line and column to report."""
+    for text, located in (
+        ('{"n_users": 4,,}', True),
+        ("[" * 100_000, False),  # too deep for the decoder
+        # too long for int() where Python limits its digits, an invalid seed elsewhere
+        ('{"n_users": 4, "n_channels": 4, "primary_activity": 0.0, "slots": 10, "seed": '
+         + "9" * 5000 + ', "policies": ["classical-uniform", "quantum-avoid-worst"]}', False),
+    ):
+        path = tmp_path / "broken.json"
+        path.write_text(text)
+        before = tree(tmp_path)
+        assert cli.main(["mac", str(path), "--out", str(tmp_path / "out" / "run")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}") and "Traceback" not in err
+        assert err.startswith(f"config error: {path}:1:") == located
+        assert tree(tmp_path) == before
 
 
 @pytest.mark.parametrize("overrides, message", (

@@ -5,6 +5,7 @@ import functools
 import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import closed_form_amplitude, decode_counts
+from qmg import qudit
 from qmg.game import (
     DimensionError,
     GameConfig,
@@ -234,6 +236,25 @@ def test_sample_counts_matches_unsorted_reference(n, regime, shots):
     expected = unsorted_sample_counts(state, reference_rng, shots)
     assert list(counts.items()) == list(expected.items())
     assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", (4, 5))
+@pytest.mark.parametrize("regime", ("enhance-optimum", "avoid-worst"))
+def test_sampler_memory_plan_covers_the_peak(monkeypatch, regime, n):
+    """The bytes the sampler plans before it draws bound the tracemalloc
+    peak of the call: the probabilities and cumulative sums per amplitude,
+    and per shot the uniforms and draws, then the draws and np.unique's work."""
+    state = final_state(n, phase_for_regime(regime, n))
+    sample_counts(state, np.random.default_rng(0), 10)  # one-time allocations stay out of the peak
+    planned = []
+    monkeypatch.setattr(qudit, "check_footprint", lambda planned_bytes, what: planned.append(planned_bytes))
+    tracemalloc.start()
+    try:
+        sample_counts(state, np.random.default_rng(1), 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= planned[0]
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
