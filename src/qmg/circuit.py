@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameConfig, entangled_coefficient
-from .qudit import QuditState, ResourceLimitError, check_footprint, constant_indices
+from .game import GameConfig, InvalidConfigError, entangled_branches
+from .qudit import QuditState, ResourceLimitError, check_footprint
 
 VARIANT_FIGURE = "figure"
 VARIANT_CORRECTED = "corrected"
@@ -41,10 +41,6 @@ AUDIT_TOL = 1e-10
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 GATE_KINDS = ("r", "h", "x", "phase")
-
-
-class UnsupportedSizeError(ValueError):
-    """Requested game size has no power-of-two qubit encoding."""
 
 
 class CircuitValidationError(ValueError):
@@ -90,7 +86,7 @@ def qubits_per_user(n: int) -> int:
         log = n.bit_length() - 1
         if (1 << log) == n:
             return log
-    raise UnsupportedSizeError(f"game size must be a power of two >= 2, got {n}")
+    raise InvalidConfigError(f"game size must be a power of two >= 2, got {n}")
 
 
 def game_size_for_width(width: int) -> int:
@@ -98,7 +94,7 @@ def game_size_for_width(width: int) -> int:
     for log in range(1, 8):
         if (1 << log) * log == width:
             return 1 << log
-    raise UnsupportedSizeError(f"register width {width} is not n*log2(n) for any n")
+    raise InvalidConfigError(f"register width {width} is not n*log2(n) for any n")
 
 
 def branch_controls(n: int, k: int) -> tuple[tuple[int, int], ...]:
@@ -240,11 +236,10 @@ def audit_preparation_circuit(config: GameConfig, variant: str = VARIANT_FIGURE)
     log = qubits_per_user(n)
     width = n * log
     register = run_circuit(build_preparation_circuit(config, variant), width)
-    branches = constant_indices(n)
+    branches, target = entangled_branches(config)
     on_branch = np.isin(register.indices, branches)
     actual = np.zeros(n, dtype=np.complex128)
     actual[np.searchsorted(branches, register.indices[on_branch])] = register.amplitudes[on_branch]
-    target = np.array([entangled_coefficient(config, k) for k in range(n)])
     leakage = float(np.max(np.abs(register.amplitudes[~on_branch]), initial=0.0))
     best_shift, best_deviation = 0, math.inf
     for q in range(n):

@@ -23,7 +23,6 @@ from .circuit import (
     VARIANT_CORRECTED,
     VARIANT_FIGURE,
     VARIANTS,
-    UnsupportedSizeError,
     audit_preparation_circuit,
     build_preparation_circuit,
     export_circuit,
@@ -314,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args.parser, args)
-    except (InvalidConfigError, UnsupportedSizeError) as exc:
+    except InvalidConfigError as exc:
         args.parser.error(str(exc))
     except ConfigFormatError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -85,22 +85,16 @@ def phase_for_regime(regime: str, n: int) -> int:
     raise InvalidConfigError(f"unknown regime {regime!r}; expected one of {REGIMES}")
 
 
-def root_of_unity(n: int, k: int) -> complex:
-    """k-th power of the principal n-th root of unity, exp(2*pi*i*k/n).
-
-    Exactly periodic in k with period n (the exponent is reduced mod n
-    before touching floating point).
-    """
-    if n < 2:
-        raise InvalidConfigError(f"need n >= 2, got {n}")
-    return cmath.exp(2j * math.pi * (k % n) / n)
-
-
-def entangled_coefficient(config: GameConfig, k: int) -> complex:
-    """Amplitude of the |k k ... k> branch of the prepared entangled state."""
-    if not 0 <= k < config.n:
-        raise IndexError(f"branch index {k} outside [0, {config.n})")
-    return root_of_unity(config.n, k * config.phase) / math.sqrt(config.n)
+def entangled_branches(config: GameConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The n branches |k k ... k> of the prepared entangled state: their flat
+    indices k*(n**n - 1)/(n - 1) (base n, user 0 most significant), in
+    uint64 since at n = 16 they pass the int64 range, and their amplitudes
+    w^(k*phase)/sqrt(n), the exponent reduced mod n before floating point."""
+    n, p = config.n, config.effective_phase
+    indices = np.arange(n, dtype=np.uint64) * np.uint64((n**n - 1) // (n - 1))
+    amplitudes = np.array([cmath.exp(2j * math.pi * ((k * p) % n) / n) / math.sqrt(n)
+                           for k in range(n)], dtype=np.complex128)
+    return indices, amplitudes
 
 
 def strategy_matrix(n: int) -> np.ndarray:
@@ -176,6 +170,6 @@ def sample_outcomes(config: GameConfig, rng: np.random.Generator, size: int) -> 
     """
     n = config.n
     head = rng.integers(0, n, size=(size, n - 1))
-    last = (-(config.phase + head.sum(axis=1))) % n
+    last = (-(config.effective_phase + head.sum(axis=1))) % n
     return np.concatenate([head, last[:, None]], axis=1)
 

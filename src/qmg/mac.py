@@ -75,9 +75,10 @@ class CellConfig:
 
     ``mesh_degree`` is the number of ring neighbors each arbiter serves
     (default: full mesh, n_users - 1); ``mesh_rounds`` the arbitration
-    rounds per slot (default: one per node).  Energy accounting charges
-    ``tx_cost`` per transmission attempt and, in mesh mode, an additional
-    ``arbitration_cost`` per round.  ``int`` and ``float`` fields are type-checked.
+    rounds per slot (default: one per node); a star cell sets neither.
+    Energy accounting charges ``tx_cost`` per transmission attempt and, in
+    mesh mode, ``arbitration_cost`` per round.  ``int`` and ``float`` fields
+    are type-checked.
     """
 
     n_users: int
@@ -115,6 +116,10 @@ class CellConfig:
             raise ConfigFormatError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.topology not in (TOPOLOGY_STAR, TOPOLOGY_MESH):
             raise ConfigFormatError(f"unknown topology {self.topology!r}")
+        for name in ("mesh_degree", "mesh_rounds"):
+            if getattr(self, name) is not None and self.topology != TOPOLOGY_MESH:
+                raise ConfigFormatError(f"{name} applies only to topology {TOPOLOGY_MESH!r}, "
+                                        f"not {self.topology!r}")
         if self.tx_cost < 0 or self.arbitration_cost < 0:
             raise ConfigFormatError("costs must be non-negative")
         if self.mesh_degree is not None and not 1 <= self.mesh_degree <= self.n_users - 1:

@@ -15,7 +15,7 @@ from typing import IO
 
 import numpy as np
 
-from .game import DimensionError, GameConfig, entangled_coefficient
+from .game import DimensionError, GameConfig, entangled_branches
 
 #: n**n amplitudes at complex128; 8**8 is ~1.7e7 values (~270 MB), the ceiling.
 SITE_CAP = 8
@@ -54,19 +54,14 @@ class QuditState:
     amplitudes: np.ndarray
 
 
-def constant_indices(n: int) -> np.ndarray:
-    """Flat indices of the constant tuples (k, ..., k) for k = 0 .. n-1, in
-    uint64: at n = 16 they reach 16**16 - 1, past the int64 range."""
-    return np.arange(n, dtype=np.uint64) * np.uint64((n**n - 1) // (n - 1))
-
-
 def prepare_entangled(config: GameConfig) -> QuditState:
     """Entangled start state: one amplitude per constant tuple (k, ..., k)."""
     n = config.n
     if n > SITE_CAP:
         raise ResourceLimitError(f"dense simulation capped at n <= {SITE_CAP}, got n={n}")
+    indices, coefficients = entangled_branches(config)
     amplitudes = np.zeros(n**n, dtype=np.complex128)
-    amplitudes[constant_indices(n)] = [entangled_coefficient(config, k) for k in range(n)]
+    amplitudes[indices] = coefficients
     return QuditState(n, amplitudes)
 
 
@@ -96,8 +91,9 @@ def sample_counts(state: QuditState, rng: np.random.Generator, shots: int) -> di
     """
     # per amplitude, the probabilities and their cumulative sums (16); per
     # shot, the larger of the uniforms with their draw indices (16) and the
-    # draws with np.unique's sorted copy and two masks (18)
-    check_footprint(16 * state.amplitudes.size + 18 * shots, f"{shots} shots")
+    # draws with np.unique's sorted copy and two masks (18); per call, 4 KiB
+    # of array headers and scalars
+    check_footprint(4096 + 16 * state.amplitudes.size + 18 * shots, f"{shots} shots")
     probs = np.abs(state.amplitudes) ** 2
     norm = math.sqrt(probs.sum())
     if abs(norm - 1.0) > NORM_TOL:

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import decode_counts, dense_run_circuit
 from qmg import circuit, qudit
-from qmg.game import GameConfig
+from qmg.game import GameConfig, InvalidConfigError, entangled_branches
 from qmg.circuit import (
     Gate,
     CircuitValidationError,
-    UnsupportedSizeError,
     VARIANT_CORRECTED,
     VARIANT_FIGURE,
     VARIANTS,
@@ -28,7 +27,7 @@ from qmg.circuit import (
     register_to_qudit,
     run_circuit,
 )
-from qmg.qudit import ResourceLimitError, constant_indices, prepare_entangled, sample_counts
+from qmg.qudit import ResourceLimitError, prepare_entangled, sample_counts
 
 SQRT1_2 = 1 / math.sqrt(2)
 
@@ -219,7 +218,7 @@ def test_tuple_to_bits_examples():
     assert bits((1, 0)) == "10"
     # the constant branches the audit reads are these bit patterns
     expected = ["00000000", "01010101", "10101010", "11111111"]
-    assert constant_indices(4).tolist() == [int(b, 2) for b in expected]
+    assert entangled_branches(GameConfig(4, 0))[0].tolist() == [int(b, 2) for b in expected]
 
 
 @given(n=st.sampled_from((2, 4)), data=st.data())
@@ -239,9 +238,9 @@ def test_bit_packing_round_trip(n, data):
 
 
 def test_bit_packing_rejects_bad_sizes():
-    with pytest.raises(UnsupportedSizeError):
+    with pytest.raises(InvalidConfigError):
         qubits_per_user(3)
-    with pytest.raises(UnsupportedSizeError):
+    with pytest.raises(InvalidConfigError):
         game_size_for_width(7)
     assert qubits_per_user(8) == 3
 
@@ -308,7 +307,7 @@ def test_controlled_block_ignores_other_branches():
 
 
 def test_build_rejects_non_power_of_two():
-    with pytest.raises(UnsupportedSizeError):
+    with pytest.raises(InvalidConfigError):
         build_preparation_circuit(GameConfig(3, 1))
     with pytest.raises(ValueError):
         build_preparation_circuit(GameConfig(4, 1), "fancy")

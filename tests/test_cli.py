@@ -366,6 +366,8 @@ def test_mac_malformed_json(tmp_path, capsys):
     ({"tx_cost": float("nan")}, "tx_cost must be finite"),
     ({"topology": "mesh-rounds", "arbitration_cost": float("inf")},
      "arbitration_cost must be finite"),
+    ({"topology": "star", "mesh_degree": 2, "mesh_rounds": 7}, "mesh_degree applies only"),
+    ({"mesh_rounds": 2}, "mesh_rounds applies only"),
 ))
 def test_mac_invalid_spec_exit_code(tmp_path, capsys, overrides, message):
     spec = run_spec_file(tmp_path, **overrides)

@@ -21,9 +21,8 @@ from qmg.game import (
     InvalidConfigError,
     analytic_probabilities,
     classical_probabilities,
-    entangled_coefficient,
+    entangled_branches,
     phase_for_regime,
-    root_of_unity,
     sample_outcomes,
     strategy_matrix,
 )
@@ -38,26 +37,6 @@ def brute_amplitudes(n, p, tuples):
     sums = tuples.sum(axis=1) + p
     k = np.arange(n)[:, None]
     return np.exp(2j * np.pi * k * sums[None, :] / n).sum(axis=0) * n ** (-(n + 1) / 2)
-
-
-# --- roots of unity -------------------------------------------------------
-
-def test_root_of_unity_examples():
-    assert root_of_unity(4, 1) == pytest.approx(1j)
-    assert root_of_unity(4, 6) == pytest.approx(-1)
-    assert root_of_unity(2, 1) == pytest.approx(-1)
-
-
-def test_root_of_unity_rejects_small_n():
-    with pytest.raises(InvalidConfigError):
-        root_of_unity(1, 0)
-
-
-@given(n=st.integers(2, 16), k=st.integers(-100, 100), laps=st.integers(-3, 3))
-def test_root_of_unity_periodic_unit_modulus(n, k, laps):
-    z = root_of_unity(n, k)
-    assert abs(abs(z) - 1.0) < 1e-12
-    assert z == root_of_unity(n, k + laps * n)  # exactly periodic
 
 
 # --- config ---------------------------------------------------------------
@@ -86,27 +65,32 @@ def test_phase_for_regime():
 
 # --- entangled coefficients -----------------------------------------------
 
+def coefficients(n, p):
+    return entangled_branches(GameConfig(n, p))[1]
+
+
 def test_entangled_coefficient_examples():
-    assert entangled_coefficient(GameConfig(2, 1), 1) == pytest.approx(-1 / math.sqrt(2))
-    assert entangled_coefficient(GameConfig(4, 0), 3) == pytest.approx(0.5)
-    cfg = GameConfig(4, 1)
-    assert entangled_coefficient(cfg, 2) == pytest.approx(root_of_unity(4, 2) / 2)
-    assert entangled_coefficient(cfg, 2) == pytest.approx(-0.5)
+    assert coefficients(2, 1)[1] == pytest.approx(-1 / math.sqrt(2))
+    assert coefficients(4, 0)[3] == pytest.approx(0.5)
+    assert coefficients(4, 1)[1] == pytest.approx(1j / 2)
+    assert coefficients(4, 1)[2] == pytest.approx(-0.5)
+    assert coefficients(4, 6)[1] == pytest.approx(-0.5)  # w^6 = w^2 = -1
+    assert coefficients(2, 1).dtype == np.complex128
 
 
 def test_entangled_coefficients_normalized():
     for n in range(2, 9):
         for p in (0, 1, n * (n - 1) // 2):
-            cfg = GameConfig(n, p)
-            norm = sum(abs(entangled_coefficient(cfg, k)) ** 2 for k in range(n))
+            norm = np.sum(np.abs(coefficients(n, p)) ** 2)
             assert norm == pytest.approx(1.0, abs=1e-12)
 
 
-def test_entangled_coefficient_range_check():
-    with pytest.raises(IndexError):
-        entangled_coefficient(GameConfig(3, 0), 3)
-    with pytest.raises(IndexError):
-        entangled_coefficient(GameConfig(3, 0), -1)
+@given(n=st.integers(2, 16), p=st.integers(0, 100), laps=st.integers(1, 3))
+def test_entangled_coefficients_exactly_periodic(n, p, laps):
+    """Only the phase mod n enters: a whole number of laps changes no bit."""
+    z = coefficients(n, p)
+    assert np.array_equal(z.view(np.uint64), coefficients(n, p + laps * n).view(np.uint64))
+    assert np.all(np.abs(np.abs(z) - 1 / math.sqrt(n)) < 1e-12)
 
 
 # --- strategy matrix ------------------------------------------------------
@@ -280,6 +264,14 @@ def test_sample_outcome_always_on_support(n, p, seed):
     cfg = GameConfig(n, p)
     for t in sample_outcomes(cfg, np.random.default_rng(seed), 5):
         assert in_support(n, p, t)
+
+
+@pytest.mark.parametrize("n", (3, 5, 7))
+@pytest.mark.parametrize("p", (2**63 - 1, 2**63, 10**20))
+def test_sample_outcome_on_support_for_any_phase(n, p):
+    """Phases past the int64 range still land every draw on the support."""
+    draws = sample_outcomes(GameConfig(n, p), np.random.default_rng(n), 1000)
+    assert all(in_support(n, p, row) for row in draws.tolist())  # Python ints: no wrap
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))

@@ -424,6 +424,11 @@ def test_run_spec_schema_is_cell_config(field):
     if field.default is dataclasses.MISSING:
         with pytest.raises(ConfigFormatError, match=rf"^missing field\(s\): {name}$"):
             load_run_spec(document)
+    elif name == "topology":  # the default star takes no mesh field
+        with pytest.raises(ConfigFormatError, match="^mesh_degree applies only to topology"):
+            load_run_spec(document)
+        star = {key: value for key, value in document.items() if not key.startswith("mesh_")}
+        assert load_run_spec(star)[0].topology == field.default
     else:
         assert getattr(load_run_spec(document)[0], name) == field.default
 
