@@ -69,12 +69,17 @@ def coefficients(n, p):
     return entangled_branches(GameConfig(n, p))[1]
 
 
+def test_root_of_unity_examples():
+    """Branch 1 carries w^p / sqrt(n), so sqrt(n) times it is the root w^p."""
+    assert coefficients(4, 1)[1] * 2 == pytest.approx(1j)
+    assert coefficients(4, 6)[1] * 2 == pytest.approx(-1)  # w^6 = w^2 = -1
+    assert coefficients(2, 1)[1] * math.sqrt(2) == pytest.approx(-1)
+
+
 def test_entangled_coefficient_examples():
     assert coefficients(2, 1)[1] == pytest.approx(-1 / math.sqrt(2))
     assert coefficients(4, 0)[3] == pytest.approx(0.5)
-    assert coefficients(4, 1)[1] == pytest.approx(1j / 2)
     assert coefficients(4, 1)[2] == pytest.approx(-0.5)
-    assert coefficients(4, 6)[1] == pytest.approx(-0.5)  # w^6 = w^2 = -1
     assert coefficients(2, 1).dtype == np.complex128
 
 
