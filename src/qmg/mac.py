@@ -4,21 +4,23 @@ One cell, n users, n channels.  Each slot the primary users occupy channels
 independently with probability ``primary_activity``; the remaining free
 channels are contested by the cognitive users under an allocation policy,
 one of ``POLICY_KINDS``.  The allocation game is always square: when f < n
-channels are free, f randomly chosen users contend for them and the rest
-defer for the slot.  Star topology runs one allocation per slot (the base
-station is the arbiter); mesh-rounds runs one allocation round per arbiter
-node per slot, each arbiter serving its ring neighborhood.
+channels are free, f users contend for them and the rest defer for the
+slot.  Star topology runs one allocation per slot (the base station is the
+arbiter); mesh-rounds runs one allocation round per arbiter node per slot,
+each arbiter serving its ring neighborhood.
 
 A game digit indexes the round's free channels.  Only how many players
 share a channel decides a collision, so no metric depends on which
 physical channel a digit stands for, and the engine scores the digits
-directly; which users defer is still drawn at random.
+directly.  When one round serves all n users (every star slot), no metric
+depends on who defers either, so that choice is not drawn.
 
 Randomness is split into independent streams derived from the config seed:
 an environment stream (occupancy and who defers, shared by every policy so
-comparisons use common random numbers) and one allocator stream per policy
-kind.  Identical configs therefore give bit-identical metrics, and a policy
-listed twice in a comparison reproduces itself exactly.
+comparisons use common random numbers; a single-round run draws occupancy
+only) and one allocator stream per policy kind.  Identical configs
+therefore give bit-identical metrics, and a policy listed twice in a
+comparison reproduces itself exactly.
 """
 
 from __future__ import annotations
@@ -195,12 +197,10 @@ def _game_digits(policy: str, size: int, count: int, rng: np.random.Generator) -
 def _score_rows(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-player 'alone on its channel' flags plus per-row success/all-same tallies."""
     rows, size = digits.shape
-    offsets = size * np.arange(rows)[:, None]
-    load = np.bincount((digits + offsets).ravel(), minlength=rows * size).reshape(rows, size)
-    alone = np.take_along_axis(load, digits, axis=1) == 1
-    successes = (load == 1).sum(axis=1)
-    all_same = (load.max(axis=1) == size) & (size >= 2)
-    return alone, successes, all_same
+    flat = digits + size * np.arange(rows)[:, None]  # each player's channel, numbered across rows
+    load = np.bincount(flat.ravel(), minlength=rows * size)[flat]  # players on each player's channel
+    alone = load == 1
+    return alone, alone.sum(axis=1), (load[:, 0] == size) & (size >= 2)
 
 
 def _run_slots(config: CellConfig, policy: str, group: int, rounds: int,
@@ -211,21 +211,29 @@ def _run_slots(config: CellConfig, policy: str, group: int, rounds: int,
     arbiter of round r is node r mod n and serves itself plus the next
     group - 1 ring nodes; each round plays a square game of size
     min(group, free).  Surplus participants defer, chosen at random from
-    the environment stream; the game's digits index the free channels and
-    are scored as they are, since which physical channels they name (and
-    which surplus channels go unused) changes no metric.  Energy charges
-    ``tx_cost`` per attempt plus ``arbitrations`` times ``arbitration_cost``.
+    the environment stream; a single round over all n users draws no such
+    choice, since a slot is then all-distinct exactly when all n succeed,
+    and its environment stream ends at occupancy.  The game's digits index
+    the free channels and are scored as they are, since which physical
+    channels they name (and which surplus channels go unused) changes no
+    metric.  Energy charges ``tx_cost`` per attempt plus ``arbitrations``
+    times ``arbitration_cost``.
     """
     n = config.n_users
     env = _stream(config.seed, _ENV_STREAM)
     alloc = _stream(config.seed, _ALLOC_STREAM, POLICY_KINDS.index(policy))
     slots = config.slots
-    # bytes per slot at the peak, one round's game: free counts, successes,
-    # all-same and the delivery mask (17), the partition indices (8), the
-    # game's per-row sums (20), and 44 per member: the priority draw (8),
-    # defer picks (12), digits and two scoring temporaries (24).  The
+    # one round over all n users: all-distinct is successes == n, see above
+    single = rounds == 1 and group == n
+    # bytes per slot at the peak, one round's game: free counts, successes
+    # and all-same (13), the partition indices (8), the game's per-row sums
+    # (20), and 32 per member for the digits and three scoring temporaries.
+    # Unless single, also the delivery mask (4), the round's priority draw
+    # (8 per member) and the previous round's flags and tallies (1 per
+    # member, 9 per slot), held until this round's replace them.  The
     # occupancy draws come first, 9 bytes per user.
-    check_footprint(max(45 + 44 * group, 8 + 9 * n) * slots, f"{slots} slots of {n} users")
+    held = 41 + 32 * group if single else 54 + 41 * group
+    check_footprint(max(held, 8 + 9 * n) * slots, f"{slots} slots of {n} users")
 
     free_counts = (env.random((slots, n)) >= config.primary_activity).sum(axis=1)
     # the slots with each free count and the size of the game they play, found once
@@ -234,19 +242,23 @@ def _run_slots(config: CellConfig, policy: str, group: int, rounds: int,
 
     successes = np.zeros(slots, dtype=np.int32)
     all_same = np.zeros(slots, dtype=bool)
-    # bit u set once user u was alone on its channel in some round of the slot
-    delivered = np.zeros(slots, dtype=np.int32)
+    if not single:
+        # bit u set once user u was alone on its channel in some round of the slot
+        delivered = np.zeros(slots, dtype=np.int32)
 
     for r in range(rounds):
-        members = (r % n + np.arange(group, dtype=np.int32)) % n
-        member_priority = env.random((slots, group))
+        if not single:
+            members = (r % n + np.arange(group, dtype=np.int32)) % n
+            member_priority = env.random((slots, group))
         for rows, size in games:
-            players = members  # the whole group plays, or the first `size` by priority
-            if size < group:
-                players = members[np.argsort(member_priority[rows], axis=1, kind="stable")[:, :size]]
             alone, round_succ, round_same = _score_rows(_game_digits(policy, size, rows.size, alloc))
             successes[rows] += round_succ
             all_same[rows] |= round_same
+            if single:
+                continue
+            players = members  # the whole group plays, or the first `size` by priority
+            if size < group:
+                players = members[np.argsort(member_priority[rows], axis=1)[:, :size]]
             delivered[rows] |= (alone.astype(np.int32) << players).sum(axis=1, dtype=np.int32)
     # every player of every round either succeeded or collided
     colliders = (rounds * np.minimum(free_counts, group) - successes).astype(np.int32)
@@ -258,7 +270,7 @@ def _run_slots(config: CellConfig, policy: str, group: int, rounds: int,
     metrics = MacMetrics(
         throughput=total_successes / slots,
         collision_rate=(total_colliders / total_attempts) if total_attempts else 0.0,
-        all_distinct_rate=float(np.mean(delivered == (1 << n) - 1)),
+        all_distinct_rate=float(np.mean(successes == n if single else delivered == (1 << n) - 1)),
         all_same_rate=float(np.mean(all_same)),
         energy_proxy=(energy_spent / total_successes) if total_successes else math.inf,
     )
@@ -269,11 +281,11 @@ def run_cell(config: CellConfig, policy: str) -> tuple[MacMetrics, SlotLog]:
     """Simulate one star cell: per slot, primary occupancy, then one square
     allocation game over the free channels.
 
-    When f < n channels are free, the arbiter picks f users at random
-    (environment stream, so every policy sees the same player subsets) to
-    play the f-channel game; the rest defer.  This is the one-round mesh
-    whose arbiter serves all n users and charges no arbitration.  Fully
-    deterministic given the config.
+    When f < n channels are free, f users play the f-channel game and the
+    rest defer.  Which f play changes no star metric, so that choice is
+    never drawn and the environment stream ends at occupancy.  This is the
+    one-round mesh whose arbiter serves all n users and charges no
+    arbitration.  Fully deterministic given the config.
     """
     return _run_slots(config, policy, group=config.n_users, rounds=1, arbitrations=0)
 

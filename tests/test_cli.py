@@ -307,7 +307,11 @@ def test_mac_byte_identical_reruns(tmp_path):
     ({"n_users": 6, "n_channels": 6, "primary_activity": 0.3, "slots": 2000, "seed": 5,
       "topology": "mesh-rounds", "mesh_degree": 2, "mesh_rounds": 4}, {
         "run.json": "dd95d7551184a3c9a4d04765fd7fa867de880fa58900c30fab1a5f2864a82a45"}),
-), ids=("star", "mesh"))
+    # the benchmark's mesh shape: 16 rounds, and defer picks in almost every slot
+    ({"n_users": 16, "n_channels": 16, "primary_activity": 0.2, "slots": 2000, "seed": 5,
+      "topology": "mesh-rounds", "policies": ["classical-uniform", "quantum-avoid-worst"]}, {
+        "run.json": "3db0dbfca2c531b307aecb8e2647591902e39f7174499f177bd15b5f0e5a172a"}),
+), ids=("star", "mesh", "full-mesh"))
 def test_mac_fixed_seed_bytes(tmp_path, overrides, digests):
     """Fixed-seed output files keep their bytes across refactors.  They hold
     only integers and ratios of exact integer sums, so the platform cannot

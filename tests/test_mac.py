@@ -284,6 +284,44 @@ def test_slot_csv_matches_per_row_reference(slots):
 
 # --- mesh rounds --------------------------------------------------------------
 
+@pytest.mark.parametrize("n, activity, slots, seed, group, rounds", (
+    (6, 0.3, 2000, 5, 3, 4),  # the pinned ring mesh
+    (16, 0.2, 2000, 5, 16, 16),  # the pinned full mesh
+    (16, 0.2, 20_000, 7, 16, 16),
+), ids=("mesh", "full-mesh", "full-mesh-20k"))
+def test_default_sort_picks_equal_stable_picks(n, activity, slots, seed, group, rounds):
+    """The mesh defer pick sorts member priorities with numpy's default
+    sort, which picks the same players as a stable sort unless two
+    priorities in a row tie.  Replaying the environment stream of these
+    fixed-seed configs shows equal picks in every round, so their bytes
+    do not depend on the sort's stability.  The pinned star draws no
+    priorities, so it has no picks to compare."""
+    env = mac._stream(seed, mac._ENV_STREAM)
+    free_counts = (env.random((slots, n)) >= activity).sum(axis=1)
+    for _ in range(rounds):
+        priority = env.random((slots, group))
+        for f in range(1, group):
+            rows = priority[free_counts == f]
+            assert np.array_equal(np.argsort(rows, axis=1)[:, :f],
+                                  np.argsort(rows, axis=1, kind="stable")[:, :f])
+
+
+@pytest.mark.parametrize("size", range(1, 17))
+def test_score_rows_matches_per_row_reference(size):
+    """The vectorized scorer against plain Python, row by row: random
+    digits, every seventh row forced onto one channel."""
+    rng = np.random.default_rng(size)
+    digits = rng.integers(0, size, size=(300, size))
+    digits[::7] = rng.integers(0, size, size=(len(digits[::7]), 1))
+    alone, successes, all_same = mac._score_rows(digits)
+    for row, flags, succ, same in zip(digits.tolist(), alone.tolist(), successes.tolist(),
+                                      all_same.tolist()):
+        load = collections.Counter(row)
+        assert flags == [load[d] == 1 for d in row]
+        assert succ == sum(load[d] == 1 for d in row)
+        assert same == (size >= 2 and len(load) == 1)
+
+
 def test_mesh_requires_mesh_topology():
     with pytest.raises(ConfigFormatError, match="needs topology"):
         run_mesh_rounds(cell(), AVOID)
@@ -455,7 +493,8 @@ def test_memory_guard_plans_the_peak(monkeypatch, run, activity, n):
     """The bytes the slot engine plans before it draws bound the tracemalloc
     peak of the run, and of a comparison of any number of policies, which
     holds one policy's slot log at a time.  Activity 0 puts every slot in
-    the full-size game; 0.3 also runs the defer picks."""
+    the full-size game; 0.3 also plays smaller games and, in the mesh, runs
+    the defer picks."""
     topology = "mesh-rounds" if run is run_mesh_rounds else "star"
     config = cell(n=n, activity=activity, slots=20_000, topology=topology)
     run(dataclasses.replace(config, slots=10), AVOID)  # one-time allocations stay out of the peak
