@@ -59,7 +59,10 @@ _ENV_STREAM = 0
 _ALLOC_STREAM = 1
 
 SLOT_CSV_HEADER = "slot,free_channels,policy,successes,colliders,all_same"
-CSV_BLOCK_ROWS = 65_536  # slot-CSV rows per write: bounds the text held in memory
+# slot-CSV rows per write: one block's byte matrix, NUL mask and text stay
+# under 1 MB, so the writer's peak fits in the slot engine's per-slot plan
+CSV_BLOCK_ROWS = 4096
+_DIGIT_GROUPS = np.array([b"%03d" % i for i in range(1000)])  # b"000" ... b"999"
 
 
 class ConfigFormatError(ValueError):
@@ -167,18 +170,38 @@ class SlotLog:
         return len(self.successes)
 
     def write_csv(self, stream: IO[str], policy_kind: str) -> None:
-        """Write one CSV row per slot, without the header, formatting each distinct row tail once."""
+        """Write one CSV row per slot, without the header.
+
+        Each distinct row tail, the text after the slot number, is formatted
+        once and NUL-padded to the longest.  Each block of CSV_BLOCK_ROWS
+        rows is then one byte matrix: the slot number in whole groups of
+        three digits, one divmod and one lookup in a "000"..."999" table per
+        group, then the row's tail.  Leading zeros become NULs (slot 0 keeps
+        its "0"), and the block's text is the matrix with every NUL dropped.
+        """
         columns = (self.free_counts, self.successes, self.colliders, self.all_same)
         # mixed radix over the column maxima: exact while their product fits int64
         key = np.zeros(len(self), dtype=np.int64)
         for column in columns:
             key = key * (int(column.max(initial=0)) + 1) + column
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        tails = np.array([f",{f},{policy_kind},{s},{c},{a:d}\n" for f, s, c, a
-                          in zip(*(column[first].tolist() for column in columns))], dtype=object)
+        distinct, inverse = np.unique(key, return_inverse=True)
+        del key
+        row = np.empty(len(distinct), dtype=np.intp)
+        row[inverse] = np.arange(len(self))  # some row with each key: all give its tail
+        tails = np.array([f",{f},{policy_kind},{s},{c},{a:d}\n".encode() for f, s, c, a
+                          in zip(*(column[row].tolist() for column in columns))], dtype=bytes)
         for start in range(0, len(self), CSV_BLOCK_ROWS):
-            block = tails[inverse[start:start + CSV_BLOCK_ROWS]].tolist()
-            stream.write("".join(map(str.__add__, map(str, range(start, start + len(block))), block)))
+            stop = min(start + CSV_BLOCK_ROWS, len(self))
+            width = -(-len(str(stop - 1)) // 3) * 3  # the widest slot number, in whole digit groups
+            text = np.empty((stop - start, width + tails.itemsize), dtype=np.uint8)
+            text[:, width:].view(tails.dtype)[:, 0] = tails[inverse[start:stop]]
+            slot = np.arange(start, stop)
+            for end in range(width, 0, -3):
+                slot, group = np.divmod(slot, 1000)
+                text[:, end - 3:end].view(_DIGIT_GROUPS.dtype)[:, 0] = _DIGIT_GROUPS[group]
+            for place in range(1, width):  # slots below 10**place have a leading zero here
+                text[:max(10**place - start, 0), width - 1 - place] = 0
+            stream.write(str(text[text != 0], "utf-8"))
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:

@@ -263,17 +263,22 @@ def test_slot_csv_shape():
     assert int(succ) + int(coll) == 4
 
 
-@pytest.mark.parametrize("slots", (1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 3))
+@pytest.mark.parametrize("slots", (
+    0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001,  # slot numbers that change digit width
+    CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 3, 65_536, 65_537, 131_075))
 def test_slot_csv_matches_per_row_reference(slots):
     """The block writer emits exactly the rows of a one-f-string-per-slot
-    writer, across block boundaries and with mesh-sized counts."""
+    writer, across digit widths and block boundaries, with the counts of a
+    16-user mesh at MAX_MESH_ROUNDS; an empty log writes nothing."""
     rng = np.random.default_rng(slots)
+    most = 16 * MAX_MESH_ROUNDS
     log = SlotLog(free_counts=rng.integers(0, 17, slots),
-                  successes=rng.integers(0, 40, slots).astype(np.int32),
-                  colliders=rng.integers(0, 40, slots).astype(np.int32),
+                  successes=rng.integers(0, most + 1, slots).astype(np.int32),
+                  colliders=rng.integers(0, most + 1, slots).astype(np.int32),
                   all_same=rng.random(slots) < 0.5)
     if slots > 1:
         log.all_same[:2] = (False, True)
+        log.free_counts[-1], log.successes[-1], log.colliders[0] = 16, most, most
     buffer = io.StringIO()
     log.write_csv(buffer, QUANTUM_ENHANCE_OPTIMUM)
     expected = "".join(
@@ -486,15 +491,24 @@ def compare_eight_policies(config, policy):
     return compare_policies(config, [policy] * 8)
 
 
-@pytest.mark.parametrize("n", (4, 16))
+class DiscardingSink(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+def compare_writing_csv(config, policy):
+    return compare_policies(config, [CLASSICAL, ENHANCE, policy], DiscardingSink())
+
+
+@pytest.mark.parametrize("n", (2, 4, 16))
 @pytest.mark.parametrize("activity", (0.0, 0.3))
-@pytest.mark.parametrize("run", (run_cell, run_mesh_rounds, compare_eight_policies))
+@pytest.mark.parametrize("run", (run_cell, run_mesh_rounds, compare_eight_policies, compare_writing_csv))
 def test_memory_guard_plans_the_peak(monkeypatch, run, activity, n):
     """The bytes the slot engine plans before it draws bound the tracemalloc
     peak of the run, and of a comparison of any number of policies, which
-    holds one policy's slot log at a time.  Activity 0 puts every slot in
-    the full-size game; 0.3 also plays smaller games and, in the mesh, runs
-    the defer picks."""
+    holds one policy's slot log at a time, also while it writes that log's
+    slot CSV.  Activity 0 puts every slot in the full-size game; 0.3 also
+    plays smaller games and, in the mesh, runs the defer picks."""
     topology = "mesh-rounds" if run is run_mesh_rounds else "star"
     config = cell(n=n, activity=activity, slots=20_000, topology=topology)
     run(dataclasses.replace(config, slots=10), AVOID)  # one-time allocations stay out of the peak
