@@ -248,15 +248,16 @@ def _run_slots(config: CellConfig, policy: str, group: int, rounds: int,
     slots = config.slots
     # one round over all n users: all-distinct is successes == n, see above
     single = rounds == 1 and group == n
-    # bytes per slot at the peak, one round's game: free counts, successes
-    # and all-same (13), the partition indices (8), the game's per-row sums
-    # (20), and 32 per member for the digits and three scoring temporaries.
-    # Unless single, also the delivery mask (4), the round's priority draw
-    # (8 per member) and the previous round's flags and tallies (1 per
-    # member, 9 per slot), held until this round's replace them.  The
-    # occupancy draws come first, 9 bytes per user.
+    # bytes per slot at the peak, one round's game: free counts, successes and all-same (13),
+    # the partition indices (8), the game's per-row sums (20), and 32 per member for the digits
+    # and three scoring temporaries.  Unless single, also the delivery mask (4), the round's
+    # priority draw (8 per member) and the previous round's flags and tallies (1 per member,
+    # 9 per slot), held until this round's replace them.  The occupancy draws come first, 9
+    # bytes per user.  Per call, 256 KiB: up to 9 KiB of array headers and scalars, and the
+    # slot-CSV writer's first block, about 160 B per row, which the per-slot bytes cover only
+    # from a few thousand slots up.
     held = 41 + 32 * group if single else 54 + 41 * group
-    check_footprint(max(held, 8 + 9 * n) * slots, f"{slots} slots of {n} users")
+    check_footprint(2**18 + max(held, 8 + 9 * n) * slots, f"{slots} slots of {n} users")
 
     free_counts = (env.random((slots, n)) >= config.primary_activity).sum(axis=1)
     # the slots with each free count and the size of the game they play, found once

@@ -4,6 +4,8 @@ The joint state is a length n**n complex vector indexed by assignment
 tuples in big-endian user order: (c_0, ..., c_{n-1}) sits at flat index
 sum(c_j * n**(n-1-j)), user 0 most significant; measurement histograms are
 keyed by that flat index.  All operations return new states and mutate no input.
+The start state's n branches |k...k> and one local operator U per user make
+the final state a sum of n product states, amplitude(c) = sum_k a_k prod_j U[c_j, k].
 """
 
 from __future__ import annotations
@@ -66,21 +68,28 @@ def prepare_entangled(config: GameConfig) -> QuditState:
 
 
 def apply_local_strategy(state: QuditState, matrix: np.ndarray) -> QuditState:
-    """Apply the same single-qudit operator to every site, one site at a time.
+    """Apply the same single-qudit operator U to every site.
 
-    Each step contracts the leading site and rotates it to the back; n
-    rotations restore the site order.  The sweep holds at most two
-    state-sized arrays of its own and never builds the n**n x n**n operator.
+    The result sums one product state per support state s of the input,
+    amplitude(c) = sum_s a_s prod_j U[c_j, s_j]: the leading n//2 sites' factors
+    times the trailing sites', one matrix product over the S support states (n
+    for the start state).  A broad support costs n**n * S and is planned first.
     """
     n = state.n
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.shape != (n, n):
         raise DimensionError(f"operator shape {matrix.shape} does not match qudit dimension {n}")
-    psi = state.amplitudes
-    for _ in range(n):
-        psi = matrix @ psi.reshape(n, -1)
-        psi = psi.T.copy()
-    return QuditState(n, psi.reshape(-1))
+    support = np.flatnonzero(state.amplitudes)
+    lead = n // 2
+    check_footprint(16 * ((n**lead + n**(n - lead)) * support.size + n**n), f"{support.size} branches")
+    # rows: the leading (left) or trailing (right) sites' digits, first site most
+    # significant; columns: the support states, whose amplitudes ride on the left
+    sides = [state.amplitudes[support][None, :], np.ones((1, support.size))]
+    for j, digits in enumerate(np.unravel_index(support, (n,) * n)):
+        side = sides[j >= lead]
+        sides[j >= lead] = (side[:, None, :] * matrix[:, digits]).reshape(-1, support.size)
+    left, right = sides
+    return QuditState(n, (left @ right.T).reshape(-1))
 
 
 def sample_counts(state: QuditState, rng: np.random.Generator, shots: int) -> dict[int, int]:
@@ -89,20 +98,20 @@ def sample_counts(state: QuditState, rng: np.random.Generator, shots: int) -> di
 
     Refuses a state whose norm is off 1 by more than ``NORM_TOL``.
     """
-    # per amplitude, the probabilities and their cumulative sums (16); per
-    # shot, the larger of the uniforms with their draw indices (16) and the
-    # draws with np.unique's sorted copy and two masks (18); per call, 4 KiB
-    # of array headers and scalars
-    check_footprint(4096 + 16 * state.amplitudes.size + 18 * shots, f"{shots} shots")
-    probs = np.abs(state.amplitudes) ** 2
+    # per amplitude, the probabilities, summed in place (8); per shot, the larger of the
+    # uniforms with their draw indices (16) and the draws with np.unique's sorted copy
+    # and two masks (18); per call, 4 KiB of array headers and scalars
+    check_footprint(4096 + 8 * state.amplitudes.size + 18 * shots, f"{shots} shots")
+    probs = np.abs(state.amplitudes)
+    np.square(probs, out=probs)
     norm = math.sqrt(probs.sum())
     if abs(norm - 1.0) > NORM_TOL:
         raise StateIntegrityError(f"state norm = {norm!r}, expected 1 within {NORM_TOL}")
-    cumulative = np.cumsum(probs)
+    cumulative = np.cumsum(probs, out=probs)  # the same array, now summed
     uniforms = rng.random(shots) * cumulative[-1]
     uniforms.sort()  # same draws, far faster searchsorted; the counts ignore order
     draws = np.searchsorted(cumulative, uniforms, side="right")
-    del probs, cumulative, uniforms  # free the n**n arrays before counting
+    del probs, cumulative, uniforms  # free the n**n array before counting
     np.minimum(draws, state.amplitudes.size - 1, out=draws)  # in place: one copy fewer
     values, counts = np.unique(draws, return_counts=True)
     return dict(zip(values.tolist(), counts.tolist()))

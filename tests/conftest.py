@@ -39,6 +39,17 @@ def decode_counts(n, counts) -> dict[tuple[int, ...], int]:
     return decoded
 
 
+def rotation_sweep(amplitudes, matrix) -> np.ndarray:
+    """Oracle: the same operator on every site of all n**n amplitudes, one
+    site at a time.  Each step contracts the leading site and rotates it to
+    the back; n rotations restore the site order."""
+    n = matrix.shape[0]
+    psi = amplitudes
+    for _ in range(n):
+        psi = (matrix @ psi.reshape(n, -1)).T.copy()
+    return psi.reshape(-1)
+
+
 def dense_run_circuit(gates, width) -> np.ndarray:
     """Oracle: the dense circuit engine, all 2**width amplitudes of the
     (2,)*width tensor, each gate acting on the view its controls select.

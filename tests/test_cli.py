@@ -114,6 +114,61 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+SIMULATE_DIGESTS = {  # (n, regime, engine, format): sha256 of the histogram
+    (3, "enhance-optimum", "qudit", "csv"):
+        "229939068e2ded1ef43bf53844b2d060018e6a8cfc52bb7605a0b1b688618f01",
+    (3, "enhance-optimum", "qudit", "json"):
+        "7f27dc297caf76c9b3825b637c0d662c369caf8298a46cb2aeb2ec445b51eafa",
+    (3, "avoid-worst", "qudit", "csv"):
+        "797e086708f6e4d07a48d51f57954b05aa0cc846f19a4e1ef7c27e64cb67e421",
+    (3, "avoid-worst", "qudit", "json"):
+        "86a5361547cefbe265c746905880e5c3e73a9597039680d6c83989886920fbd1",
+    (5, "enhance-optimum", "qudit", "csv"):
+        "c090ed7f348a42596ba7f1e12287e04075d492517be40117964dbd4e5115b9df",
+    (5, "enhance-optimum", "qudit", "json"):
+        "9a970dacdc2a3b2712fb3753d8950f0e0ee912a5decfc79594464b2e0b4e84b0",
+    (5, "avoid-worst", "qudit", "csv"):
+        "95b05029a13d5c3599877ee1e58f33021bc0071c0ade0ae36045e226ed2a9237",
+    (5, "avoid-worst", "qudit", "json"):
+        "099a5527fe9343de713b873e6d65a53a6bc9a3faab669d82dab6cca76a315ec1",
+    (7, "enhance-optimum", "qudit", "csv"):
+        "668ca967e6c5930831c66e4287b02a0490321f4f99dd38a23bb7853fbce0fdcd",
+    (7, "enhance-optimum", "qudit", "json"):
+        "61bff0ce146c980dd92c16216e0d71a107ac0c4ee6b777a64098527069850944",
+    (7, "avoid-worst", "qudit", "csv"):
+        "91bafc6723eeccac4408c12d7373688f8063177f8eed3ee257a749bc7267216c",
+    (7, "avoid-worst", "qudit", "json"):
+        "6f4c22926f1f2f890cbc0f8888dd07dc4cbb0f442f3c6a505f75e6bd2f8fdfa4",
+    (8, "enhance-optimum", "qudit", "csv"):
+        "8bdfed916ad54d003b23fbb8f26a9ebdbf741a1505e9e2ae1c2ff7702d480c32",
+    (8, "enhance-optimum", "qudit", "json"):
+        "f116d23b81af157b904fb3fc74bf8f60d7605766f30f57d560f491f7e601b051",
+    (8, "avoid-worst", "qudit", "csv"):
+        "d716548a298590569db692248f2d7dca0412eeea39d5de569c2718d6eead94b3",
+    (8, "avoid-worst", "qudit", "json"):
+        "f0903e23eead5dc676be74863b7ed62edeaaab492270ddd33b1dfd4acd39b47a",
+    (4, "enhance-optimum", "circuit", "csv"):
+        "322216df25b24f854d534dc54341feac4d4f83dc66fa1821d3fa0c6c06a573f2",
+    (4, "avoid-worst", "circuit", "json"):
+        "2be467c4135fa1e5136b1cb4809147b6e364fbe311af35704f37b717239c52c0",
+}
+
+
+@pytest.mark.parametrize("case", SIMULATE_DIGESTS, ids=lambda case: "-".join(map(str, case)))
+def test_simulate_fixed_seed_bytes(tmp_path, case):
+    """Fixed-seed histograms keep their bytes across refactors of the
+    simulator: 20k shots at seed 11, both regimes and formats, odd and even n
+    up to the dense cap, and the circuit engine.  The counts follow from the
+    amplitudes' cumulative sums, so a change that moves an amplitude by a few
+    ulps keeps them unless a draw lands on a bin edge; a change in
+    random-number use must update these digests."""
+    n, regime, engine, fmt = case
+    out = tmp_path / f"hist.{fmt}"
+    assert cli.main(["simulate", "--n", str(n), "--regime", regime, "--engine", engine,
+                     "--shots", "20000", "--seed", "11", "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_DIGESTS[case]
+
+
 def test_simulate_zero_shots(tmp_path):
     out = tmp_path / "empty.csv"
     assert cli.main(["simulate", "--n", "3", "--p", "1", "--shots", "0",

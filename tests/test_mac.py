@@ -500,17 +500,9 @@ def compare_writing_csv(config, policy):
     return compare_policies(config, [CLASSICAL, ENHANCE, policy], DiscardingSink())
 
 
-@pytest.mark.parametrize("n", (2, 4, 16))
-@pytest.mark.parametrize("activity", (0.0, 0.3))
-@pytest.mark.parametrize("run", (run_cell, run_mesh_rounds, compare_eight_policies, compare_writing_csv))
-def test_memory_guard_plans_the_peak(monkeypatch, run, activity, n):
-    """The bytes the slot engine plans before it draws bound the tracemalloc
-    peak of the run, and of a comparison of any number of policies, which
-    holds one policy's slot log at a time, also while it writes that log's
-    slot CSV.  Activity 0 puts every slot in the full-size game; 0.3 also
-    plays smaller games and, in the mesh, runs the defer picks."""
-    topology = "mesh-rounds" if run is run_mesh_rounds else "star"
-    config = cell(n=n, activity=activity, slots=20_000, topology=topology)
+def assert_peak_within_plan(monkeypatch, run, config):
+    if run is run_mesh_rounds:
+        config = dataclasses.replace(config, topology="mesh-rounds")
     run(dataclasses.replace(config, slots=10), AVOID)  # one-time allocations stay out of the peak
     planned = []
     monkeypatch.setattr(mac, "check_footprint", lambda planned_bytes, what: planned.append(planned_bytes))
@@ -521,3 +513,25 @@ def test_memory_guard_plans_the_peak(monkeypatch, run, activity, n):
     finally:
         tracemalloc.stop()
     assert peak <= planned[0]
+
+
+@pytest.mark.parametrize("n", (2, 4, 16))
+@pytest.mark.parametrize("activity", (0.0, 0.3))
+@pytest.mark.parametrize("run", (run_cell, run_mesh_rounds, compare_eight_policies, compare_writing_csv))
+def test_memory_guard_plans_the_peak(monkeypatch, run, activity, n):
+    """The bytes the slot engine plans before it draws bound the tracemalloc
+    peak of the run, and of a comparison of any number of policies, which
+    holds one policy's slot log at a time, also while it writes that log's
+    slot CSV.  Activity 0 puts every slot in the full-size game; 0.3 also
+    plays smaller games and, in the mesh, runs the defer picks."""
+    assert_peak_within_plan(monkeypatch, run, cell(n=n, activity=activity, slots=20_000))
+
+
+@pytest.mark.parametrize("n", (2, 4, 16))
+@pytest.mark.parametrize("slots", (1, 100, 4096))
+@pytest.mark.parametrize("run", (run_cell, run_mesh_rounds, compare_eight_policies, compare_writing_csv))
+def test_memory_guard_plans_the_peak_of_short_runs(monkeypatch, run, slots, n):
+    """The plan's fixed allowance covers what a run holds whatever its
+    length: array headers and scalars at 1 slot, and at n = 2 the slot-CSV
+    writer's first block, whose rows cost more than the per-slot bytes."""
+    assert_peak_within_plan(monkeypatch, run, cell(n=n, activity=0.3, slots=slots))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import closed_form_amplitude, decode_counts
+from conftest import closed_form_amplitude, decode_counts, rotation_sweep
 from qmg import qudit
 from qmg.game import (
     DimensionError,
@@ -119,9 +119,53 @@ def test_sweep_matches_kron_operator(n):
     assert np.max(np.abs(swept - operator @ amps)) < 1e-12
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_strategy_matches_rotation_sweep(n):
+    """Random operators on random sparse supports, and on the full support
+    where it is small, against the rotation sweep over every amplitude; the
+    input is left as it was."""
+    rng = np.random.default_rng(100 + n)
+    for size in [1, n, min(3 * n, n**n)] + [n**n] * (n <= 4):
+        matrix = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        amps = np.zeros(n**n, dtype=np.complex128)
+        support = rng.choice(n**n, size=size, replace=False)
+        amps[support] = rng.normal(size=size) + 1j * rng.normal(size=size)
+        before = amps.copy()
+        result = apply_local_strategy(QuditState(n, amps), matrix).amplitudes
+        expected = rotation_sweep(amps, matrix)
+        assert np.max(np.abs(result - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert np.array_equal(amps, before)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_final_amplitudes_match_closed_form(n):
+    """Every final amplitude against the paper's closed form: n^((1-n)/2)
+    where (p + sum c) = 0 mod n, and nothing elsewhere.  Each row of the
+    (n**(n-1), n) view fixes all users but the last, whose digit alone puts
+    the row's one support amplitude in its column."""
+    lead_sums = sum(np.ix_(*[np.arange(n)] * (n - 1))).reshape(-1)
+    rows = np.arange(n ** (n - 1))
+    for p in {0, 1, n - 1, n * (n - 1) // 2, 2 * n + 3}:
+        amps = final_state(n, p).amplitudes.reshape(-1, n)
+        column = (-p - lead_sums) % n
+        assert np.max(np.abs(amps[rows, column] - n ** ((1 - n) / 2))) < 1e-15
+        amps[rows, column] = 0
+        assert np.max(np.abs(amps)) ** 2 < 1e-30
+
+
+def test_strategy_plans_its_factors(monkeypatch):
+    """A broad support is planned before the factors are built: at n = 4 the
+    full support needs 32 factor entries per support state."""
+    full = QuditState(4, np.full(256, 1 / 16, dtype=np.complex128))
+    monkeypatch.setattr(qudit, "PHYSICAL_MEMORY", 16 * (32 * 256 + 256) - 1)
+    with pytest.raises(ResourceLimitError):
+        apply_local_strategy(full, strategy_matrix(4))
+    apply_local_strategy(prepare_entangled(GameConfig(4, 1)), strategy_matrix(4))
+
+
 def test_site_order_independence():
     """Local operators on distinct sites commute: contracting the sites in
-    any order gives the sweep's result."""
+    any order gives apply_local_strategy's result."""
     state = prepare_entangled(GameConfig(4, 1))
     m = strategy_matrix(4)
     reference = apply_local_strategy(state, m).amplitudes
