@@ -16,11 +16,13 @@ directly.  When one round serves all n users (every star slot), no metric
 depends on who defers either, so that choice is not drawn.
 
 Randomness is split into independent streams derived from the config seed:
-an environment stream (occupancy and who defers, shared by every policy so
-comparisons use common random numbers; a single-round run draws occupancy
-only) and one allocator stream per policy kind.  Identical configs
-therefore give bit-identical metrics, and a policy listed twice in a
-comparison reproduces itself exactly.
+an environment stream (occupancy and who defers; a single-round run draws
+occupancy only) and one allocator stream per policy kind.  A comparison
+advances all its policies in lockstep through one environment pass, so they
+share its draws as common random numbers, while each policy draws from its
+own allocator stream exactly what a run of it alone would draw.  Identical
+configs therefore give bit-identical metrics, and a policy listed twice in
+a comparison reproduces itself exactly.
 """
 
 from __future__ import annotations
@@ -220,15 +222,16 @@ def _game_digits(policy: str, size: int, count: int, rng: np.random.Generator) -
 def _score_rows(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-player 'alone on its channel' flags plus per-row success/all-same tallies."""
     rows, size = digits.shape
-    flat = digits + size * np.arange(rows)[:, None]  # each player's channel, numbered across rows
-    load = np.bincount(flat.ravel(), minlength=rows * size)[flat]  # players on each player's channel
-    alone = load == 1
-    return alone, alone.sum(axis=1), (load[:, 0] == size) & (size >= 2)
+    digits += size * np.arange(rows)[:, None]  # in place: each player's channel, numbered across rows
+    load = np.bincount(digits.ravel(), minlength=rows * size)  # players on each channel
+    alone = (load == 1)[digits]
+    return alone, alone.sum(axis=1), (load[digits[:, 0]] == size) & (size >= 2)
 
 
-def _run_slots(config: CellConfig, policy: str, group: int, rounds: int,
-               arbitrations: int) -> tuple[MacMetrics, SlotLog]:
-    """The slot engine behind both topologies.
+def _run_slots(config: CellConfig, policies: Sequence[str], group: int, rounds: int,
+               arbitrations: int) -> list[tuple[MacMetrics, SlotLog]]:
+    """The slot engine behind both topologies, one (metrics, slot log) per
+    listed policy, all advanced in lockstep over one environment pass.
 
     Per slot, primary occupancy, then ``rounds`` arbitration rounds.  The
     arbiter of round r is node r mod n and serves itself plus the next
@@ -236,74 +239,77 @@ def _run_slots(config: CellConfig, policy: str, group: int, rounds: int,
     min(group, free).  Surplus participants defer, chosen at random from
     the environment stream; a single round over all n users draws no such
     choice, since a slot is then all-distinct exactly when all n succeed,
-    and its environment stream ends at occupancy.  The game's digits index
-    the free channels and are scored as they are, since which physical
-    channels they name (and which surplus channels go unused) changes no
-    metric.  Energy charges ``tx_cost`` per attempt plus ``arbitrations``
-    times ``arbitration_cost``.
+    and its environment stream ends at occupancy.  Occupancy, priorities and
+    defer picks are shared by every policy; each policy scores digits drawn
+    from its own allocator stream.  The digits index the free channels and
+    are scored as they are, since which physical channels they name (and
+    which surplus channels go unused) changes no metric.  Energy charges
+    ``tx_cost`` per attempt plus ``arbitrations`` times ``arbitration_cost``.
     """
     n = config.n_users
     env = _stream(config.seed, _ENV_STREAM)
-    alloc = _stream(config.seed, _ALLOC_STREAM, POLICY_KINDS.index(policy))
+    allocs = [_stream(config.seed, _ALLOC_STREAM, POLICY_KINDS.index(policy)) for policy in policies]
     slots = config.slots
     # one round over all n users: all-distinct is successes == n, see above
     single = rounds == 1 and group == n
-    # bytes per slot at the peak, one round's game: free counts, successes and all-same (13),
-    # the partition indices (8), the game's per-row sums (20), and 32 per member for the digits
-    # and three scoring temporaries.  Unless single, also the delivery mask (4), the round's
-    # priority draw (8 per member) and the previous round's flags and tallies (1 per member,
-    # 9 per slot), held until this round's replace them.  The occupancy draws come first, 9
-    # bytes per user.  Per call, 256 KiB: up to 9 KiB of array headers and scalars, and the
-    # slot-CSV writer's first block, about 160 B per row, which the per-slot bytes cover only
-    # from a few thousand slots up.
-    held = 41 + 32 * group if single else 54 + 41 * group
-    check_footprint(2**18 + max(held, 8 + 9 * n) * slots, f"{slots} slots of {n} users")
+    # tallies reach rounds * group <= 16 * MAX_MESH_ROUNDS; signed, for numpy's same-kind cast
+    tally = np.int8 if rounds * group < 128 else np.int16
+    # bytes per slot at the peak, one policy's game: free counts and partition indices (16),
+    # the per-row sums and flags of that game and of the previous policy's (28), and 19 per
+    # member for the digits, the channel loads and their flags, the previous game's included;
+    # unless single, also the round's priority draw (8 per member).  Per policy, its successes
+    # and colliders (the tally width each), all-same (1) and, unless single, delivery mask (4).
+    # The occupancy draws come first, 9 bytes per user.  Per call, 1 MiB: up to 9 KiB of array
+    # headers and scalars, and one block of the slot-CSV writer, about 160 B per row.
+    held = 44 + (19 if single else 27) * group + len(policies) * (
+        2 * np.dtype(tally).itemsize + 1 + 4 * (not single))
+    check_footprint(2**20 + max(held, 8 + 9 * n) * slots, f"{slots} slots of {n} users")
 
     free_counts = (env.random((slots, n)) >= config.primary_activity).sum(axis=1)
     # the slots with each free count and the size of the game they play, found once
     games = [(rows, min(group, f)) for f in range(1, n + 1)
              if (rows := np.nonzero(free_counts == f)[0]).size]
 
-    successes = np.zeros(slots, dtype=np.int32)
-    all_same = np.zeros(slots, dtype=bool)
-    if not single:
-        # bit u set once user u was alone on its channel in some round of the slot
-        delivered = np.zeros(slots, dtype=np.int32)
+    successes = [np.zeros(slots, dtype=tally) for _ in policies]
+    all_same = [np.zeros(slots, dtype=bool) for _ in policies]
+    # bit u set once user u was alone on its channel in some round of the slot
+    delivered = [np.zeros(slots, dtype=np.int32) for _ in policies if not single]
 
+    member_priority = np.empty((0 if single else slots, group))  # each round's draw, in place
     for r in range(rounds):
         if not single:
             members = (r % n + np.arange(group, dtype=np.int32)) % n
-            member_priority = env.random((slots, group))
+            env.random(out=member_priority)
         for rows, size in games:
-            alone, round_succ, round_same = _score_rows(_game_digits(policy, size, rows.size, alloc))
-            successes[rows] += round_succ
-            all_same[rows] |= round_same
-            if single:
-                continue
-            players = members  # the whole group plays, or the first `size` by priority
-            if size < group:
-                players = members[np.argsort(member_priority[rows], axis=1)[:, :size]]
-            delivered[rows] |= (alone.astype(np.int32) << players).sum(axis=1, dtype=np.int32)
-    # every player of every round either succeeded or collided
-    colliders = (rounds * np.minimum(free_counts, group) - successes).astype(np.int32)
-
-    total_successes = int(successes.sum())
-    total_colliders = int(colliders.sum())
-    total_attempts = total_successes + total_colliders
+            if not single:  # the whole group plays, or the first `size` by priority
+                players = members if size == group else \
+                    members[np.argsort(member_priority[rows], axis=1)[:, :size]]
+            for i, (policy, alloc) in enumerate(zip(policies, allocs)):
+                alone, round_succ, round_same = _score_rows(_game_digits(policy, size, rows.size, alloc))
+                successes[i][rows] += round_succ
+                all_same[i][rows] |= round_same
+                if not single:
+                    delivered[i][rows] |= (alone.astype(np.int32) << players).sum(axis=1, dtype=np.int32)
+    attempts = rounds * np.minimum(free_counts, group)  # each player succeeded or collided
+    total_attempts = int(attempts.sum())
     energy_spent = total_attempts * config.tx_cost + arbitrations * config.arbitration_cost
-    metrics = MacMetrics(
-        throughput=total_successes / slots,
-        collision_rate=(total_colliders / total_attempts) if total_attempts else 0.0,
-        all_distinct_rate=float(np.mean(successes == n if single else delivered == (1 << n) - 1)),
-        all_same_rate=float(np.mean(all_same)),
-        energy_proxy=(energy_spent / total_successes) if total_successes else math.inf,
-    )
-    return metrics, SlotLog(free_counts, successes, colliders, all_same)
+    results = []
+    for i, succ in enumerate(successes):
+        total_successes = int(succ.sum())
+        metrics = MacMetrics(
+            throughput=total_successes / slots,
+            collision_rate=((total_attempts - total_successes) / total_attempts) if total_attempts else 0.0,
+            all_distinct_rate=float(np.mean(succ == n if single else delivered[i] == (1 << n) - 1)),
+            all_same_rate=float(np.mean(all_same[i])),
+            energy_proxy=(energy_spent / total_successes) if total_successes else math.inf,
+        )
+        results.append((metrics, SlotLog(free_counts, succ, (attempts - succ).astype(tally), all_same[i])))
+    return results
 
 
-def run_cell(config: CellConfig, policy: str) -> tuple[MacMetrics, SlotLog]:
-    """Simulate one star cell: per slot, primary occupancy, then one square
-    allocation game over the free channels.
+def run_cell(config: CellConfig, policies: Sequence[str]) -> list[tuple[MacMetrics, SlotLog]]:
+    """Simulate one star cell under each listed policy: per slot, primary
+    occupancy, then one square allocation game over the free channels.
 
     When f < n channels are free, f users play the f-channel game and the
     rest defer.  Which f play changes no star metric, so that choice is
@@ -311,11 +317,11 @@ def run_cell(config: CellConfig, policy: str) -> tuple[MacMetrics, SlotLog]:
     one-round mesh whose arbiter serves all n users and charges no
     arbitration.  Fully deterministic given the config.
     """
-    return _run_slots(config, policy, group=config.n_users, rounds=1, arbitrations=0)
+    return _run_slots(config, policies, group=config.n_users, rounds=1, arbitrations=0)
 
 
-def run_mesh_rounds(config: CellConfig, policy: str) -> tuple[MacMetrics, SlotLog]:
-    """Mesh variant: per slot, one arbitration round per arbiter node.
+def run_mesh_rounds(config: CellConfig, policies: Sequence[str]) -> list[tuple[MacMetrics, SlotLog]]:
+    """Mesh variant per listed policy: one arbitration round per arbiter node per slot.
 
     Arbiter of round r is node r mod n; it serves itself plus its next
     ``mesh_degree`` ring neighbors (default: all other nodes) for
@@ -328,7 +334,7 @@ def run_mesh_rounds(config: CellConfig, policy: str) -> tuple[MacMetrics, SlotLo
     n = config.n_users
     degree = config.mesh_degree if config.mesh_degree is not None else n - 1
     rounds = config.mesh_rounds if config.mesh_rounds is not None else n
-    return _run_slots(config, policy, group=degree + 1, rounds=rounds,
+    return _run_slots(config, policies, group=degree + 1, rounds=rounds,
                       arbitrations=rounds * config.slots)
 
 
@@ -362,26 +368,24 @@ def compare_policies(config: CellConfig, policies: Sequence[str],
                      csv: IO[str] | None = None) -> PolicyComparison:
     """Run every policy against the same primary-user occupancy sequence.
 
-    The environment stream depends only on the seed, so occupancy (and the
-    defer choices) are common random numbers; allocator sampling stays on
-    independent per-policy streams.  Given a ``csv`` stream, writes the slot
-    CSV there: the header, then each policy's rows as soon as it has run.
-    Either way one policy's slot log is held at a time, so the slot
-    engine's memory plan bounds the whole comparison.
+    One slot-engine call advances all policies in lockstep: occupancy and
+    the defer choices are drawn once from the environment stream and
+    shared, as common random numbers, while allocator sampling stays on
+    independent per-policy streams.  Given a ``csv`` stream, writes the
+    slot CSV there: the header, then each policy's rows in listed order.
+    The slot engine's memory plan counts every policy's tallies, so it
+    bounds the whole comparison.
     """
     if len(policies) < 2:
         raise ValueError("need at least two policies to compare")
     run = run_mesh_rounds if config.topology == TOPOLOGY_MESH else run_cell
+    results = run(config, policies)
     if csv is not None:
         csv.write(SLOT_CSV_HEADER + "\n")
-    runs = []
-    for policy in policies:
-        metrics, log = run(config, policy)
-        if csv is not None:
+        for policy, (_, log) in zip(policies, results):
             log.write_csv(csv, policy)
-        del log  # free it before the next policy runs
-        runs.append((policy, metrics))
-    return PolicyComparison(config, tuple(runs))
+    return PolicyComparison(config, tuple((policy, metrics) for policy, (metrics, _)
+                                          in zip(policies, results)))
 
 
 def load_run_spec(document: dict) -> tuple[CellConfig, list[str]]:

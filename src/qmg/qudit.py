@@ -25,6 +25,9 @@ SITE_CAP = 8
 #: amplitudes whose probability falls below this are left out of state dumps
 PROB_FLOOR = 1e-15
 
+#: state-dump lines formatted and written at a time
+DUMP_BLOCK_LINES = 4096
+
 #: measurement refuses states whose norm drifted further than this
 NORM_TOL = 1e-6
 
@@ -123,8 +126,10 @@ def dump_nonzero(state: QuditState, stream: IO[str]) -> int:
     Returns the number of lines written.  This is the CLI's --dump-state
     format; reprs round-trip exactly through float().
     """
-    amplitudes = state.amplitudes
-    keep = np.nonzero(np.abs(amplitudes) ** 2 > PROB_FLOOR)[0]
-    for i in keep:
-        stream.write(f"{int(i)} {float(amplitudes[i].real)!r} {float(amplitudes[i].imag)!r}\n")
+    keep = np.flatnonzero(np.abs(state.amplitudes) ** 2 > PROB_FLOOR)
+    for start in range(0, keep.size, DUMP_BLOCK_LINES):  # each block formatted from Python floats
+        index = keep[start:start + DUMP_BLOCK_LINES]
+        values = state.amplitudes[index]
+        stream.write("".join(f"{i} {re!r} {im!r}\n" for i, re, im
+                             in zip(index.tolist(), values.real.tolist(), values.imag.tolist())))
     return int(keep.size)

@@ -121,7 +121,7 @@ def test_criterion_4_worst_case_annihilation():
 
         config = CellConfig(n_users=4, n_channels=4, primary_activity=0.0,
                             slots=1_000_000, seed=31)
-        metrics, log = run_cell(config, QUANTUM_AVOID_WORST)
+        metrics, log = run_cell(config, [QUANTUM_AVOID_WORST])[0]
         assert metrics.all_same_rate == 0.0
         assert not log.all_same.any()
 

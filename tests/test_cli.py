@@ -494,14 +494,14 @@ def test_mac_unwritable_csv_keeps_earlier_summary(tmp_path, capsys, argv, earlie
      (cli, "audit_preparation_circuit", 0)),
     (["export-circuit", "--n", "2", "--p", "1", "--out", "{tmp}/c.txt"], ("c.txt",),
      (cli, "export_circuit", 0)),
-    (["mac", "{spec}", "--out", "{tmp}/new/run"], ("run.json", "run.csv"), (mac, "run_cell", 1)),
+    (["mac", "{spec}", "--out", "{tmp}/new/run"], ("run.json", "run.csv"), (mac.SlotLog, "write_csv", 1)),
 ), ids=("mac", "simulate", "probs", "audit-circuit", "export-circuit", "mac-second-policy"))
 def test_mac_interrupted_run_keeps_earlier_outputs(tmp_path, monkeypatch, capsys,
                                                    argv, outputs, last_call):
     """A run stopped at its last call before the write (for simulate, the
     state dump, after the histogram; for mac-second-policy, the second
-    policy's run, after the first policy's rows went to the temporary CSV
-    in a directory the run made) leaves earlier files as they were and no
+    policy's slot-CSV write, after the first policy's rows went to the
+    temporary CSV in a directory the run made) leaves earlier files as they were and no
     temporary or new directory behind."""
     spec = run_spec_file(tmp_path, slots=200)
     for name in outputs:

@@ -104,11 +104,11 @@ def test_policy_kind_checked(tmp_path, capsys):
 
 def test_zero_slots_rejected():
     with pytest.raises(ConfigFormatError, match="slots must be positive"):
-        run_cell(cell(slots=0), CLASSICAL)
+        run_cell(cell(slots=0), [CLASSICAL])
 
 
 def test_two_user_quantum_always_distinct():
-    metrics, log = run_cell(cell(n=2, slots=2_000), AVOID)
+    metrics, log = run_cell(cell(n=2, slots=2_000), [AVOID])[0]
     assert metrics.all_distinct_rate == 1.0
     assert metrics.collision_rate == 0.0
     assert metrics.throughput == 2.0
@@ -116,7 +116,7 @@ def test_two_user_quantum_always_distinct():
 
 
 def test_avoid_worst_never_all_same():
-    metrics, _ = run_cell(cell(slots=100_000), AVOID)
+    metrics, _ = run_cell(cell(slots=100_000), [AVOID])[0]
     assert metrics.all_same_rate == 0.0
 
 
@@ -124,7 +124,7 @@ def test_avoid_worst_never_all_same():
 def test_classical_baseline_moments(n):
     """Empirical all-distinct / all-same rates against n!/n^n and n^(1-n)."""
     slots = 1_000_000
-    metrics, _ = run_cell(cell(n=n, slots=slots, seed=99), CLASSICAL)
+    metrics, _ = run_cell(cell(n=n, slots=slots, seed=99), [CLASSICAL])[0]
     p_distinct = math.factorial(n) / n**n
     p_same = n ** (1 - n)
     for got, expected in ((metrics.all_distinct_rate, p_distinct),
@@ -143,8 +143,8 @@ def test_enhancement_ratio_near_n():
 
 def test_metrics_deterministic():
     config = cell(activity=0.3, slots=20_000)
-    first, log_a = run_cell(config, ENHANCE)
-    second, log_b = run_cell(config, ENHANCE)
+    first, log_a = run_cell(config, [ENHANCE])[0]
+    second, log_b = run_cell(config, [ENHANCE])[0]
     assert first == second
     for column in ("free_counts", "successes", "colliders", "all_same"):
         assert np.array_equal(getattr(log_a, column), getattr(log_b, column))
@@ -164,9 +164,39 @@ def test_compare_policies_streams_the_slot_csv():
     expected = io.StringIO()
     expected.write(SLOT_CSV_HEADER + "\n")
     for policy in policies:
-        run_cell(config, policy)[1].write_csv(expected, policy)
+        run_cell(config, [policy])[0][1].write_csv(expected, policy)
     assert stream.getvalue() == expected.getvalue()
     assert comparison == compare_policies(config, policies)
+
+
+@pytest.mark.parametrize("n", (2, 4, 16))
+@pytest.mark.parametrize("topology, degree", (("star", None), ("mesh-rounds", None), ("mesh-rounds", 2)),
+                         ids=("star", "full-mesh", "mesh-degree-2"))
+def test_lockstep_policies_match_their_own_runs(topology, degree, n):
+    """One engine pass over three policies gives each the metrics and slot
+    log of its own one-policy run, whatever order they are listed in."""
+    mesh = {"mesh_degree": min(degree, n - 1)} if degree else {}  # degree 2 is the full mesh at n = 2
+    config = cell(n=n, activity=0.3, slots=3_000, seed=41, topology=topology, **mesh)
+    run = run_mesh_rounds if topology == "mesh-rounds" else run_cell
+    policies = [CLASSICAL, ENHANCE, AVOID]
+    alone = {policy: run(config, [policy])[0] for policy in policies}
+    for listed in (policies, policies[::-1]):
+        assert compare_policies(config, listed).runs == tuple((p, alone[p][0]) for p in listed)
+        for policy, (metrics, log) in zip(listed, run(config, listed)):
+            assert metrics == alone[policy][0]
+            for column in ("free_counts", "successes", "colliders", "all_same"):
+                assert np.array_equal(getattr(log, column), getattr(alone[policy][1], column))
+
+
+def test_slot_tallies_hold_the_largest_count():
+    """At MAX_MESH_ROUNDS rounds of a full 16-user mesh with every channel
+    free, each slot tallies 16 * MAX_MESH_ROUNDS attempts without wrapping."""
+    config = cell(n=16, slots=300, topology="mesh-rounds", mesh_rounds=MAX_MESH_ROUNDS)
+    for _, log in run_mesh_rounds(config, [CLASSICAL, AVOID]):
+        assert log.successes.min() >= 0 and log.colliders.min() >= 0
+        total = log.successes.astype(np.int64) + log.colliders
+        assert np.array_equal(total, MAX_MESH_ROUNDS * np.minimum(log.free_counts, 16))
+        assert np.all(total == 16 * MAX_MESH_ROUNDS)
 
 
 def test_compare_needs_two_policies():
@@ -178,7 +208,7 @@ def test_compare_needs_two_policies():
 def test_quantum_assignments_on_support_at_activity_zero(policy):
     """Every slot's tallies are those of some outcome on the game's support."""
     config = cell(slots=3_000, seed=12)
-    metrics, log = run_cell(config, policy)
+    metrics, log = run_cell(config, [policy])[0]
     n = config.n_users
     allowed = set(support_tallies(n, PHASES[policy](n)))
     assert np.all(log.free_counts == n)
@@ -191,7 +221,7 @@ def test_quantum_assignments_stay_on_support_with_holes():
     """In sub-block games of every size f the tallies stay on the size-f
     support, and avoid-worst never puts every transmitter on one channel."""
     config = cell(activity=0.5, slots=4_000, seed=3)
-    _, log = run_cell(config, AVOID)
+    _, log = run_cell(config, [AVOID])[0]
     assert np.array_equal(log.successes + log.colliders, log.free_counts)
     assert not log.all_same.any()
     for f in range(1, config.n_users + 1):
@@ -202,7 +232,7 @@ def test_quantum_assignments_stay_on_support_with_holes():
 
 def test_slot_records_consistent():
     config = cell(activity=0.4, slots=500, seed=8)
-    _, log = run_cell(config, CLASSICAL)
+    _, log = run_cell(config, [CLASSICAL])[0]
     assert len(log) == config.slots
     assert np.all((0 <= log.free_counts) & (log.free_counts <= config.n_users))
     assert np.array_equal(log.successes + log.colliders, log.free_counts)
@@ -219,7 +249,7 @@ def test_star_per_free_count_law(n, policy):
     mean successes and the all-same frequency lie within 5 sigma of an exact
     enumeration of that game's outcomes (uniform over the support, or over
     all f^f tuples for the classical rule)."""
-    _, log = run_cell(cell(n=n, activity=0.5, slots=100_000, seed=31), policy)
+    _, log = run_cell(cell(n=n, activity=0.5, slots=100_000, seed=31), [policy])[0]
     assert np.array_equal(log.successes + log.colliders, log.free_counts)
     for f in range(1, n + 1):
         sel = log.free_counts == f
@@ -236,13 +266,13 @@ def test_throughput_monotone_in_activity():
     """Common random numbers: more primary occupancy never helps throughput."""
     previous = math.inf
     for activity in (0.0, 0.25, 0.5, 0.75, 1.0):
-        metrics, _ = run_cell(cell(activity=activity, slots=200_000, seed=21), CLASSICAL)
+        metrics, _ = run_cell(cell(activity=activity, slots=200_000, seed=21), [CLASSICAL])[0]
         assert metrics.throughput <= previous + 0.01
         previous = metrics.throughput
 
 
 def test_fully_occupied_spectrum():
-    metrics, log = run_cell(cell(activity=1.0, slots=100), CLASSICAL)
+    metrics, log = run_cell(cell(activity=1.0, slots=100), [CLASSICAL])[0]
     assert metrics.throughput == 0.0
     assert metrics.collision_rate == 0.0
     assert math.isinf(metrics.energy_proxy)
@@ -253,7 +283,7 @@ def test_fully_occupied_spectrum():
 
 
 def test_slot_csv_shape():
-    _, log = run_cell(cell(slots=3), AVOID)
+    _, log = run_cell(cell(slots=3), [AVOID])[0]
     buffer = io.StringIO()
     log.write_csv(buffer, QUANTUM_AVOID_WORST)
     lines = buffer.getvalue().splitlines()
@@ -318,7 +348,7 @@ def test_score_rows_matches_per_row_reference(size):
     rng = np.random.default_rng(size)
     digits = rng.integers(0, size, size=(300, size))
     digits[::7] = rng.integers(0, size, size=(len(digits[::7]), 1))
-    alone, successes, all_same = mac._score_rows(digits)
+    alone, successes, all_same = mac._score_rows(digits.copy())
     for row, flags, succ, same in zip(digits.tolist(), alone.tolist(), successes.tolist(),
                                       all_same.tolist()):
         load = collections.Counter(row)
@@ -329,22 +359,22 @@ def test_score_rows_matches_per_row_reference(size):
 
 def test_mesh_requires_mesh_topology():
     with pytest.raises(ConfigFormatError, match="needs topology"):
-        run_mesh_rounds(cell(), AVOID)
+        run_mesh_rounds(cell(), [AVOID])
 
 
 def test_mesh_degree_bounds():
     with pytest.raises(ConfigFormatError, match="ring degree"):
-        run_mesh_rounds(cell(topology="mesh-rounds", mesh_degree=4), AVOID)
+        run_mesh_rounds(cell(topology="mesh-rounds", mesh_degree=4), [AVOID])
     with pytest.raises(ConfigFormatError, match="ring degree"):
-        run_mesh_rounds(cell(topology="mesh-rounds", mesh_degree=0), AVOID)
+        run_mesh_rounds(cell(topology="mesh-rounds", mesh_degree=0), [AVOID])
 
 
 def test_full_mesh_avoids_downtime():
     config = cell(activity=0.3, slots=30_000, topology="mesh-rounds")
-    metrics, log = run_mesh_rounds(config, AVOID)
+    metrics, log = run_mesh_rounds(config, [AVOID])[0]
     assert metrics.all_same_rate == 0.0
     assert not log.all_same.any()
-    assert run_mesh_rounds(config, CLASSICAL)[0].all_same_rate > 0.0
+    assert run_mesh_rounds(config, [CLASSICAL])[0][0].all_same_rate > 0.0
 
 
 def test_single_round_full_mesh_reduces_to_star():
@@ -352,8 +382,8 @@ def test_single_round_full_mesh_reduces_to_star():
     arbitration surcharge zeroed the metrics coincide exactly at activity 0."""
     star = cell(slots=50_000, arbitration_cost=0.0, seed=17)
     mesh = dataclasses.replace(star, topology="mesh-rounds", mesh_rounds=1)
-    star_metrics, _ = run_cell(star, ENHANCE)
-    mesh_metrics, _ = run_mesh_rounds(mesh, ENHANCE)
+    star_metrics, _ = run_cell(star, [ENHANCE])[0]
+    mesh_metrics, _ = run_mesh_rounds(mesh, [ENHANCE])[0]
     assert mesh_metrics == star_metrics
 
 
@@ -362,21 +392,21 @@ def test_single_round_full_mesh_near_star_with_holes():
     exactly with the star cell."""
     star = cell(activity=0.4, slots=50_000, arbitration_cost=0.0, seed=5)
     mesh = dataclasses.replace(star, topology="mesh-rounds", mesh_rounds=1)
-    star_metrics, _ = run_cell(star, CLASSICAL)
-    mesh_metrics, _ = run_mesh_rounds(mesh, CLASSICAL)
+    star_metrics, _ = run_cell(star, [CLASSICAL])[0]
+    mesh_metrics, _ = run_mesh_rounds(mesh, [CLASSICAL])[0]
     assert mesh_metrics == star_metrics
 
 
 def test_mesh_quantum_energy_beats_classical():
     config = cell(slots=100_000, topology="mesh-rounds")
-    quantum, _ = run_mesh_rounds(config, AVOID)
-    classical, _ = run_mesh_rounds(config, CLASSICAL)
+    quantum, _ = run_mesh_rounds(config, [AVOID])[0]
+    classical, _ = run_mesh_rounds(config, [CLASSICAL])[0]
     assert quantum.energy_proxy < classical.energy_proxy
 
 
 def test_mesh_deterministic():
     config = cell(activity=0.2, slots=5_000, topology="mesh-rounds", mesh_degree=2)
-    (first, first_log), (second, second_log) = (run_mesh_rounds(config, AVOID) for _ in range(2))
+    (first, first_log), (second, second_log) = (run_mesh_rounds(config, [AVOID])[0] for _ in range(2))
     assert first == second
     for column in ("free_counts", "successes", "colliders", "all_same"):
         assert np.array_equal(getattr(first_log, column), getattr(second_log, column))
@@ -391,7 +421,7 @@ def test_mesh_slot_log_counts_every_round(n, degree, rounds):
                   mesh_degree=degree, mesh_rounds=rounds)
     group = (degree if degree is not None else n - 1) + 1
     for policy in (CLASSICAL, ENHANCE, AVOID):
-        metrics, log = run_mesh_rounds(config, policy)
+        metrics, log = run_mesh_rounds(config, [policy])[0]
         assert len(log) == config.slots
         assert np.array_equal(log.successes + log.colliders,
                               rounds * np.minimum(group, log.free_counts))
@@ -487,8 +517,8 @@ def test_metrics_dict_round_trip():
     }
 
 
-def compare_eight_policies(config, policy):
-    return compare_policies(config, [policy] * 8)
+def compare_eight_policies(config, policies):
+    return compare_policies(config, policies * 8)
 
 
 class DiscardingSink(io.TextIOBase):
@@ -496,19 +526,19 @@ class DiscardingSink(io.TextIOBase):
         return len(text)
 
 
-def compare_writing_csv(config, policy):
-    return compare_policies(config, [CLASSICAL, ENHANCE, policy], DiscardingSink())
+def compare_writing_csv(config, policies):
+    return compare_policies(config, [CLASSICAL, ENHANCE, *policies], DiscardingSink())
 
 
 def assert_peak_within_plan(monkeypatch, run, config):
     if run is run_mesh_rounds:
         config = dataclasses.replace(config, topology="mesh-rounds")
-    run(dataclasses.replace(config, slots=10), AVOID)  # one-time allocations stay out of the peak
+    run(dataclasses.replace(config, slots=10), [AVOID])  # one-time allocations stay out of the peak
     planned = []
     monkeypatch.setattr(mac, "check_footprint", lambda planned_bytes, what: planned.append(planned_bytes))
     tracemalloc.start()
     try:
-        run(config, AVOID)
+        run(config, [AVOID])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -520,9 +550,8 @@ def assert_peak_within_plan(monkeypatch, run, config):
 @pytest.mark.parametrize("run", (run_cell, run_mesh_rounds, compare_eight_policies, compare_writing_csv))
 def test_memory_guard_plans_the_peak(monkeypatch, run, activity, n):
     """The bytes the slot engine plans before it draws bound the tracemalloc
-    peak of the run, and of a comparison of any number of policies, which
-    holds one policy's slot log at a time, also while it writes that log's
-    slot CSV.  Activity 0 puts every slot in the full-size game; 0.3 also
+    peak of the run, and of a comparison of any number of policies, whose
+    tallies the plan counts per policy, also while it writes the slot CSV.  Activity 0 puts every slot in the full-size game; 0.3 also
     plays smaller games and, in the mesh, runs the defer picks."""
     assert_peak_within_plan(monkeypatch, run, cell(n=n, activity=activity, slots=20_000))
 

@@ -314,6 +314,31 @@ def test_oracle_equivalence(n, regime):
         assert abs(probs[i] - expected) < 1e-10
 
 
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+@pytest.mark.parametrize("source", ("final-state", "random"))
+def test_dump_matches_per_line_reference(monkeypatch, n, source):
+    """The block writer emits exactly the lines of a one-line-per-amplitude
+    loop over float.__repr__, across block boundaries: the game's final
+    states, and random amplitudes with signed zeros and entries just above
+    and just below the probability floor."""
+    if source == "final-state":
+        amplitudes = final_state(n, 1).amplitudes
+    else:
+        rng = np.random.default_rng(n)
+        amplitudes = rng.normal(size=n**n) + 1j * rng.normal(size=n**n)
+        amplitudes[::5] = 0
+        just_above, just_below = np.sqrt(PROB_FLOOR) * (1 + 1e-9), np.sqrt(PROB_FLOOR) * (1 - 1e-9)
+        amplitudes[1::5] = rng.choice([-0.0, 0.0], size=len(amplitudes[1::5])) + 1j * just_above
+        amplitudes[2::5] = just_below
+    monkeypatch.setattr(qudit, "DUMP_BLOCK_LINES", 3)
+    stream = io.StringIO()
+    written = dump_nonzero(QuditState(n, amplitudes), stream)
+    expected = [f"{i} {float.__repr__(float(a.real))} {float.__repr__(float(a.imag))}\n"
+                for i, a in enumerate(amplitudes.tolist()) if abs(a) ** 2 > PROB_FLOOR]
+    assert stream.getvalue() == "".join(expected)
+    assert written == len(expected) >= 2
+
+
 def test_dump_nonzero_lines(tmp_path):
     state = prepare_entangled(GameConfig(3, 1))
     path = tmp_path / "state.txt"
