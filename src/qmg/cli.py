@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import itertools
 import json
 import os
 import sys
@@ -58,6 +57,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_RESOURCE = 4
+
+#: histogram lines formatted and written at a time
+HISTOGRAM_BLOCK_ROWS = 4096
 
 
 @contextlib.contextmanager
@@ -165,6 +167,36 @@ def _final_state(n: int, phase: int, engine: str):
     return apply_local_strategy(state, strategy_matrix(n))
 
 
+def _outcome_labels(n: int, indices: np.ndarray) -> np.ndarray:
+    """One row of 2n - 1 ASCII bytes per flat index: its outcome label, such as
+    "2-0-1", the base-n digits from repeated divmod, user 0 first.  Each digit
+    is one byte while n <= 10."""
+    text = np.full((len(indices), 2 * n - 1), ord("-"), dtype=np.uint8)
+    for column in range(2 * n - 2, -1, -2):
+        indices, digit = np.divmod(indices, n)
+        text[:, column] = digit + ord("0")
+    return text
+
+
+def _write_histogram_csv(stream, n: int, rows: np.ndarray, shots: int) -> None:
+    """Write the ``outcome,count,frequency`` header and one CSV line per
+    (flat index, count) row.
+
+    Each distinct count's tail is formatted once and NUL-padded to the longest.
+    Each block of HISTOGRAM_BLOCK_ROWS rows is then one byte matrix, the labels
+    then the tails, and its text is the matrix with every NUL dropped."""
+    stream.write("outcome,count,frequency\n")
+    counts, inverse = np.unique(rows[:, 1], return_inverse=True)
+    tails = np.array([f",{c},{c / shots!r}\n".encode() for c in counts.tolist()], dtype=bytes)
+    width = 2 * n - 1
+    for start in range(0, len(rows), HISTOGRAM_BLOCK_ROWS):
+        block = rows[start:start + HISTOGRAM_BLOCK_ROWS]
+        text = np.empty((len(block), width + tails.itemsize), dtype=np.uint8)
+        text[:, :width] = _outcome_labels(n, block[:, 0])
+        text[:, width:].view(tails.dtype)[:, 0] = tails[inverse[start:start + len(block)]]
+        stream.write(str(text[text != 0], "utf-8"))
+
+
 def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
     if not 2 <= args.n <= SITE_CAP:  # the dense state both engines measure
         parser.error(f"simulate supports 2 <= n <= {SITE_CAP}")
@@ -174,26 +206,20 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
     paths = [args.out] + ([f"{args.out}.state.txt"] if args.dump_state else [])
     with _outputs(*paths) as streams:
         state = _final_state(args.n, phase, args.engine)
-        counts = sample_counts(state, np.random.default_rng(args.seed), args.shots)
-        # flat index v spells as "2-0-1": hi labels its leading n//2 digits, lo the rest
-        hi, lo = (["-".join(map(str, t)) for t in itertools.product(range(args.n), repeat=k)]
-                  for k in (args.n // 2, (args.n + 1) // 2))
-        base = len(lo)
-        labels = (hi[v // base] + "-" + lo[v % base] for v in counts)
+        rows = sample_counts(state, np.random.default_rng(args.seed), args.shots)
         if args.format == "json":
+            labels = _outcome_labels(args.n, rows[:, 0]).view(f"S{2 * args.n - 1}")[:, 0]
             record = {
                 "n": args.n,
                 "phase": phase,
                 "engine": args.engine,
                 "seed": args.seed,
                 "shots": args.shots,
-                "counts": dict(zip(labels, counts.values())),
+                "counts": dict(zip(labels.astype(str).tolist(), rows[:, 1].tolist())),
             }
             streams[0].write(_json_text(record))
         else:
-            tails = {c: f",{c},{c / args.shots!r}\n" for c in set(counts.values())}  # few distinct
-            streams[0].write("outcome,count,frequency\n" + "".join(
-                label + tails[c] for label, c in zip(labels, counts.values())))
+            _write_histogram_csv(streams[0], args.n, rows, args.shots)
         if args.dump_state:
             dump_nonzero(state, streams[1])
     return EXIT_OK

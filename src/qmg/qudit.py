@@ -2,8 +2,8 @@
 
 The joint state is a length n**n complex vector indexed by assignment
 tuples in big-endian user order: (c_0, ..., c_{n-1}) sits at flat index
-sum(c_j * n**(n-1-j)), user 0 most significant; measurement histograms are
-keyed by that flat index.  All operations return new states and mutate no input.
+sum(c_j * n**(n-1-j)), user 0 most significant; measurement histograms list
+outcomes by that flat index.  All operations return new states and mutate no input.
 The start state's n branches |k...k> and one local operator U per user make
 the final state a sum of n product states, amplitude(c) = sum_k a_k prod_j U[c_j, k].
 """
@@ -25,8 +25,11 @@ SITE_CAP = 8
 #: amplitudes whose probability falls below this are left out of state dumps
 PROB_FLOOR = 1e-15
 
-#: state-dump lines formatted and written at a time
+#: amplitudes scanned, and at most as many state-dump lines written, at a time
 DUMP_BLOCK_LINES = 4096
+
+#: amplitudes whose probabilities the sampler sums at a time
+SAMPLE_BLOCK = 2**16
 
 #: measurement refuses states whose norm drifted further than this
 NORM_TOL = 1e-6
@@ -95,29 +98,61 @@ def apply_local_strategy(state: QuditState, matrix: np.ndarray) -> QuditState:
     return QuditState(n, (left @ right.T).reshape(-1))
 
 
-def sample_counts(state: QuditState, rng: np.random.Generator, shots: int) -> dict[int, int]:
-    """Histogram of ``shots`` independent measurements of the same state, keyed
-    by flat index in increasing order (the assignment tuples' lexicographic order).
+def _cumulative(amplitudes: np.ndarray, start: int, carry: float) -> np.ndarray:
+    """Running probability sums over the block of ``SAMPLE_BLOCK`` amplitudes at
+    ``start``, continued from ``carry``, the sum before it.  numpy sums in
+    sequence, so each value is bit-equal to the whole vector's cumsum."""
+    block = np.abs(amplitudes[start:start + SAMPLE_BLOCK])
+    np.square(block, out=block)
+    block[0] += carry
+    return np.cumsum(block, out=block)
 
-    Refuses a state whose norm is off 1 by more than ``NORM_TOL``.
+
+def sample_counts(state: QuditState, rng: np.random.Generator, shots: int) -> np.ndarray:
+    """Histogram of ``shots`` independent measurements of the same state: an int64
+    array of ``(flat index, count)`` rows, one per outcome drawn, in increasing
+    index order (the assignment tuples' lexicographic order).
+
+    The cumulative probabilities are summed block by block: a first pass keeps
+    each block's starting carry, and a second sums each block again and looks
+    up the sorted uniforms that fall below its last sum.  Refuses a state whose
+    norm is off 1 by more than ``NORM_TOL``.
     """
-    # per amplitude, the probabilities, summed in place (8); per shot, the larger of the
-    # uniforms with their draw indices (16) and the draws with np.unique's sorted copy
-    # and two masks (18); per call, 4 KiB of array headers and scalars
-    check_footprint(4096 + 8 * state.amplitudes.size + 18 * shots, f"{shots} shots")
-    probs = np.abs(state.amplitudes)
-    np.square(probs, out=probs)
-    norm = math.sqrt(probs.sum())
+    amplitudes = state.amplitudes
+    starts = range(0, amplitudes.size, SAMPLE_BLOCK)
+    # per block, its sums (8 per amplitude, one block at a time) and 256 B for its carry,
+    # bound and row arrays' headers; per shot, the uniforms (8) and, over one block's shots,
+    # the draws with np.unique's sorted copy and mask (17); per outcome drawn, at most shots
+    # or amplitudes, np.unique's outputs and the kept rows and their concatenation (32);
+    # per call, 8 KiB of array headers and scalars
+    check_footprint(8192 + 8 * SAMPLE_BLOCK + 256 * len(starts) + 25 * shots
+                    + 32 * min(shots, amplitudes.size), f"{shots} shots")
+    carries = [0.0]
+    for start in starts:
+        carries.append(_cumulative(amplitudes, start, carries[-1])[-1])
+    total = carries.pop()
+    norm = math.sqrt(total)
     if abs(norm - 1.0) > NORM_TOL:
         raise StateIntegrityError(f"state norm = {norm!r}, expected 1 within {NORM_TOL}")
-    cumulative = np.cumsum(probs, out=probs)  # the same array, now summed
-    uniforms = rng.random(shots) * cumulative[-1]
+    uniforms = rng.random(shots)
+    uniforms *= total
     uniforms.sort()  # same draws, far faster searchsorted; the counts ignore order
+    # each block's shots: the uniforms from its carry up to, not at, the next block's
+    bounds = [0, *np.searchsorted(uniforms, carries[1:]).tolist(), shots]
+    rows = [np.empty((0, 2), dtype=np.int64)]
+    for start, carry, low, high in zip(starts, carries, bounds, bounds[1:]):
+        if low < high:
+            rows.append(_block_rows(amplitudes, start, carry, uniforms[low:high]))
+    return np.concatenate(rows)
+
+
+def _block_rows(amplitudes: np.ndarray, start: int, carry: float, uniforms: np.ndarray) -> np.ndarray:
+    """(flat index, count) rows of the sorted ``uniforms`` that fall in the block at ``start``."""
+    cumulative = _cumulative(amplitudes, start, carry)
     draws = np.searchsorted(cumulative, uniforms, side="right")
-    del probs, cumulative, uniforms  # free the n**n array before counting
-    np.minimum(draws, state.amplitudes.size - 1, out=draws)  # in place: one copy fewer
+    np.minimum(draws, cumulative.size - 1, out=draws)  # a uniform rounded up to the total
     values, counts = np.unique(draws, return_counts=True)
-    return dict(zip(values.tolist(), counts.tolist()))
+    return np.column_stack((values + start, counts))
 
 
 def dump_nonzero(state: QuditState, stream: IO[str]) -> int:
@@ -126,10 +161,12 @@ def dump_nonzero(state: QuditState, stream: IO[str]) -> int:
     Returns the number of lines written.  This is the CLI's --dump-state
     format; reprs round-trip exactly through float().
     """
-    keep = np.flatnonzero(np.abs(state.amplitudes) ** 2 > PROB_FLOOR)
-    for start in range(0, keep.size, DUMP_BLOCK_LINES):  # each block formatted from Python floats
-        index = keep[start:start + DUMP_BLOCK_LINES]
-        values = state.amplitudes[index]
+    written = 0
+    for start in range(0, state.amplitudes.size, DUMP_BLOCK_LINES):  # formatted from Python floats
+        values = state.amplitudes[start:start + DUMP_BLOCK_LINES]
+        keep = np.flatnonzero(np.abs(values) ** 2 > PROB_FLOOR)
+        values = values[keep]
         stream.write("".join(f"{i} {re!r} {im!r}\n" for i, re, im
-                             in zip(index.tolist(), values.real.tolist(), values.imag.tolist())))
-    return int(keep.size)
+                             in zip((keep + start).tolist(), values.real.tolist(), values.imag.tolist())))
+        written += keep.size
+    return written

@@ -3,6 +3,7 @@ reference: the library samples from the support law but does not evaluate
 amplitudes, so the tests state the law themselves."""
 
 import cmath
+import json
 import math
 from pathlib import Path
 
@@ -26,17 +27,29 @@ def brute_amplitude(n, p, t):
     return total * n ** (-(n + 1) / 2)
 
 
-def decode_counts(n, counts) -> dict[tuple[int, ...], int]:
-    """Re-key a flat-index histogram by assignment tuple, in the same order.
-    The digits come from repeated divmod by n; user 0 is most significant."""
+def decode_counts(n, rows) -> dict[tuple[int, ...], int]:
+    """Key a sampler's (flat index, count) rows by assignment tuple, in the same
+    order.  The digits come from repeated divmod by n; user 0 is most significant."""
     decoded = {}
-    for index, count in counts.items():
+    for index, count in rows.tolist():
         digits = []
         for _ in range(n):
             index, digit = divmod(index, n)
             digits.append(digit)
         decoded[tuple(reversed(digits))] = count
     return decoded
+
+
+def histogram_text(fmt, n, rows, *, phase, engine, seed, shots) -> str:
+    """Oracle: the text `qmg simulate` writes for a sampler's rows, one row at a
+    time, each outcome spelled by joining its decoded digits with '-'."""
+    labelled = {"-".join(map(str, outcome)): count for outcome, count in decode_counts(n, rows).items()}
+    if fmt == "json":
+        record = {"n": n, "phase": phase, "engine": engine, "seed": seed, "shots": shots,
+                  "counts": labelled}
+        return json.dumps(record, indent=2, sort_keys=True) + "\n"
+    return "outcome,count,frequency\n" + "".join(
+        f"{label},{count},{count / shots!r}\n" for label, count in labelled.items())
 
 
 def rotation_sweep(amplitudes, matrix) -> np.ndarray:

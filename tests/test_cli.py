@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import decode_counts
+from conftest import histogram_text
 from qmg import cli, mac, qudit
 from qmg.circuit import build_preparation_circuit, parse_circuit
 from qmg.game import GameConfig, phase_for_regime, strategy_matrix
@@ -181,23 +181,47 @@ def test_simulate_zero_shots(tmp_path):
 @pytest.mark.parametrize("regime", ("enhance-optimum", "avoid-worst"))
 def test_simulate_histogram_matches_label_oracle(tmp_path, regime, n, fmt):
     """The histogram is byte for byte the per-row writer's text over the
-    sampler's counts, each outcome spelled from its own divmod digits.  Odd n
-    splits the digits unevenly between the writer's two label tables."""
+    sampler's counts, each outcome spelled from its own divmod digits."""
     out = tmp_path / f"hist.{fmt}"
     assert cli.main(["simulate", "--n", str(n), "--regime", regime, "--shots", "100000",
                      "--seed", "21", "--format", fmt, "--out", str(out)]) == 0
     phase = phase_for_regime(regime, n)
     state = apply_local_strategy(prepare_entangled(GameConfig(n, phase)), strategy_matrix(n))
-    counts = decode_counts(n, sample_counts(state, np.random.default_rng(21), 100_000))
-    labelled = {"-".join(str(c) for c in outcome): count for outcome, count in counts.items()}
-    if fmt == "json":
-        record = {"n": n, "phase": phase, "engine": "qudit", "seed": 21, "shots": 100_000,
-                  "counts": labelled}
-        expected = json.dumps(record, indent=2, sort_keys=True) + "\n"
-    else:
-        expected = "outcome,count,frequency\n" + "".join(
-            f"{label},{count},{count / 100_000!r}\n" for label, count in labelled.items())
+    rows = sample_counts(state, np.random.default_rng(21), 100_000)
+    expected = histogram_text(fmt, n, rows, phase=phase, engine="qudit", seed=21, shots=100_000)
     assert out.read_bytes() == expected.encode()
+
+
+def histogram_rows(n, size, rng):
+    """``size`` (flat index, count) rows over distinct increasing indices: counts
+    of one to seven digits, so the writer's tails differ in width, and repeats."""
+    indices = np.sort(rng.choice(n**n, size=size, replace=False))
+    counts = rng.choice([1, 2, 7, 10, 333, 4096, 65_537, 1_000_000], size=size)
+    return np.column_stack((indices, counts)).astype(np.int64)
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+@pytest.mark.parametrize("n", range(2, 9))
+def test_histogram_writer_matches_per_row_oracle(tmp_path, monkeypatch, n, fmt):
+    """The block writer's text is the per-row oracle's over the sampler's rows:
+    no shots (the CSV header alone), one shot, and row counts at and either side
+    of the writer's block size, shrunk below n**n for small n."""
+    block = min(cli.HISTOGRAM_BLOCK_ROWS, n**n - 1)
+    monkeypatch.setattr(cli, "HISTOGRAM_BLOCK_ROWS", block)
+    monkeypatch.setattr(cli, "_final_state", lambda n, phase, engine: None)
+    rng = np.random.default_rng(n)
+    cases = [np.empty((0, 2), dtype=np.int64), np.array([[n**n - 1, 1]], dtype=np.int64)]
+    cases += [histogram_rows(n, size, rng) for size in (block - 1, block, block + 1)]
+    for rows in cases:
+        shots = int(rows[:, 1].sum())
+        monkeypatch.setattr(cli, "sample_counts", lambda state, rng, shots, rows=rows: rows)
+        out = tmp_path / f"hist.{fmt}"
+        assert cli.main(["simulate", "--n", str(n), "--p", "1", "--shots", str(shots),
+                         "--seed", "5", "--format", fmt, "--out", str(out)]) == 0
+        expected = histogram_text(fmt, n, rows, phase=1, engine="qudit", seed=5, shots=shots)
+        assert out.read_bytes() == expected.encode()
+        if shots == 0 and fmt == "csv":
+            assert expected == "outcome,count,frequency\n"
 
 
 def test_simulate_circuit_engine_agrees_with_qudit(tmp_path, read_histogram):

@@ -237,13 +237,13 @@ def test_measure_deterministic_given_seed():
     state = final_state(3, 3)
     a = sample_counts(state, np.random.default_rng(9), 30)
     b = sample_counts(state, np.random.default_rng(9), 30)
-    assert list(a.items()) == list(b.items())
+    assert a.tolist() == b.tolist()
 
 
 def test_sample_counts_lexicographic_order():
-    counts = sample_counts(final_state(4, 6), np.random.default_rng(4), 5_000)
-    assert len(counts) > 1
-    assert list(counts) == sorted(counts)
+    rows = sample_counts(final_state(4, 6), np.random.default_rng(4), 5_000)
+    assert len(rows) > 1
+    assert rows[:, 0].tolist() == sorted(rows[:, 0].tolist())
 
 
 def test_measured_all_distinct_fraction():
@@ -256,16 +256,23 @@ def test_measured_all_distinct_fraction():
 
 
 def test_sample_counts_zero_shots():
-    assert sample_counts(final_state(2, 1), np.random.default_rng(0), 0) == {}
+    rows = sample_counts(final_state(2, 1), np.random.default_rng(0), 0)
+    assert rows.shape == (0, 2) and rows.dtype == np.int64
 
 
 def unsorted_sample_counts(state, rng, shots):
-    """Reference sampler: one inverse-CDF lookup per draw, in draw order."""
+    """Reference sampler: one inverse-CDF lookup per draw, in draw order, over
+    the whole vector's cumulative sums."""
     probs = np.abs(state.amplitudes) ** 2
     cumulative = np.cumsum(probs)
     draws = np.searchsorted(cumulative, rng.random(shots) * cumulative[-1], side="right")
     counts = collections.Counter(np.minimum(draws, probs.size - 1).tolist())
-    return decode_counts(state.n, {i: counts[i] for i in sorted(counts)})
+    return np.array(sorted(counts.items()), dtype=np.int64).reshape(-1, 2)
+
+
+def assert_same_rows(rows, expected):
+    assert rows.dtype == np.int64 and rows.shape == expected.shape
+    assert rows.tolist() == expected.tolist()
 
 
 @pytest.mark.parametrize("n", (4, 5))
@@ -276,19 +283,67 @@ def test_sample_counts_matches_unsorted_reference(n, regime, shots):
     draw-order reference at the same seed."""
     state = final_state(n, phase_for_regime(regime, n))
     rng, reference_rng = np.random.default_rng(shots + n), np.random.default_rng(shots + n)
-    counts = decode_counts(n, sample_counts(state, rng, shots))
-    expected = unsorted_sample_counts(state, reference_rng, shots)
-    assert list(counts.items()) == list(expected.items())
+    assert_same_rows(sample_counts(state, rng, shots), unsorted_sample_counts(state, reference_rng, shots))
     assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+def block_sizes(size):
+    return (1, 2, 3, 7, size - 1, size, size + 1)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+@pytest.mark.parametrize("regime", ("enhance-optimum", "avoid-worst"))
+def test_blocked_sampler_matches_whole_vector_reference(monkeypatch, n, regime):
+    """Summed block by block, the sampler keeps the whole vector's rows, their
+    order and its random-number use, for every block size: the support's
+    zero-probability runs cross block edges, and blocks hold one amplitude, a
+    few, all but one, all, or more than all."""
+    state = final_state(n, phase_for_regime(regime, n))
+    for block in block_sizes(n**n):
+        monkeypatch.setattr(qudit, "SAMPLE_BLOCK", block)
+        for shots in (0, 1, 2_000):
+            rng, reference_rng = np.random.default_rng(block + shots), np.random.default_rng(block + shots)
+            assert_same_rows(sample_counts(state, rng, shots),
+                             unsorted_sample_counts(state, reference_rng, shots))
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+class FixedUniforms:
+    """Stands in for a Generator whose next uniforms are given."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, size):
+        return np.array(self.values[:size], dtype=np.float64)
+
+
+def test_blocked_sampler_uniform_on_a_block_end(monkeypatch):
+    """Dyadic probabilities put the cumulative sums exactly on block ends, and
+    the uniforms land on them: a uniform equal to a block's last sum belongs to
+    the first later amplitude with more probability, past any zeros, and one
+    equal to the total is clamped to the last amplitude, as in the reference."""
+    amplitudes = np.zeros(27, dtype=np.complex128)
+    amplitudes[[0, 2, 5, 8]] = 0.5  # cumulative sums 1/4, 1/4, 1/2, 1/2, 1/2, 3/4, 3/4, 3/4, then 1
+    state = QuditState(3, amplitudes)
+    uniforms = [0.0, 0.25, 0.5, 0.75, 0.999, 1.0, 0.5 - 2**-53, 0.125]
+    for block in block_sizes(27):
+        monkeypatch.setattr(qudit, "SAMPLE_BLOCK", block)
+        for shots in (0, 1, len(uniforms)):
+            assert_same_rows(sample_counts(state, FixedUniforms(uniforms), shots),
+                             unsorted_sample_counts(state, FixedUniforms(uniforms), shots))
+    assert unsorted_sample_counts(state, FixedUniforms(uniforms), len(uniforms)).tolist() == [
+        [0, 2], [2, 2], [5, 1], [8, 2], [26, 1]]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
 @pytest.mark.parametrize("regime", ("enhance-optimum", "avoid-worst"))
 def test_sampler_memory_plan_covers_the_peak(monkeypatch, regime, n):
     """The bytes the sampler plans before it draws bound the tracemalloc
-    peak of the call: the probabilities and cumulative sums per amplitude,
-    per shot the uniforms and draws, then the draws and np.unique's work,
-    and a fixed allowance per call, which is all the slack at n = 2 and 3."""
+    peak of the call: one block's cumulative sums and per block a header
+    allowance, per shot the uniforms and one block's draws with np.unique's
+    work, per outcome drawn the rows kept and concatenated, and a fixed
+    allowance per call.  At n = 7 the state spans several blocks."""
     state = final_state(n, phase_for_regime(regime, n))
     sample_counts(state, np.random.default_rng(0), 10)  # one-time allocations stay out of the peak
     planned = []
