@@ -5,8 +5,8 @@ so the full register is n*log2(n) qubits wide.  Qubit 0 is the most
 significant bit of the flat state index, each user owns one consecutive
 log2(n)-bit group (most significant bit first), and user 0's group doubles
 as the branch-control lines.  With that layout the packed bitstring of an
-assignment tuple *is* its base-n flat index, so a register converts to a
-:class:`~qmg.qudit.QuditState` without reshuffling.
+assignment tuple *is* its base-n flat index, so a register's support is a
+:class:`~qmg.qudit.QuditState`'s without reshuffling.
 
 Two preparation variants are built:
 
@@ -72,13 +72,6 @@ class QubitRegister:
     indices: np.ndarray
     amplitudes: np.ndarray
 
-    def dense(self) -> np.ndarray:
-        """All 2**width amplitudes; a register beyond physical memory is refused."""
-        check_footprint(16 * 2**self.width, f"a dense {self.width}-qubit register")
-        out = np.zeros(2**self.width, dtype=np.complex128)
-        out[self.indices] = self.amplitudes
-        return out
-
 
 def qubits_per_user(n: int) -> int:
     """log2(n), rejecting sizes without an exact qubit encoding."""
@@ -87,14 +80,6 @@ def qubits_per_user(n: int) -> int:
         if (1 << log) == n:
             return log
     raise InvalidConfigError(f"game size must be a power of two >= 2, got {n}")
-
-
-def game_size_for_width(width: int) -> int:
-    """Invert width = n*log2(n) (n = 2, 4, 8, ... give widths 2, 8, 24, ...)."""
-    for log in range(1, 8):
-        if (1 << log) * log == width:
-            return 1 << log
-    raise InvalidConfigError(f"register width {width} is not n*log2(n) for any n")
 
 
 def branch_controls(n: int, k: int) -> tuple[tuple[int, int], ...]:
@@ -198,9 +183,11 @@ def run_circuit(gates: list[Gate], width: int) -> QubitRegister:
     return QubitRegister(width, indices[order], amplitudes[order])
 
 
-def register_to_qudit(register: QubitRegister) -> QuditState:
-    """The register as a dense qudit state (the flat indices coincide)."""
-    return QuditState(game_size_for_width(register.width), register.dense())
+def register_to_qudit(register: QubitRegister, n: int) -> QuditState:
+    """The n-user game's state on the register's support (the flat indices
+    coincide), without the exact zeros that rotations leave there."""
+    keep = np.flatnonzero(register.amplitudes)
+    return QuditState(n, register.indices[keep], register.amplitudes[keep])
 
 
 @dataclass(frozen=True)

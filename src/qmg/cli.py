@@ -163,7 +163,7 @@ def _final_state(n: int, phase: int, engine: str):
         state = prepare_entangled(config)
     else:
         gates = build_preparation_circuit(config, VARIANT_CORRECTED)
-        state = register_to_qudit(run_circuit(gates, n * qubits_per_user(n)))
+        state = register_to_qudit(run_circuit(gates, n * qubits_per_user(n)), n)
     return apply_local_strategy(state, strategy_matrix(n))
 
 
@@ -198,7 +198,7 @@ def _write_histogram_csv(stream, n: int, rows: np.ndarray, shots: int) -> None:
 
 
 def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
-    if not 2 <= args.n <= SITE_CAP:  # the dense state both engines measure
+    if not 2 <= args.n <= SITE_CAP:  # the n**n outcomes both engines sample
         parser.error(f"simulate supports 2 <= n <= {SITE_CAP}")
     if args.dump_state and args.out is None:
         parser.error("--dump-state requires --out")

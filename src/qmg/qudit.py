@@ -1,11 +1,11 @@
-"""Dense state-vector simulator over n qudits of dimension n each.
+"""Simulator over n qudits of dimension n each that never holds all n**n amplitudes.
 
-The joint state is a length n**n complex vector indexed by assignment
-tuples in big-endian user order: (c_0, ..., c_{n-1}) sits at flat index
-sum(c_j * n**(n-1-j)), user 0 most significant; measurement histograms list
-outcomes by that flat index.  All operations return new states and mutate no input.
-The start state's n branches |k...k> and one local operator U per user make
-the final state a sum of n product states, amplitude(c) = sum_k a_k prod_j U[c_j, k].
+Assignment tuples index the amplitudes in big-endian user order: (c_0, ..., c_{n-1})
+sits at flat index sum(c_j * n**(n-1-j)), user 0 most significant; measurement
+histograms list outcomes by that flat index.  A start state is its support, and
+its branches s with one local operator U per user make the final state a sum of
+product states, amplitude(c) = sum_s a_s prod_j U[c_j, s_j], kept as two factors
+and multiplied out one block at a time.  All operations mutate no input.
 """
 
 from __future__ import annotations
@@ -19,16 +19,13 @@ import numpy as np
 
 from .game import DimensionError, GameConfig, entangled_branches
 
-#: n**n amplitudes at complex128; 8**8 is ~1.7e7 values (~270 MB), the ceiling.
+#: two passes of the sampler over 8**8 ~ 1.7e7 outcomes are the ceiling
 SITE_CAP = 8
 
 #: amplitudes whose probability falls below this are left out of state dumps
 PROB_FLOOR = 1e-15
 
-#: amplitudes scanned, and at most as many state-dump lines written, at a time
-DUMP_BLOCK_LINES = 4096
-
-#: amplitudes whose probabilities the sampler sums at a time
+#: amplitudes the sampler and the state dump compute at a time, in whole factor rows
 SAMPLE_BLOCK = 2**16
 
 #: measurement refuses states whose norm drifted further than this
@@ -39,7 +36,7 @@ PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 class ResourceLimitError(RuntimeError):
-    """A run would exceed a memory ceiling: the dense-state cap or, by its
+    """A run would exceed a memory ceiling: the simulation's size cap or, by its
     planned footprint, physical memory."""
 
 
@@ -56,59 +53,83 @@ class StateIntegrityError(RuntimeError):
 
 @dataclass
 class QuditState:
-    """Dense amplitudes for n users over n channels (length n**n)."""
+    """A state of n users over n channels by its support: the sorted flat
+    ``indices`` and the ``amplitudes`` there.  Every other amplitude is zero."""
 
     n: int
+    indices: np.ndarray
     amplitudes: np.ndarray
+
+
+@dataclass
+class FactoredState:
+    """A state of n users as two factors: amplitude(row * len(right) + col) is
+    (left @ right.T)[row, col].  The rows of ``left`` run over the leading n//2
+    users' digits and those of ``right`` over the trailing users', first user
+    most significant; the columns run over the start state's support."""
+
+    n: int
+    left: np.ndarray
+    right: np.ndarray
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """All n**n amplitudes as one vector, built on demand.  Only tests and
+        the benchmark tracer's counting pass read it; qmg reads ``block``."""
+        return (self.left @ self.right.T).reshape(-1)
+
+    def blocks(self) -> range:
+        """First left row of each block: SAMPLE_BLOCK amplitudes' worth of whole
+        rows, as BLAS need not sum a split row in the whole product's order."""
+        return range(0, len(self.left), max(1, SAMPLE_BLOCK // len(self.right)))
+
+    def block(self, row: int) -> np.ndarray:
+        """The block from left row ``row``: the amplitudes from flat index row * len(right)."""
+        return (self.left[row:row + self.blocks().step] @ self.right.T).reshape(-1)
 
 
 def prepare_entangled(config: GameConfig) -> QuditState:
     """Entangled start state: one amplitude per constant tuple (k, ..., k)."""
-    n = config.n
-    if n > SITE_CAP:
-        raise ResourceLimitError(f"dense simulation capped at n <= {SITE_CAP}, got n={n}")
-    indices, coefficients = entangled_branches(config)
-    amplitudes = np.zeros(n**n, dtype=np.complex128)
-    amplitudes[indices] = coefficients
-    return QuditState(n, amplitudes)
+    if config.n > SITE_CAP:
+        raise ResourceLimitError(f"simulation capped at n <= {SITE_CAP}, got n={config.n}")
+    return QuditState(config.n, *entangled_branches(config))
 
 
-def apply_local_strategy(state: QuditState, matrix: np.ndarray) -> QuditState:
+def apply_local_strategy(state: QuditState, matrix: np.ndarray) -> FactoredState:
     """Apply the same single-qudit operator U to every site.
 
     The result sums one product state per support state s of the input,
-    amplitude(c) = sum_s a_s prod_j U[c_j, s_j]: the leading n//2 sites' factors
-    times the trailing sites', one matrix product over the S support states (n
-    for the start state).  A broad support costs n**n * S and is planned first.
+    amplitude(c) = sum_s a_s prod_j U[c_j, s_j]: the leading n//2 sites'
+    factors times the trailing sites', over the S support states (n for the
+    start state).  A broad support costs (n**(n//2) + n**(n - n//2)) * S
+    factor entries and is planned first.
     """
-    n = state.n
+    n, size = state.n, state.indices.size
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.shape != (n, n):
         raise DimensionError(f"operator shape {matrix.shape} does not match qudit dimension {n}")
-    support = np.flatnonzero(state.amplitudes)
     lead = n // 2
-    check_footprint(16 * ((n**lead + n**(n - lead)) * support.size + n**n), f"{support.size} branches")
+    check_footprint(16 * (n**lead + n**(n - lead)) * size, f"{size} branches")
     # rows: the leading (left) or trailing (right) sites' digits, first site most
     # significant; columns: the support states, whose amplitudes ride on the left
-    sides = [state.amplitudes[support][None, :], np.ones((1, support.size))]
-    for j, digits in enumerate(np.unravel_index(support, (n,) * n)):
+    sides = [state.amplitudes[None, :], np.ones((1, size))]
+    for j, digits in enumerate(np.unravel_index(state.indices, (n,) * n)):
         side = sides[j >= lead]
-        sides[j >= lead] = (side[:, None, :] * matrix[:, digits]).reshape(-1, support.size)
-    left, right = sides
-    return QuditState(n, (left @ right.T).reshape(-1))
+        sides[j >= lead] = (side[:, None, :] * matrix[:, digits]).reshape(-1, size)
+    return FactoredState(n, *sides)
 
 
-def _cumulative(amplitudes: np.ndarray, start: int, carry: float) -> np.ndarray:
-    """Running probability sums over the block of ``SAMPLE_BLOCK`` amplitudes at
-    ``start``, continued from ``carry``, the sum before it.  numpy sums in
-    sequence, so each value is bit-equal to the whole vector's cumsum."""
-    block = np.abs(amplitudes[start:start + SAMPLE_BLOCK])
+def _cumulative(state: FactoredState, row: int, carry: float) -> np.ndarray:
+    """Running probability sums over the block from left row ``row``, continued
+    from ``carry``, the sum before it.  numpy sums in sequence, so each value is
+    bit-equal to the whole vector's cumsum."""
+    block = np.abs(state.block(row))
     np.square(block, out=block)
     block[0] += carry
     return np.cumsum(block, out=block)
 
 
-def sample_counts(state: QuditState, rng: np.random.Generator, shots: int) -> np.ndarray:
+def sample_counts(state: FactoredState, rng: np.random.Generator, shots: int) -> np.ndarray:
     """Histogram of ``shots`` independent measurements of the same state: an int64
     array of ``(flat index, count)`` rows, one per outcome drawn, in increasing
     index order (the assignment tuples' lexicographic order).
@@ -118,18 +139,19 @@ def sample_counts(state: QuditState, rng: np.random.Generator, shots: int) -> np
     up the sorted uniforms that fall below its last sum.  Refuses a state whose
     norm is off 1 by more than ``NORM_TOL``.
     """
-    amplitudes = state.amplitudes
-    starts = range(0, amplitudes.size, SAMPLE_BLOCK)
-    # per block, its sums (8 per amplitude, one block at a time) and 256 B for its carry,
-    # bound and row arrays' headers; per shot, the uniforms (8) and, over one block's shots,
-    # the draws with np.unique's sorted copy and mask (17); per outcome drawn, at most shots
-    # or amplitudes, np.unique's outputs and the kept rows and their concatenation (32);
-    # per call, 8 KiB of array headers and scalars
-    check_footprint(8192 + 8 * SAMPLE_BLOCK + 256 * len(starts) + 25 * shots
-                    + 32 * min(shots, amplitudes.size), f"{shots} shots")
+    blocks, width = state.blocks(), len(state.right)
+    # the factors (16 per entry); per block, its amplitudes and then their sums (24 per
+    # amplitude, one block at a time) and 256 B for its carry, bound and row arrays' headers;
+    # per shot, the uniforms (8) and, over one block's shots, the draws and the mask of
+    # their changes (9); per outcome drawn, at most shots or amplitudes, the run ends,
+    # values, counts and rows of one block (40), which also covers the kept rows and their
+    # concatenation (32); per call, 8 KiB of array headers and scalars
+    check_footprint(8192 + 16 * (state.left.size + state.right.size) + 24 * blocks.step * width
+                    + 256 * len(blocks) + 17 * shots + 40 * min(shots, len(state.left) * width),
+                    f"{shots} shots")
     carries = [0.0]
-    for start in starts:
-        carries.append(_cumulative(amplitudes, start, carries[-1])[-1])
+    for row in blocks:
+        carries.append(_cumulative(state, row, carries[-1])[-1])
     total = carries.pop()
     norm = math.sqrt(total)
     if abs(norm - 1.0) > NORM_TOL:
@@ -140,33 +162,35 @@ def sample_counts(state: QuditState, rng: np.random.Generator, shots: int) -> np
     # each block's shots: the uniforms from its carry up to, not at, the next block's
     bounds = [0, *np.searchsorted(uniforms, carries[1:]).tolist(), shots]
     rows = [np.empty((0, 2), dtype=np.int64)]
-    for start, carry, low, high in zip(starts, carries, bounds, bounds[1:]):
+    for row, carry, low, high in zip(blocks, carries, bounds, bounds[1:]):
         if low < high:
-            rows.append(_block_rows(amplitudes, start, carry, uniforms[low:high]))
+            rows.append(_block_rows(state, row, carry, uniforms[low:high]))
     return np.concatenate(rows)
 
 
-def _block_rows(amplitudes: np.ndarray, start: int, carry: float, uniforms: np.ndarray) -> np.ndarray:
-    """(flat index, count) rows of the sorted ``uniforms`` that fall in the block at ``start``."""
-    cumulative = _cumulative(amplitudes, start, carry)
+def _block_rows(state: FactoredState, row: int, carry: float, uniforms: np.ndarray) -> np.ndarray:
+    """(flat index, count) rows of the sorted ``uniforms`` that fall in the block
+    from left row ``row``."""
+    cumulative = _cumulative(state, row, carry)
     draws = np.searchsorted(cumulative, uniforms, side="right")
     np.minimum(draws, cumulative.size - 1, out=draws)  # a uniform rounded up to the total
-    values, counts = np.unique(draws, return_counts=True)
-    return np.column_stack((values + start, counts))
+    # the draws are sorted, so each outcome is one run of them, ending at a change
+    ends = np.append(np.flatnonzero(draws[1:] != draws[:-1]), draws.size - 1)
+    return np.column_stack((draws[ends] + row * len(state.right), np.diff(ends, prepend=-1)))
 
 
-def dump_nonzero(state: QuditState, stream: IO[str]) -> int:
-    """Write ``index re im`` lines for every amplitude above the floor.
+def dump_nonzero(state: FactoredState, stream: IO[str]) -> int:
+    """Write ``index re im`` lines for every amplitude above the floor, a block at a time.
 
     Returns the number of lines written.  This is the CLI's --dump-state
     format; reprs round-trip exactly through float().
     """
     written = 0
-    for start in range(0, state.amplitudes.size, DUMP_BLOCK_LINES):  # formatted from Python floats
-        values = state.amplitudes[start:start + DUMP_BLOCK_LINES]
+    for row in state.blocks():  # formatted from Python floats
+        values = state.block(row)
         keep = np.flatnonzero(np.abs(values) ** 2 > PROB_FLOOR)
         values = values[keep]
-        stream.write("".join(f"{i} {re!r} {im!r}\n" for i, re, im
-                             in zip((keep + start).tolist(), values.real.tolist(), values.imag.tolist())))
+        stream.write("".join(f"{i} {re!r} {im!r}\n" for i, re, im in zip(
+            (keep + row * len(state.right)).tolist(), values.real.tolist(), values.imag.tolist())))
         written += keep.size
     return written

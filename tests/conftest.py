@@ -10,6 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qmg.circuit import QubitRegister
+from qmg.qudit import FactoredState, QuditState
+
 
 def in_support(n, phase, outcome) -> bool:
     """The support law: an assignment is reachable iff (phase + sum) % n == 0."""
@@ -61,6 +64,35 @@ def rotation_sweep(amplitudes, matrix) -> np.ndarray:
     for _ in range(n):
         psi = (matrix @ psi.reshape(n, -1)).T.copy()
     return psi.reshape(-1)
+
+
+def dense(state) -> np.ndarray:
+    """Every amplitude of a state held by its support, a circuit register's
+    2**width or a start state's n**n, with zeros off the support."""
+    size = 2**state.width if isinstance(state, QubitRegister) else state.n**state.n
+    amplitudes = np.zeros(size, dtype=np.complex128)
+    amplitudes[state.indices] = state.amplitudes
+    return amplitudes
+
+
+def support_state(n, amplitudes) -> QuditState:
+    """The start state with the given n**n amplitudes: their nonzero entries."""
+    indices = np.flatnonzero(amplitudes)
+    return QuditState(n, indices, amplitudes[indices])
+
+
+def factored_state(n, amplitudes) -> FactoredState:
+    """A final state whose product is the given n**n amplitudes: the leading
+    factor holds them row by row and the trailing one is the identity, so every
+    block keeps each value exactly, except that a zero comes out as +0."""
+    right = np.eye(n ** (n - n // 2), dtype=np.complex128)
+    return FactoredState(n, np.asarray(amplitudes, dtype=np.complex128).reshape(-1, len(right)), right)
+
+
+def blocks(state) -> np.ndarray:
+    """The amplitudes the sampler and the state dump compute, the state's
+    blocks of whole left rows at the current block size, concatenated."""
+    return np.concatenate([state.block(row) for row in state.blocks()])
 
 
 def dense_run_circuit(gates, width) -> np.ndarray:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import brute_amplitude, closed_form_amplitude
+from conftest import brute_amplitude, closed_form_amplitude, dense
 from qmg import cli
 from qmg.circuit import (
     VARIANT_CORRECTED,
@@ -149,7 +149,7 @@ def test_criterion_6_circuit_reproduction_and_audit():
         # circuit's R signs give the four-ket pattern (+,-,-,+)
         reg = run_circuit(build_preparation_circuit(GameConfig(4, 0), VARIANT_FIGURE), 8)
         expected = {"00000000": 0.5, "01010101": -0.5, "10101010": -0.5, "11111111": 0.5}
-        amplitudes = reg.dense()
+        amplitudes = dense(reg)
         nonzero = {i for i in np.nonzero(np.abs(amplitudes) > 1e-12)[0]}
         assert nonzero == {int(bits, 2) for bits in expected}
         for bits, amplitude in expected.items():
@@ -160,8 +160,9 @@ def test_criterion_6_circuit_reproduction_and_audit():
                 cfg = GameConfig(n, phase)
                 width = n * qubits_per_user(n)
                 state = register_to_qudit(
-                    run_circuit(build_preparation_circuit(cfg, VARIANT_CORRECTED), width))
+                    run_circuit(build_preparation_circuit(cfg, VARIANT_CORRECTED), width), n)
                 target = prepare_entangled(cfg)
+                assert np.array_equal(state.indices, target.indices)
                 assert np.max(np.abs(state.amplitudes - target.amplitudes)) < 1e-10
 
         assert audit_preparation_circuit(GameConfig(2, 1), VARIANT_FIGURE).matches

@@ -1,4 +1,4 @@
-"""Dense qudit simulator vs the closed-form oracle."""
+"""Qudit simulator vs the closed-form oracle."""
 
 import collections
 import functools
@@ -12,7 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import closed_form_amplitude, decode_counts, rotation_sweep
+from conftest import (
+    blocks,
+    closed_form_amplitude,
+    decode_counts,
+    dense,
+    factored_state,
+    rotation_sweep,
+    support_state,
+)
 from qmg import qudit
 from qmg.game import (
     DimensionError,
@@ -21,8 +29,8 @@ from qmg.game import (
     phase_for_regime,
     strategy_matrix,
 )
+from qmg.circuit import build_preparation_circuit, qubits_per_user, register_to_qudit, run_circuit
 from qmg.qudit import (
-    QuditState,
     ResourceLimitError,
     StateIntegrityError,
     PROB_FLOOR,
@@ -60,21 +68,20 @@ def test_constant_indices_exact(n):
 
 def test_prepare_two_user():
     state = prepare_entangled(GameConfig(2, 1))
-    assert np.allclose(state.amplitudes, [SQRT1_2, 0, 0, -SQRT1_2], atol=1e-12)
+    assert np.allclose(dense(state), [SQRT1_2, 0, 0, -SQRT1_2], atol=1e-12)
 
 
 def test_prepare_four_user_no_phase():
     state = prepare_entangled(GameConfig(4, 0))
-    nonzero = np.nonzero(state.amplitudes)[0]
-    assert list(nonzero) == [flat_index(4, (k,) * 4) for k in range(4)]
-    assert np.allclose(state.amplitudes[nonzero], 0.5, atol=1e-12)
+    assert state.indices.tolist() == [flat_index(4, (k,) * 4) for k in range(4)]
+    assert np.allclose(state.amplitudes, 0.5, atol=1e-12)
 
 
 def test_prepare_three_user_full_lap_phase():
     # phase 3 on 3 branches: every phase factor is a full turn
     state = prepare_entangled(GameConfig(3, 3))
-    nonzero = np.nonzero(state.amplitudes)[0]
-    assert np.allclose(state.amplitudes[nonzero], 1 / math.sqrt(3), atol=1e-12)
+    assert state.indices.size == 3
+    assert np.allclose(state.amplitudes, 1 / math.sqrt(3), atol=1e-12)
 
 
 def test_prepare_beyond_cap():
@@ -91,7 +98,7 @@ def test_hadamard_pair_converts_bell_phase():
 def test_identity_strategy_is_bitwise_noop():
     state = prepare_entangled(GameConfig(3, 1))
     same = apply_local_strategy(state, np.eye(3))
-    assert np.all(np.abs(same.amplitudes - state.amplitudes) < 1e-15)
+    assert np.all(np.abs(same.amplitudes - dense(state)) < 1e-15)
 
 
 def test_strategy_shape_mismatch():
@@ -115,7 +122,7 @@ def test_sweep_matches_kron_operator(n):
     amps = rng.normal(size=n**n) + 1j * rng.normal(size=n**n)
     amps /= np.linalg.norm(amps)
     operator = functools.reduce(np.kron, [matrix] * n)
-    swept = apply_local_strategy(QuditState(n, amps), matrix).amplitudes
+    swept = apply_local_strategy(support_state(n, amps), matrix).amplitudes
     assert np.max(np.abs(swept - operator @ amps)) < 1e-12
 
 
@@ -130,11 +137,12 @@ def test_strategy_matches_rotation_sweep(n):
         amps = np.zeros(n**n, dtype=np.complex128)
         support = rng.choice(n**n, size=size, replace=False)
         amps[support] = rng.normal(size=size) + 1j * rng.normal(size=size)
-        before = amps.copy()
-        result = apply_local_strategy(QuditState(n, amps), matrix).amplitudes
+        state = support_state(n, amps)
+        before = state.indices.copy(), state.amplitudes.copy()
+        result = apply_local_strategy(state, matrix).amplitudes
         expected = rotation_sweep(amps, matrix)
         assert np.max(np.abs(result - expected)) <= 1e-12 * np.max(np.abs(expected))
-        assert np.array_equal(amps, before)
+        assert np.array_equal(state.indices, before[0]) and np.array_equal(state.amplitudes, before[1])
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -155,9 +163,10 @@ def test_final_amplitudes_match_closed_form(n):
 
 def test_strategy_plans_its_factors(monkeypatch):
     """A broad support is planned before the factors are built: at n = 4 the
-    full support needs 32 factor entries per support state."""
-    full = QuditState(4, np.full(256, 1 / 16, dtype=np.complex128))
-    monkeypatch.setattr(qudit, "PHYSICAL_MEMORY", 16 * (32 * 256 + 256) - 1)
+    full support needs 32 factor entries per support state, and no n**n
+    state is built."""
+    full = support_state(4, np.full(256, 1 / 16, dtype=np.complex128))
+    monkeypatch.setattr(qudit, "PHYSICAL_MEMORY", 16 * 32 * 256 - 1)
     with pytest.raises(ResourceLimitError):
         apply_local_strategy(full, strategy_matrix(4))
     apply_local_strategy(prepare_entangled(GameConfig(4, 1)), strategy_matrix(4))
@@ -170,7 +179,7 @@ def test_site_order_independence():
     m = strategy_matrix(4)
     reference = apply_local_strategy(state, m).amplitudes
     for order in ((3, 2, 1, 0), (1, 3, 0, 2), (2, 0, 3, 1)):
-        psi = state.amplitudes.reshape((4,) * 4)
+        psi = dense(state).reshape((4,) * 4)
         for site in order:
             psi = np.moveaxis(np.tensordot(m, psi, axes=(1, site)), 0, site)
         assert np.max(np.abs(psi.reshape(-1) - reference)) < 1e-12
@@ -191,7 +200,7 @@ def test_distribution_two_user():
 
 
 def test_distribution_of_fresh_state():
-    probs = np.abs(prepare_entangled(GameConfig(4, 1)).amplitudes) ** 2
+    probs = np.abs(dense(prepare_entangled(GameConfig(4, 1)))) ** 2
     constants = [flat_index(4, (k,) * 4) for k in range(4)]
     assert list(np.nonzero(probs > PROB_FLOOR)[0]) == constants
     assert np.allclose(probs[constants], 0.25, atol=1e-12)
@@ -202,7 +211,7 @@ def test_distribution_drops_floor_entries():
     amps[0] = 1.0
     amps[3] = 1e-9  # probability 1e-18, below the floor
     stream = io.StringIO()
-    assert dump_nonzero(QuditState(2, amps), stream) == 1
+    assert dump_nonzero(factored_state(2, amps), stream) == 1
     assert stream.getvalue().split()[0] == "0"
 
 
@@ -224,11 +233,11 @@ def test_measure_point_mass(n, data):
     t = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
     amps = np.zeros(n**n, dtype=np.complex128)
     amps[flat_index(n, t)] = 1.0
-    assert decode_counts(n, sample_counts(QuditState(n, amps), np.random.default_rng(0), 20)) == {t: 20}
+    assert decode_counts(n, sample_counts(factored_state(n, amps), np.random.default_rng(0), 20)) == {t: 20}
 
 
 def test_measure_rejects_unnormalized():
-    state = QuditState(2, np.full(4, 0.4, dtype=np.complex128))
+    state = factored_state(2, np.full(4, 0.4))
     with pytest.raises(StateIntegrityError):
         sample_counts(state, np.random.default_rng(0), 10)
 
@@ -262,8 +271,8 @@ def test_sample_counts_zero_shots():
 
 def unsorted_sample_counts(state, rng, shots):
     """Reference sampler: one inverse-CDF lookup per draw, in draw order, over
-    the whole vector's cumulative sums."""
-    probs = np.abs(state.amplitudes) ** 2
+    the cumulative sums of the state's blocks, concatenated."""
+    probs = np.abs(blocks(state)) ** 2
     cumulative = np.cumsum(probs)
     draws = np.searchsorted(cumulative, rng.random(shots) * cumulative[-1], side="right")
     counts = collections.Counter(np.minimum(draws, probs.size - 1).tolist())
@@ -287,19 +296,45 @@ def test_sample_counts_matches_unsorted_reference(n, regime, shots):
     assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
-def block_sizes(size):
-    return (1, 2, 3, 7, size - 1, size, size + 1)
+def block_sizes(state):
+    """SAMPLE_BLOCK values that make blocks of 1, 2, all but one, all, and more
+    than all left rows."""
+    rows = len(state.left)
+    return sorted({r * len(state.right) for r in (1, 2, rows - 1, rows, rows + 1)})
+
+
+@pytest.mark.parametrize("engine, n", [("qudit", n) for n in range(2, 9)]
+                         + [("circuit", n) for n in (2, 4, 8)])
+@pytest.mark.parametrize("regime", ("enhance-optimum", "avoid-worst"))
+def test_production_blocks_are_the_whole_product(regime, engine, n):
+    """The blocks the sampler and the state dump compute, whole left rows at
+    SAMPLE_BLOCK, are bit for bit the whole product left @ right.T, so no
+    histogram or dump byte depends on the blocking.  Blocks that split a row,
+    or hold fewer rows, can differ in the last bit."""
+    config = GameConfig(n, phase_for_regime(regime, n))
+    if engine == "qudit":
+        start = prepare_entangled(config)
+    else:
+        register = run_circuit(build_preparation_circuit(config), n * qubits_per_user(n))
+        start = register_to_qudit(register, n)
+    state = apply_local_strategy(start, strategy_matrix(n))
+    whole = (state.left @ state.right.T).reshape(-1).view(np.uint64)
+    width = len(state.right)
+    for row in state.blocks():
+        block = state.block(row).view(np.uint64)
+        assert np.array_equal(block, whole[row * width * 2:row * width * 2 + block.size])
+    assert row * width + block.size // 2 == n**n
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 @pytest.mark.parametrize("regime", ("enhance-optimum", "avoid-worst"))
 def test_blocked_sampler_matches_whole_vector_reference(monkeypatch, n, regime):
-    """Summed block by block, the sampler keeps the whole vector's rows, their
-    order and its random-number use, for every block size: the support's
-    zero-probability runs cross block edges, and blocks hold one amplitude, a
-    few, all but one, all, or more than all."""
+    """Summed block by block, the sampler keeps the rows, their order and the
+    random-number use of a whole-vector reference over the same amplitudes, for
+    every block size: the support's zero-probability runs cross block edges,
+    and blocks hold one left row, two, all but one, all, or more than all."""
     state = final_state(n, phase_for_regime(regime, n))
-    for block in block_sizes(n**n):
+    for block in block_sizes(state):
         monkeypatch.setattr(qudit, "SAMPLE_BLOCK", block)
         for shots in (0, 1, 2_000):
             rng, reference_rng = np.random.default_rng(block + shots), np.random.default_rng(block + shots)
@@ -321,29 +356,31 @@ class FixedUniforms:
 def test_blocked_sampler_uniform_on_a_block_end(monkeypatch):
     """Dyadic probabilities put the cumulative sums exactly on block ends, and
     the uniforms land on them: a uniform equal to a block's last sum belongs to
-    the first later amplitude with more probability, past any zeros, and one
-    equal to the total is clamped to the last amplitude, as in the reference."""
+    the first later amplitude with more probability, past any zeros (here a
+    whole row of them), and one equal to the total is clamped to the last
+    amplitude, as in the reference."""
     amplitudes = np.zeros(27, dtype=np.complex128)
-    amplitudes[[0, 2, 5, 8]] = 0.5  # cumulative sums 1/4, 1/4, 1/2, 1/2, 1/2, 3/4, 3/4, 3/4, then 1
-    state = QuditState(3, amplitudes)
+    amplitudes[[0, 8, 20, 23]] = 0.5  # left rows of 9; the first two rows end at 1/2, the last at 1
+    state = factored_state(3, amplitudes)
     uniforms = [0.0, 0.25, 0.5, 0.75, 0.999, 1.0, 0.5 - 2**-53, 0.125]
-    for block in block_sizes(27):
+    for block in block_sizes(state):
         monkeypatch.setattr(qudit, "SAMPLE_BLOCK", block)
         for shots in (0, 1, len(uniforms)):
             assert_same_rows(sample_counts(state, FixedUniforms(uniforms), shots),
                              unsorted_sample_counts(state, FixedUniforms(uniforms), shots))
     assert unsorted_sample_counts(state, FixedUniforms(uniforms), len(uniforms)).tolist() == [
-        [0, 2], [2, 2], [5, 1], [8, 2], [26, 1]]
+        [0, 2], [8, 2], [20, 1], [23, 2], [26, 1]]
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("n", range(2, 9))
 @pytest.mark.parametrize("regime", ("enhance-optimum", "avoid-worst"))
 def test_sampler_memory_plan_covers_the_peak(monkeypatch, regime, n):
     """The bytes the sampler plans before it draws bound the tracemalloc
-    peak of the call: one block's cumulative sums and per block a header
-    allowance, per shot the uniforms and one block's draws with np.unique's
-    work, per outcome drawn the rows kept and concatenated, and a fixed
-    allowance per call.  At n = 7 the state spans several blocks."""
+    peak of the call: the factors, one block's amplitudes and cumulative sums
+    and per block a header allowance, per shot the uniforms and one block's
+    draws with the mask of their changes, per outcome drawn one block's run
+    lengths and the rows kept and concatenated, and a fixed allowance per call.
+    At n = 7 and 8 the state spans several blocks."""
     state = final_state(n, phase_for_regime(regime, n))
     sample_counts(state, np.random.default_rng(0), 10)  # one-time allocations stay out of the peak
     planned = []
@@ -373,11 +410,13 @@ def test_oracle_equivalence(n, regime):
 @pytest.mark.parametrize("source", ("final-state", "random"))
 def test_dump_matches_per_line_reference(monkeypatch, n, source):
     """The block writer emits exactly the lines of a one-line-per-amplitude
-    loop over float.__repr__, across block boundaries: the game's final
-    states, and random amplitudes with signed zeros and entries just above
-    and just below the probability floor."""
+    loop over float.__repr__ of the same blocks, across block boundaries: the
+    game's final states, and random amplitudes with zeros (signed in the input,
+    +0 out of the factors' product) and entries just above and just below the
+    probability floor."""
+    values = None
     if source == "final-state":
-        amplitudes = final_state(n, 1).amplitudes
+        state = final_state(n, 1)
     else:
         rng = np.random.default_rng(n)
         amplitudes = rng.normal(size=n**n) + 1j * rng.normal(size=n**n)
@@ -385,9 +424,12 @@ def test_dump_matches_per_line_reference(monkeypatch, n, source):
         just_above, just_below = np.sqrt(PROB_FLOOR) * (1 + 1e-9), np.sqrt(PROB_FLOOR) * (1 - 1e-9)
         amplitudes[1::5] = rng.choice([-0.0, 0.0], size=len(amplitudes[1::5])) + 1j * just_above
         amplitudes[2::5] = just_below
-    monkeypatch.setattr(qudit, "DUMP_BLOCK_LINES", 3)
+        state, values = factored_state(n, amplitudes), amplitudes
+    monkeypatch.setattr(qudit, "SAMPLE_BLOCK", 1)  # one left row per block
+    amplitudes = blocks(state)
+    assert values is None or np.array_equal(amplitudes, values)
     stream = io.StringIO()
-    written = dump_nonzero(QuditState(n, amplitudes), stream)
+    written = dump_nonzero(state, stream)
     expected = [f"{i} {float.__repr__(float(a.real))} {float.__repr__(float(a.imag))}\n"
                 for i, a in enumerate(amplitudes.tolist()) if abs(a) ** 2 > PROB_FLOOR]
     assert stream.getvalue() == "".join(expected)
@@ -395,7 +437,7 @@ def test_dump_matches_per_line_reference(monkeypatch, n, source):
 
 
 def test_dump_nonzero_lines(tmp_path):
-    state = prepare_entangled(GameConfig(3, 1))
+    state = factored_state(3, dense(prepare_entangled(GameConfig(3, 1))))
     path = tmp_path / "state.txt"
     with open(path, "w") as fh:
         written = dump_nonzero(state, fh)
