@@ -170,6 +170,6 @@ def sample_outcomes(config: GameConfig, rng: np.random.Generator, size: int) -> 
     """
     n = config.n
     head = rng.integers(0, n, size=(size, n - 1))
-    last = (-(config.effective_phase + head.sum(axis=1))) % n
+    last = (-(config.effective_phase + np.einsum("ij->i", head))) % n
     return np.concatenate([head, last[:, None]], axis=1)
 

@@ -225,7 +225,24 @@ def _score_rows(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     digits += size * np.arange(rows)[:, None]  # in place: each player's channel, numbered across rows
     load = np.bincount(digits.ravel(), minlength=rows * size)  # players on each channel
     alone = (load == 1)[digits]
-    return alone, alone.sum(axis=1), (load[digits[:, 0]] == size) & (size >= 2)
+    successes = np.einsum("ij->i", alone.view(np.uint8), dtype=np.intp)
+    return alone, successes, (load[digits[:, 0]] == size) & (size >= 2)
+
+
+def _priority_order(draws: np.ndarray) -> np.ndarray:
+    """Sort (rows, group <= 16) ``random()`` draws in place into each row's member
+    offsets by ascending draw, ties to the lower offset, as a stable argsort; return
+    the buffer viewed as int64.  A draw is k * 2**-53, ordered like its bits, which
+    are at least 970 << 52 unless it is 0.0: less 969 << 52 and clamped at 0, each
+    key fits 58 bits and leaves the low four for the offset."""
+    keys = draws.view(np.int64)
+    keys -= 969 << 52
+    np.maximum(keys, 0, out=keys)
+    keys <<= 4
+    keys |= np.arange(draws.shape[1])
+    keys.sort(axis=1)
+    keys &= 15
+    return keys
 
 
 def _run_slots(config: CellConfig, policies: Sequence[str], group: int, rounds: int,
@@ -236,8 +253,9 @@ def _run_slots(config: CellConfig, policies: Sequence[str], group: int, rounds: 
     Per slot, primary occupancy, then ``rounds`` arbitration rounds.  The
     arbiter of round r is node r mod n and serves itself plus the next
     group - 1 ring nodes; each round plays a square game of size
-    min(group, free).  Surplus participants defer, chosen at random from
-    the environment stream; a single round over all n users draws no such
+    min(group, free), whose players are the ``size`` members with the
+    lowest priority draws from the environment stream, ties to the lower
+    ring offset.  A single round over all n users draws no such
     choice, since a slot is then all-distinct exactly when all n succeed,
     and its environment stream ends at occupancy.  Occupancy, priorities and
     defer picks are shared by every policy; each policy scores digits drawn
@@ -257,7 +275,10 @@ def _run_slots(config: CellConfig, policies: Sequence[str], group: int, rounds: 
     # bytes per slot at the peak, one policy's game: free counts and partition indices (16),
     # the per-row sums and flags of that game and of the previous policy's (28), and 19 per
     # member for the digits, the channel loads and their flags, the previous game's included;
-    # unless single, also the round's priority draw (8 per member).  Per policy, its successes
+    # unless single, also the round's priority draw, sorted in place into int64 offsets (8 per
+    # member); a smaller game adds its players' gathered offsets (int64, freed before its digits
+    # are drawn) and user bits (int32), in what its smaller digit and load arrays leave free
+    # (measured peaks stay within 0.87 of this plan).  Per policy, its successes
     # and colliders (the tally width each), all-same (1) and, unless single, delivery mask (4).
     # The occupancy draws come first, 9 bytes per user.  Per call, 1 MiB: up to 9 KiB of array
     # headers and scalars, and one block of the slot-CSV writer, about 160 B per row.
@@ -265,7 +286,8 @@ def _run_slots(config: CellConfig, policies: Sequence[str], group: int, rounds: 
         2 * np.dtype(tally).itemsize + 1 + 4 * (not single))
     check_footprint(2**20 + max(held, 8 + 9 * n) * slots, f"{slots} slots of {n} users")
 
-    free_counts = (env.random((slots, n)) >= config.primary_activity).sum(axis=1)
+    free_counts = np.einsum("ij->i", (env.random((slots, n)) >= config.primary_activity).view(np.uint8),
+                            dtype=np.intp)  # not uint8: `attempts` multiplies them by `rounds`
     # the slots with each free count and the size of the game they play, found once
     games = [(rows, min(group, f)) for f in range(1, n + 1)
              if (rows := np.nonzero(free_counts == f)[0]).size]
@@ -278,18 +300,19 @@ def _run_slots(config: CellConfig, policies: Sequence[str], group: int, rounds: 
     member_priority = np.empty((0 if single else slots, group))  # each round's draw, in place
     for r in range(rounds):
         if not single:
-            members = (r % n + np.arange(group, dtype=np.int32)) % n
+            bits = 1 << (r % n + np.arange(group, dtype=np.int32)) % n  # each member's user bit
             env.random(out=member_priority)
+            order = _priority_order(member_priority)
         for rows, size in games:
-            if not single:  # the whole group plays, or the first `size` by priority
-                players = members if size == group else \
-                    members[np.argsort(member_priority[rows], axis=1)[:, :size]]
+            if not single:  # the whole group plays, or the `size` members with the lowest draws
+                players = np.broadcast_to(bits, (rows.size, group)) if size == group else \
+                    bits[order[rows, :size]]
             for i, (policy, alloc) in enumerate(zip(policies, allocs)):
                 alone, round_succ, round_same = _score_rows(_game_digits(policy, size, rows.size, alloc))
                 successes[i][rows] += round_succ
                 all_same[i][rows] |= round_same
                 if not single:
-                    delivered[i][rows] |= (alone.astype(np.int32) << players).sum(axis=1, dtype=np.int32)
+                    delivered[i][rows] |= np.einsum("ij,ij->i", alone, players, dtype=np.int32)
     attempts = rounds * np.minimum(free_counts, group)  # each player succeeded or collided
     total_attempts = int(attempts.sum())
     energy_spent = total_attempts * config.tx_cost + arbitrations * config.arbitration_cost

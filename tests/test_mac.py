@@ -325,12 +325,13 @@ def test_slot_csv_matches_per_row_reference(slots):
     (16, 0.2, 20_000, 7, 16, 16),
 ), ids=("mesh", "full-mesh", "full-mesh-20k"))
 def test_default_sort_picks_equal_stable_picks(n, activity, slots, seed, group, rounds):
-    """The mesh defer pick sorts member priorities with numpy's default
-    sort, which picks the same players as a stable sort unless two
+    """The mesh defer pick once sorted member priorities with numpy's
+    default sort, which picks the same players as a stable sort unless two
     priorities in a row tie.  Replaying the environment stream of these
-    fixed-seed configs shows equal picks in every round, so their bytes
-    do not depend on the sort's stability.  The pinned star draws no
-    priorities, so it has no picks to compare."""
+    fixed-seed configs shows equal picks in every round, so the stable
+    order the engine now takes (``_priority_order``) reproduces the pinned
+    digests.  The pinned star draws no priorities, so it has no picks to
+    compare."""
     env = mac._stream(seed, mac._ENV_STREAM)
     free_counts = (env.random((slots, n)) >= activity).sum(axis=1)
     for _ in range(rounds):
@@ -339,6 +340,22 @@ def test_default_sort_picks_equal_stable_picks(n, activity, slots, seed, group, 
             rows = priority[free_counts == f]
             assert np.array_equal(np.argsort(rows, axis=1)[:, :f],
                                   np.argsort(rows, axis=1, kind="stable")[:, :f])
+
+
+@pytest.mark.parametrize("group", range(2, 17))
+def test_priority_order_is_the_stable_argsort(group):
+    """The integer-key sort behind the defer pick orders each row of draws
+    as a stable argsort: random rows, rows with exact ties, and the extreme
+    draws 0.0, 2**-53 and 1 - 2**-53 beside 2**-52 and 0.5 (each random()
+    value is k * 2**-53)."""
+    rng = np.random.default_rng(group)
+    special = np.array([0.0, 2.0**-53, 2.0**-52, 0.5, 1 - 2.0**-53])
+    draws = rng.random((500, group))
+    draws[100:200] = rng.choice(special, size=(100, group))
+    draws[200:300] = draws[200:300, rng.integers(0, group, size=group)]  # repeated columns tie
+    draws[300:400] = rng.integers(0, 3, size=(100, group)) * 2.0**-53  # ties among the smallest draws
+    draws[400:400 + len(special)] = special[:, None]  # whole rows of one value
+    assert np.array_equal(mac._priority_order(draws.copy()), np.argsort(draws, axis=1, kind="stable"))
 
 
 @pytest.mark.parametrize("size", range(1, 17))
