@@ -42,7 +42,9 @@ from .mac import (
     TOPOLOGY_MESH,
     ConfigFormatError,
     compare_policies,
+    digit_text,
     load_run_spec,
+    write_rows,
 )
 from .qudit import (
     SITE_CAP,
@@ -57,9 +59,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_RESOURCE = 4
-
-#: histogram lines formatted and written at a time
-HISTOGRAM_BLOCK_ROWS = 4096
 
 
 @contextlib.contextmanager
@@ -167,34 +166,25 @@ def _final_state(n: int, phase: int, engine: str):
     return apply_local_strategy(state, strategy_matrix(n))
 
 
-def _outcome_labels(n: int, indices: np.ndarray) -> np.ndarray:
-    """One row of 2n - 1 ASCII bytes per flat index: its outcome label, such as
-    "2-0-1", the base-n digits from repeated divmod, user 0 first.  Each digit
-    is one byte while n <= 10."""
-    text = np.full((len(indices), 2 * n - 1), ord("-"), dtype=np.uint8)
-    for column in range(2 * n - 2, -1, -2):
-        indices, digit = np.divmod(indices, n)
-        text[:, column] = digit + ord("0")
-    return text
-
-
-def _write_histogram_csv(stream, n: int, rows: np.ndarray, shots: int) -> None:
-    """Write the ``outcome,count,frequency`` header and one CSV line per
-    (flat index, count) row.
-
-    Each distinct count's tail is formatted once and NUL-padded to the longest.
-    Each block of HISTOGRAM_BLOCK_ROWS rows is then one byte matrix, the labels
-    then the tails, and its text is the matrix with every NUL dropped."""
-    stream.write("outcome,count,frequency\n")
+def _write_histogram(stream, n: int, rows: np.ndarray, record: dict, fmt: str) -> None:
+    """Write the sampler's (flat index, count) rows as CSV lines after the header, or
+    as the ``"counts"`` of the JSON ``record``.  A row's head is its outcome label, such
+    as "2-0-1", the base-n digits of its flat index, user 0 first; the labels have one
+    width, so their sorted order, JSON's key order, is the rows' increasing order."""
     counts, inverse = np.unique(rows[:, 1], return_inverse=True)
-    tails = np.array([f",{c},{c / shots!r}\n".encode() for c in counts.tolist()], dtype=bytes)
-    width = 2 * n - 1
-    for start in range(0, len(rows), HISTOGRAM_BLOCK_ROWS):
-        block = rows[start:start + HISTOGRAM_BLOCK_ROWS]
-        text = np.empty((len(block), width + tails.itemsize), dtype=np.uint8)
-        text[:, :width] = _outcome_labels(n, block[:, 0])
-        text[:, width:].view(tails.dtype)[:, 0] = tails[inverse[start:start + len(block)]]
-        stream.write(str(text[text != 0], "utf-8"))
+    if fmt == "csv":
+        opening, closing = "outcome,count,frequency\n", ""
+        tails = [f",{c},{c / record['shots']!r}\n" for c in counts.tolist()]
+    else:  # the record's text split where its counts go: "counts" sorts first
+        opening, closing = _json_text({**record, "counts": {}}).split("{}")
+        opening += '{\n    "' if len(rows) else "{}"
+        # a row's tail closes its label and opens the next; the last row's closes the object
+        tails = [f'": {c},\n    "' for c in counts.tolist()]
+        tails += [f'": {c}\n  }}' for c in rows[-1:, 1].tolist()]
+        inverse[-1:] = len(counts)
+    stream.write(opening)
+    write_rows(stream, lambda start, stop: digit_text(rows[start:stop, 0], n, n, ord("-")), tails, inverse)
+    stream.write(closing)
 
 
 def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
@@ -207,19 +197,8 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
     with _outputs(*paths) as streams:
         state = _final_state(args.n, phase, args.engine)
         rows = sample_counts(state, np.random.default_rng(args.seed), args.shots)
-        if args.format == "json":
-            labels = _outcome_labels(args.n, rows[:, 0]).view(f"S{2 * args.n - 1}")[:, 0]
-            record = {
-                "n": args.n,
-                "phase": phase,
-                "engine": args.engine,
-                "seed": args.seed,
-                "shots": args.shots,
-                "counts": dict(zip(labels.astype(str).tolist(), rows[:, 1].tolist())),
-            }
-            streams[0].write(_json_text(record))
-        else:
-            _write_histogram_csv(streams[0], args.n, rows, args.shots)
+        record = {"n": args.n, "phase": phase, "engine": args.engine, "seed": args.seed, "shots": args.shots}
+        _write_histogram(streams[0], args.n, rows, record, args.format)
         if args.dump_state:
             dump_nonzero(state, streams[1])
     return EXIT_OK

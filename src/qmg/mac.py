@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import MISSING, asdict, dataclass, fields
-from typing import IO, Sequence, get_args, get_type_hints
+from typing import IO, Callable, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -61,10 +61,9 @@ _ENV_STREAM = 0
 _ALLOC_STREAM = 1
 
 SLOT_CSV_HEADER = "slot,free_channels,policy,successes,colliders,all_same"
-# slot-CSV rows per write: one block's byte matrix, NUL mask and text stay
-# under 1 MB, so the writer's peak fits in the slot engine's per-slot plan
-CSV_BLOCK_ROWS = 4096
-_DIGIT_GROUPS = np.array([b"%03d" % i for i in range(1000)])  # b"000" ... b"999"
+# text rows per write: one block's byte matrix, NUL mask and text stay under
+# 1 MB, so the writer's peak fits in the slot engine's per-call plan
+TEXT_BLOCK_ROWS = 4096
 
 
 class ConfigFormatError(ValueError):
@@ -154,6 +153,33 @@ class MacMetrics:
         return out
 
 
+def digit_text(values: np.ndarray, base: int, digits: int, sep: int | None = None) -> np.ndarray:
+    """One row of ASCII bytes per value: its lowest ``digits`` base-``base`` digits,
+    most significant first, with the byte ``sep`` between them if given; one byte per
+    digit, so base <= 10.  Each digit costs a floor division, far faster than divmod."""
+    step = 1 if sep is None else 2
+    text = np.full((len(values), step * (digits - 1) + 1), sep or 0, dtype=np.uint8)
+    for column in range(text.shape[1] - 1, -1, -step):
+        quotient = values // base
+        text[:, column] = values - quotient * base + ord("0")
+        values = quotient
+    return text
+
+
+def write_rows(stream: IO[str], head: Callable[[int, int], np.ndarray], tails: Sequence[str],
+               inverse: np.ndarray) -> None:
+    """Write ``len(inverse)`` text rows, TEXT_BLOCK_ROWS at a time: row i is its row of
+    the uint8 matrix ``head(start, stop)``, then ``tails[inverse[i]]``.  The tails are
+    encoded once and NUL-padded; each block is one byte matrix, and its text is the
+    matrix with every NUL dropped, so a head may blank bytes with NUL."""
+    tails = np.array([tail.encode() for tail in tails], dtype=bytes)
+    for start in range(0, len(inverse), TEXT_BLOCK_ROWS):
+        stop = min(start + TEXT_BLOCK_ROWS, len(inverse))
+        picked = tails[inverse[start:stop]].view(np.uint8).reshape(stop - start, -1)
+        text = np.hstack((head(start, stop), picked))
+        stream.write(str(text[text != 0], "utf-8"))
+
+
 class SlotLog:
     """Per-slot aggregates, one column per slot-CSV field: free channels,
     successful transmissions, colliding transmissions, and whether some
@@ -172,15 +198,8 @@ class SlotLog:
         return len(self.successes)
 
     def write_csv(self, stream: IO[str], policy_kind: str) -> None:
-        """Write one CSV row per slot, without the header.
-
-        Each distinct row tail, the text after the slot number, is formatted
-        once and NUL-padded to the longest.  Each block of CSV_BLOCK_ROWS
-        rows is then one byte matrix: the slot number in whole groups of
-        three digits, one divmod and one lookup in a "000"..."999" table per
-        group, then the row's tail.  Leading zeros become NULs (slot 0 keeps
-        its "0"), and the block's text is the matrix with every NUL dropped.
-        """
+        """Write one CSV row per slot, without the header: its slot number with
+        leading zeros blanked, then the rest, formatted once per distinct row."""
         columns = (self.free_counts, self.successes, self.colliders, self.all_same)
         # mixed radix over the column maxima: exact while their product fits int64
         key = np.zeros(len(self), dtype=np.int64)
@@ -190,20 +209,17 @@ class SlotLog:
         del key
         row = np.empty(len(distinct), dtype=np.intp)
         row[inverse] = np.arange(len(self))  # some row with each key: all give its tail
-        tails = np.array([f",{f},{policy_kind},{s},{c},{a:d}\n".encode() for f, s, c, a
-                          in zip(*(column[row].tolist() for column in columns))], dtype=bytes)
-        for start in range(0, len(self), CSV_BLOCK_ROWS):
-            stop = min(start + CSV_BLOCK_ROWS, len(self))
-            width = -(-len(str(stop - 1)) // 3) * 3  # the widest slot number, in whole digit groups
-            text = np.empty((stop - start, width + tails.itemsize), dtype=np.uint8)
-            text[:, width:].view(tails.dtype)[:, 0] = tails[inverse[start:stop]]
-            slot = np.arange(start, stop)
-            for end in range(width, 0, -3):
-                slot, group = np.divmod(slot, 1000)
-                text[:, end - 3:end].view(_DIGIT_GROUPS.dtype)[:, 0] = _DIGIT_GROUPS[group]
+        tails = [f",{f},{policy_kind},{s},{c},{a:d}\n" for f, s, c, a
+                 in zip(*(column[row].tolist() for column in columns))]
+
+        def slot_numbers(start: int, stop: int) -> np.ndarray:
+            width = len(str(stop - 1))
+            text = digit_text(np.arange(start, stop), 10, width)
             for place in range(1, width):  # slots below 10**place have a leading zero here
                 text[:max(10**place - start, 0), width - 1 - place] = 0
-            stream.write(str(text[text != 0], "utf-8"))
+            return text
+
+        write_rows(stream, slot_numbers, tails, inverse)
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -232,17 +248,15 @@ def _score_rows(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def _priority_order(draws: np.ndarray) -> np.ndarray:
     """Sort (rows, group <= 16) ``random()`` draws in place into each row's member
     offsets by ascending draw, ties to the lower offset, as a stable argsort; return
-    the buffer viewed as int64.  A draw is k * 2**-53, ordered like its bits, which
-    are at least 970 << 52 unless it is 0.0: less 969 << 52 and clamped at 0, each
-    key fits 58 bits and leaves the low four for the offset."""
-    keys = draws.view(np.int64)
-    keys -= 969 << 52
-    np.maximum(keys, 0, out=keys)
+    the buffer viewed as int64.  A draw is k * 2**-53, ordered like its bits as uint64,
+    which begin 0b001111 (exponent 970 to 1022) unless it is 0.0, all zeros: shifted
+    left by four, each key keeps its order and leaves the low four for the offset."""
+    keys = draws.view(np.uint64)
     keys <<= 4
-    keys |= np.arange(draws.shape[1])
+    keys |= np.arange(draws.shape[1], dtype=np.uint64)
     keys.sort(axis=1)
     keys &= 15
-    return keys
+    return keys.view(np.int64)
 
 
 def _run_slots(config: CellConfig, policies: Sequence[str], group: int, rounds: int,
@@ -281,7 +295,7 @@ def _run_slots(config: CellConfig, policies: Sequence[str], group: int, rounds: 
     # (measured peaks stay within 0.87 of this plan).  Per policy, its successes
     # and colliders (the tally width each), all-same (1) and, unless single, delivery mask (4).
     # The occupancy draws come first, 9 bytes per user.  Per call, 1 MiB: up to 9 KiB of array
-    # headers and scalars, and one block of the slot-CSV writer, about 160 B per row.
+    # headers and scalars, and one block of the text writer, about 160 B per row.
     held = 44 + (19 if single else 27) * group + len(policies) * (
         2 * np.dtype(tally).itemsize + 1 + 4 * (not single))
     check_footprint(2**20 + max(held, 8 + 9 * n) * slots, f"{slots} slots of {n} users")

@@ -177,7 +177,7 @@ def test_simulate_zero_shots(tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ("csv", "json"))
-@pytest.mark.parametrize("n", (2, 3, 4, 7))
+@pytest.mark.parametrize("n", (2, 3, 4, 7, 8))
 @pytest.mark.parametrize("regime", ("enhance-optimum", "avoid-worst"))
 def test_simulate_histogram_matches_label_oracle(tmp_path, regime, n, fmt):
     """The histogram is byte for byte the per-row writer's text over the
@@ -206,8 +206,8 @@ def test_histogram_writer_matches_per_row_oracle(tmp_path, monkeypatch, n, fmt):
     """The block writer's text is the per-row oracle's over the sampler's rows:
     no shots (the CSV header alone), one shot, and row counts at and either side
     of the writer's block size, shrunk below n**n for small n."""
-    block = min(cli.HISTOGRAM_BLOCK_ROWS, n**n - 1)
-    monkeypatch.setattr(cli, "HISTOGRAM_BLOCK_ROWS", block)
+    block = min(mac.TEXT_BLOCK_ROWS, n**n - 1)
+    monkeypatch.setattr(mac, "TEXT_BLOCK_ROWS", block)
     monkeypatch.setattr(cli, "_final_state", lambda n, phase, engine: None)
     rng = np.random.default_rng(n)
     cases = [np.empty((0, 2), dtype=np.int64), np.array([[n**n - 1, 1]], dtype=np.int64)]

@@ -32,6 +32,13 @@ def read_lines(path):
     return Path(path).read_text(encoding="utf-8").splitlines()
 
 
+def assert_json_dumps_text(path):
+    """The file is byte for byte the text json.dumps gives its document with
+    qmg's formatting: two-space indent, sorted keys, one final newline."""
+    text = Path(path).read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", text[-300:]
+
+
 def test_probs_csv(tmp_path):
     run_qmg(tmp_path, "probs", "--n", "4", "--regime", "enhance-optimum", "--format", "csv")
 
@@ -115,11 +122,16 @@ def test_simulate_histogram_csv_and_json_agree(tmp_path):
     rows = [line.split(",")[:2] for line in read_lines(tmp_path / "hist.csv")[1:]]
     counts = json.loads((tmp_path / "hist.json").read_text(encoding="utf-8"))["counts"]
     assert [(label, int(count)) for label, count in rows] == list(counts.items()), (rows, counts)
+    assert_json_dumps_text(tmp_path / "hist.json")
 
 
 def test_simulate_zero_shots_writes_the_header_only(tmp_path):
     run_qmg(tmp_path, "simulate", "--n", "3", "--regime", "avoid-worst", "--shots", "0", "--out", "empty.csv")
     assert (tmp_path / "empty.csv").read_bytes() == b"outcome,count,frequency\n"
+    run_qmg(tmp_path, "simulate", "--n", "3", "--regime", "avoid-worst", "--shots", "0",
+            "--format", "json", "--out", "empty.json")
+    assert json.loads((tmp_path / "empty.json").read_text(encoding="utf-8"))["counts"] == {}
+    assert_json_dumps_text(tmp_path / "empty.json")
 
 
 def test_circuit_dump_state(tmp_path):

@@ -15,11 +15,11 @@ import pytest
 from qmg import cli, mac
 from qmg.mac import (
     CLASSICAL_UNIFORM,
-    CSV_BLOCK_ROWS,
     MAX_MESH_ROUNDS,
     QUANTUM_AVOID_WORST,
     QUANTUM_ENHANCE_OPTIMUM,
     SLOT_CSV_HEADER,
+    TEXT_BLOCK_ROWS,
     CellConfig,
     ConfigFormatError,
     MacMetrics,
@@ -295,7 +295,7 @@ def test_slot_csv_shape():
 
 @pytest.mark.parametrize("slots", (
     0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001,  # slot numbers that change digit width
-    CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 3, 65_536, 65_537, 131_075))
+    TEXT_BLOCK_ROWS, TEXT_BLOCK_ROWS + 1, 2 * TEXT_BLOCK_ROWS + 3, 65_536, 65_537, 131_075))
 def test_slot_csv_matches_per_row_reference(slots):
     """The block writer emits exactly the rows of a one-f-string-per-slot
     writer, across digit widths and block boundaries, with the counts of a
