@@ -183,7 +183,8 @@ def _write_histogram(stream, n: int, rows: np.ndarray, record: dict, fmt: str) -
         tails += [f'": {c}\n  }}' for c in rows[-1:, 1].tolist()]
         inverse[-1:] = len(counts)
     stream.write(opening)
-    write_rows(stream, lambda start, stop: digit_text(rows[start:stop, 0], n, n, ord("-")), tails, inverse)
+    write_rows(stream, lambda text, start: digit_text(text, rows[start:start + len(text), 0], n, ord("-")),
+               2 * n - 1, tails, inverse)
     stream.write(closing)
 
 

@@ -61,9 +61,12 @@ _ENV_STREAM = 0
 _ALLOC_STREAM = 1
 
 SLOT_CSV_HEADER = "slot,free_channels,policy,successes,colliders,all_same"
-# text rows per write: one block's byte matrix, NUL mask and text stay under
-# 1 MB, so the writer's peak fits in the slot engine's per-call plan
+# text rows per write: one block's byte matrix and its text stay under 1 MB,
+# so the writer's peak fits in the slot engine's per-call plan
 TEXT_BLOCK_ROWS = 4096
+# slots per occupancy draw and game rows per scoring pass, so that the slot engine's
+# temporaries do not grow with the slot count; draws in blocks equal one-shot draws
+ENGINE_BLOCK = 2**16
 
 
 class ConfigFormatError(ValueError):
@@ -134,6 +137,32 @@ class CellConfig:
         if self.mesh_rounds is not None and not 1 <= self.mesh_rounds <= MAX_MESH_ROUNDS:
             raise ConfigFormatError(
                 f"need 1 to {MAX_MESH_ROUNDS} arbitration rounds per slot, got {self.mesh_rounds}")
+        # the energy spent when every player of every round transmits, summed as the engine sums
+        # it: finite, so that an infinite energy_proxy only ever means that nothing succeeded
+        arbitrations = self.rounds * self.slots if self.topology == TOPOLOGY_MESH else 0
+        try:
+            worst = (self.slots * self.rounds * self.group * self.tx_cost
+                     + arbitrations * self.arbitration_cost)
+        except OverflowError:  # more attempts than a float holds
+            worst = math.inf
+        if not math.isfinite(worst):
+            raise ConfigFormatError(f"tx_cost and arbitration_cost must keep the worst-case energy "
+                                    f"of {self.slots} slots finite")
+
+    @property
+    def rounds(self) -> int:
+        """Arbitration rounds per slot: one in a star, ``mesh_rounds`` (default n) in a mesh."""
+        if self.topology != TOPOLOGY_MESH:
+            return 1
+        return self.mesh_rounds if self.mesh_rounds is not None else self.n_users
+
+    @property
+    def group(self) -> int:
+        """Users per round: all n in a star; in a mesh, the arbiter and ``mesh_degree``
+        ring neighbors (default all others)."""
+        if self.topology != TOPOLOGY_MESH:
+            return self.n_users
+        return (self.mesh_degree if self.mesh_degree is not None else self.n_users - 1) + 1
 
 
 @dataclass(frozen=True)
@@ -153,12 +182,14 @@ class MacMetrics:
         return out
 
 
-def digit_text(values: np.ndarray, base: int, digits: int, sep: int | None = None) -> np.ndarray:
-    """One row of ASCII bytes per value: its lowest ``digits`` base-``base`` digits,
-    most significant first, with the byte ``sep`` between them if given; one byte per
-    digit, so base <= 10.  Each digit costs a floor division, far faster than divmod."""
+def digit_text(text: np.ndarray, values: np.ndarray | int, base: int, sep: int | None = None) -> np.ndarray:
+    """Fill each row of the uint8 matrix ``text`` with its value's lowest base-``base``
+    digits as ASCII, most significant first, one per column or, given the byte ``sep``,
+    one per other column with ``sep`` between them; one byte per digit, so base <= 10.
+    Each digit costs a floor division, far faster than divmod.  Returns ``text``."""
     step = 1 if sep is None else 2
-    text = np.full((len(values), step * (digits - 1) + 1), sep or 0, dtype=np.uint8)
+    if sep is not None:
+        text[:, 1::2] = sep
     for column in range(text.shape[1] - 1, -1, -step):
         quotient = values // base
         text[:, column] = values - quotient * base + ord("0")
@@ -166,18 +197,41 @@ def digit_text(values: np.ndarray, base: int, digits: int, sep: int | None = Non
     return text
 
 
-def write_rows(stream: IO[str], head: Callable[[int, int], np.ndarray], tails: Sequence[str],
-               inverse: np.ndarray) -> None:
-    """Write ``len(inverse)`` text rows, TEXT_BLOCK_ROWS at a time: row i is its row of
-    the uint8 matrix ``head(start, stop)``, then ``tails[inverse[i]]``.  The tails are
-    encoded once and NUL-padded; each block is one byte matrix, and its text is the
-    matrix with every NUL dropped, so a head may blank bytes with NUL."""
+def write_rows(stream: IO[str], head: Callable[[np.ndarray, int], object], width: int,
+               tails: Sequence[str], inverse: np.ndarray) -> None:
+    """Write ``len(inverse)`` text rows, TEXT_BLOCK_ROWS at a time: row i is ``width``
+    head bytes, then ``tails[inverse[i]]``.  ``head(text, start)`` fills the uint8 matrix
+    ``text`` with the heads of rows start, start + 1, ...  The tails are encoded once and
+    NUL-padded; each block fills one byte matrix, and its text is the matrix with every
+    NUL dropped, so a head may blank bytes with NUL."""
     tails = np.array([tail.encode() for tail in tails], dtype=bytes)
+    block = np.empty((min(TEXT_BLOCK_ROWS, len(inverse)), width + tails.itemsize), dtype=np.uint8)
     for start in range(0, len(inverse), TEXT_BLOCK_ROWS):
-        stop = min(start + TEXT_BLOCK_ROWS, len(inverse))
-        picked = tails[inverse[start:stop]].view(np.uint8).reshape(stop - start, -1)
-        text = np.hstack((head(start, stop), picked))
-        stream.write(str(text[text != 0], "utf-8"))
+        text = block[:min(TEXT_BLOCK_ROWS, len(inverse) - start)]
+        head(text[:, :width], start)
+        text[:, width:].view(tails.dtype)[:, 0] = tails[inverse[start:start + len(text)]]
+        stream.write(text.tobytes().replace(b"\0", b"").decode())
+
+
+# the four decimal digits of 0 to 9999, one row each: the last four digits of a slot number
+_QUADS = digit_text(np.empty((10**4, 4), dtype=np.uint8), np.arange(10**4), 10)
+_QUADS.flags.writeable = False
+
+
+def _slot_numbers(text: np.ndarray, start: int) -> None:
+    """Fill the rows of the uint8 matrix ``text`` with the slot numbers start, start + 1,
+    ..., right-aligned, leading zeros blanked with NUL.  Between two multiples of 10**4
+    their last four digits are consecutive rows of _QUADS and the digits above are one
+    number, so each such run costs two slice copies, not a division per digit."""
+    rows, width = text.shape
+    low = min(width, 4)
+    edges = [start, *range(start // 10**4 * 10**4 + 10**4, start + rows, 10**4), start + rows]
+    for first, stop in zip(edges, edges[1:]):
+        run = text[first - start:stop - start]
+        run[:, width - low:] = _QUADS[first % 10**4:(stop - 1) % 10**4 + 1, 4 - low:]
+        digit_text(run[:, :width - low], first // 10**4, 10)
+    for place in range(1, width):  # slots below 10**place have a leading zero here
+        text[:max(10**place - start, 0), width - 1 - place] = 0
 
 
 class SlotLog:
@@ -201,25 +255,27 @@ class SlotLog:
         """Write one CSV row per slot, without the header: its slot number with
         leading zeros blanked, then the rest, formatted once per distinct row."""
         columns = (self.free_counts, self.successes, self.colliders, self.all_same)
-        # mixed radix over the column maxima: exact while their product fits int64
+        # mixed radix over the column maxima: exact while their product fits int64; kept in
+        # the narrowest dtype, as a stable argsort of keys up to 16 bits is a radix sort
         key = np.zeros(len(self), dtype=np.int64)
         for column in columns:
             key = key * (int(column.max(initial=0)) + 1) + column
-        distinct, inverse = np.unique(key, return_inverse=True)
+        key = key.astype(np.min_scalar_type(key.max(initial=0)))
+        order = key.argsort(kind="stable")
+        key = key[order]
+        first = np.empty(len(self), dtype=bool)  # where each distinct key begins in sorted order
+        first[:1] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
         del key
-        row = np.empty(len(distinct), dtype=np.intp)
-        row[inverse] = np.arange(len(self))  # some row with each key: all give its tail
+        ranks = np.cumsum(first)
+        ranks -= 1
+        inverse = np.empty_like(order)
+        inverse[order] = ranks
+        row = order[first]  # some row with each key: all give its tail
+        del order, first, ranks
         tails = [f",{f},{policy_kind},{s},{c},{a:d}\n" for f, s, c, a
                  in zip(*(column[row].tolist() for column in columns))]
-
-        def slot_numbers(start: int, stop: int) -> np.ndarray:
-            width = len(str(stop - 1))
-            text = digit_text(np.arange(start, stop), 10, width)
-            for place in range(1, width):  # slots below 10**place have a leading zero here
-                text[:max(10**place - start, 0), width - 1 - place] = 0
-            return text
-
-        write_rows(stream, slot_numbers, tails, inverse)
+        write_rows(stream, _slot_numbers, len(str(max(len(self) - 1, 0))), tails, inverse)
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -286,25 +342,29 @@ def _run_slots(config: CellConfig, policies: Sequence[str], group: int, rounds: 
     single = rounds == 1 and group == n
     # tallies reach rounds * group <= 16 * MAX_MESH_ROUNDS; signed, for numpy's same-kind cast
     tally = np.int8 if rounds * group < 128 else np.int16
-    # bytes per slot at the peak, one policy's game: free counts and partition indices (16),
-    # the per-row sums and flags of that game and of the previous policy's (28), and 19 per
-    # member for the digits, the channel loads and their flags, the previous game's included;
-    # unless single, also the round's priority draw, sorted in place into int64 offsets (8 per
-    # member); a smaller game adds its players' gathered offsets (int64, freed before its digits
-    # are drawn) and user bits (int32), in what its smaller digit and load arrays leave free
-    # (measured peaks stay within 0.87 of this plan).  Per policy, its successes
-    # and colliders (the tally width each), all-same (1) and, unless single, delivery mask (4).
-    # The occupancy draws come first, 9 bytes per user.  Per call, 1 MiB: up to 9 KiB of array
-    # headers and scalars, and one block of the text writer, about 160 B per row.
-    held = 44 + (19 if single else 27) * group + len(policies) * (
-        2 * np.dtype(tally).itemsize + 1 + 4 * (not single))
-    check_footprint(2**20 + max(held, 8 + 9 * n) * slots, f"{slots} slots of {n} users")
+    # the game rows' slot indices: int32 while slot numbers fit
+    index = np.int32 if slots <= 2**31 else np.int64
+    # Planned bytes.  Per slot, the slot logs: the free counts and, per policy, successes and
+    # colliders (the tally width each) and all-same (1).  While the engine runs, also the game
+    # rows' slot indices, 3 of temporaries at the end and, unless single, a 4-byte delivery
+    # mask per policy and each round's priority draw, sorted in place into int64 offsets (8 per
+    # member).  While the CSV writer indexes the distinct rows, 25 instead: a sort order, ranks
+    # and the tail index (int64) and a flag; finding the game rows holds less.  Per call, 1 MiB
+    # of array headers, scalars and one text block, plus one engine block of occupancy draws
+    # (9 bytes per user) or of one game's scoring (40 per player at most).
+    logs = np.dtype(tally).itemsize + len(policies) * (2 * np.dtype(tally).itemsize + 1)
+    engine = logs + np.dtype(index).itemsize + 3 + (0 if single else len(policies) * 4 + 8 * group)
+    check_footprint(2**20 + ENGINE_BLOCK * max(9 * n, 40 * group) + max(engine, logs + 25) * slots,
+                    f"{slots} slots of {n} users")
 
-    free_counts = np.einsum("ij->i", (env.random((slots, n)) >= config.primary_activity).view(np.uint8),
-                            dtype=np.intp)  # not uint8: `attempts` multiplies them by `rounds`
+    # free counts in the tally dtype, so that rounds * min(free, group) never wraps
+    free_counts = np.empty(slots, dtype=tally)
+    for start in range(0, slots, ENGINE_BLOCK):
+        free = env.random((min(ENGINE_BLOCK, slots - start), n)) >= config.primary_activity
+        np.einsum("ij->i", free.view(np.int8), dtype=tally, out=free_counts[start:start + len(free)])
     # the slots with each free count and the size of the game they play, found once
-    games = [(rows, min(group, f)) for f in range(1, n + 1)
-             if (rows := np.nonzero(free_counts == f)[0]).size]
+    games = [(rows.astype(index), min(group, f)) for f in range(1, n + 1)
+             if (rows := np.flatnonzero(free_counts == f)).size]
 
     successes = [np.zeros(slots, dtype=tally) for _ in policies]
     all_same = [np.zeros(slots, dtype=bool) for _ in policies]
@@ -317,18 +377,21 @@ def _run_slots(config: CellConfig, policies: Sequence[str], group: int, rounds: 
             bits = 1 << (r % n + np.arange(group, dtype=np.int32)) % n  # each member's user bit
             env.random(out=member_priority)
             order = _priority_order(member_priority)
-        for rows, size in games:
-            if not single:  # the whole group plays, or the `size` members with the lowest draws
-                players = np.broadcast_to(bits, (rows.size, group)) if size == group else \
-                    bits[order[rows, :size]]
-            for i, (policy, alloc) in enumerate(zip(policies, allocs)):
-                alone, round_succ, round_same = _score_rows(_game_digits(policy, size, rows.size, alloc))
-                successes[i][rows] += round_succ
-                all_same[i][rows] |= round_same
-                if not single:
-                    delivered[i][rows] |= np.einsum("ij,ij->i", alone, players, dtype=np.int32)
-    attempts = rounds * np.minimum(free_counts, group)  # each player succeeded or collided
-    total_attempts = int(attempts.sum())
+        for game_rows, size in games:
+            for start in range(0, game_rows.size, ENGINE_BLOCK):
+                rows = game_rows[start:start + ENGINE_BLOCK].astype(np.intp)  # numpy indexes by intp
+                if not single:  # the whole group plays, or the `size` members with the lowest draws
+                    players = np.broadcast_to(bits, (rows.size, group)) if size == group else \
+                        bits[order[rows, :size]]
+                for i, (policy, alloc) in enumerate(zip(policies, allocs)):
+                    alone, round_succ, round_same = _score_rows(_game_digits(policy, size, rows.size, alloc))
+                    successes[i][rows] += round_succ
+                    all_same[i][rows] |= round_same
+                    if not single:
+                        delivered[i][rows] |= np.einsum("ij,ij->i", alone, players, dtype=np.int32)
+    # attempts per free count: each player succeeded or collided
+    attempts = (rounds * np.minimum(np.arange(n + 1), group)).astype(tally)
+    total_attempts = int(np.bincount(free_counts, minlength=n + 1) @ attempts)
     energy_spent = total_attempts * config.tx_cost + arbitrations * config.arbitration_cost
     results = []
     for i, succ in enumerate(successes):
@@ -340,7 +403,7 @@ def _run_slots(config: CellConfig, policies: Sequence[str], group: int, rounds: 
             all_same_rate=float(np.mean(all_same[i])),
             energy_proxy=(energy_spent / total_successes) if total_successes else math.inf,
         )
-        results.append((metrics, SlotLog(free_counts, succ, (attempts - succ).astype(tally), all_same[i])))
+        results.append((metrics, SlotLog(free_counts, succ, attempts[free_counts] - succ, all_same[i])))
     return results
 
 
@@ -368,11 +431,8 @@ def run_mesh_rounds(config: CellConfig, policies: Sequence[str]) -> list[tuple[M
     """
     if config.topology != TOPOLOGY_MESH:
         raise ConfigFormatError(f"run_mesh_rounds needs topology={TOPOLOGY_MESH!r}, got {config.topology!r}")
-    n = config.n_users
-    degree = config.mesh_degree if config.mesh_degree is not None else n - 1
-    rounds = config.mesh_rounds if config.mesh_rounds is not None else n
-    return _run_slots(config, policies, group=degree + 1, rounds=rounds,
-                      arbitrations=rounds * config.slots)
+    return _run_slots(config, policies, group=config.group, rounds=config.rounds,
+                      arbitrations=config.rounds * config.slots)
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,25 @@ def test_config_bounds():
     assert cell(activity=1, tx_cost=2).tx_cost == 2  # ints are numbers too
 
 
+@pytest.mark.parametrize("costs, finite", (
+    ({"tx_cost": 1e308}, False),
+    ({"tx_cost": 1e303}, True),  # 10_000 slots of 4 attempts
+    ({"arbitration_cost": 1e308}, True),  # a star charges no arbitration
+    ({"topology": "mesh-rounds", "arbitration_cost": 1e305}, False),
+    ({"topology": "mesh-rounds", "mesh_rounds": 2, "mesh_degree": 1, "tx_cost": 2e303}, True),
+    ({"topology": "mesh-rounds", "tx_cost": 2e303}, False),  # 4 rounds of 4 players, not 2 of 2
+), ids=("star-tx", "star-tx-finite", "star-arbitration", "mesh-arbitration", "mesh-tx-finite", "mesh-tx"))
+def test_config_bounds_the_worst_case_energy(costs, finite):
+    """A config whose energy would overflow if every player of every round
+    transmitted is refused, so that an infinite energy_proxy means only that
+    nothing succeeded."""
+    if finite:
+        cell(**costs)
+    else:
+        with pytest.raises(ConfigFormatError, match="worst-case energy of 10000 slots finite"):
+            cell(**costs)
+
+
 def test_policy_kind_checked(tmp_path, capsys):
     """A policy is its kind name: an unknown name is a config error, in the
     loader and at the command line."""
@@ -167,6 +186,40 @@ def test_compare_policies_streams_the_slot_csv():
         run_cell(config, [policy])[0][1].write_csv(expected, policy)
     assert stream.getvalue() == expected.getvalue()
     assert comparison == compare_policies(config, policies)
+
+
+def test_compare_policies_csv_matches_per_row_oracle(monkeypatch):
+    """With 7-row text blocks, a three-policy comparison writes the header,
+    then for each listed policy one f-string row per slot, across slot-number
+    digit widths and the last four digits' wrap at 10**4."""
+    monkeypatch.setattr(mac, "TEXT_BLOCK_ROWS", 7)
+    config, policies = cell(activity=0.3, slots=10_003, seed=23), [ENHANCE, CLASSICAL, AVOID]
+    stream = io.StringIO()
+    compare_policies(config, policies, stream)
+    expected = [SLOT_CSV_HEADER + "\n"]
+    for policy, (_, log) in zip(policies, run_cell(config, policies)):
+        columns = (log.free_counts, log.successes, log.colliders, log.all_same)
+        expected += [f"{slot},{f},{policy},{s},{c},{int(a)}\n"
+                     for slot, (f, s, c, a) in enumerate(zip(*(column.tolist() for column in columns)))]
+    assert stream.getvalue() == "".join(expected)
+
+
+@pytest.mark.parametrize("block", (1, 7, 4096))
+@pytest.mark.parametrize("topology, degree", (("star", None), ("mesh-rounds", None), ("mesh-rounds", 2)),
+                         ids=("star", "full-mesh", "mesh-degree-2"))
+def test_engine_block_changes_nothing(monkeypatch, topology, degree, block):
+    """The slot engine draws occupancy and scores each game in blocks of
+    ENGINE_BLOCK slots; the metrics and slot logs of any block size are those
+    of blocks larger than the run."""
+    config = cell(n=5, activity=0.3, slots=600, seed=13, topology=topology, mesh_degree=degree)
+    run = run_mesh_rounds if topology == "mesh-rounds" else run_cell
+    policies = [CLASSICAL, ENHANCE, AVOID]
+    whole = run(config, policies)
+    monkeypatch.setattr(mac, "ENGINE_BLOCK", block)
+    for (metrics, log), (whole_metrics, whole_log) in zip(run(config, policies), whole):
+        assert metrics == whole_metrics
+        for column in ("free_counts", "successes", "colliders", "all_same"):
+            assert np.array_equal(getattr(log, column), getattr(whole_log, column))
 
 
 @pytest.mark.parametrize("n", (2, 4, 16))
