@@ -64,9 +64,16 @@ SLOT_CSV_HEADER = "slot,free_channels,policy,successes,colliders,all_same"
 # text rows per write: one block's byte matrix and its text stay under 1 MB,
 # so the writer's peak fits in the slot engine's per-call plan
 TEXT_BLOCK_ROWS = 4096
-# slots per occupancy draw and game rows per scoring pass, so that the slot engine's
-# temporaries do not grow with the slot count; draws in blocks equal one-shot draws
-ENGINE_BLOCK = 2**16
+# cells per slot-engine block (occupancy draws, priority draws, game scoring): a block of
+# rows w cells wide has ENGINE_CELLS // (the power of two >= w) rows, 1024 at widths 9 to 16
+# and 4096 at 3 or 4, so no block temporary grows with the slot count and an int64 one holds
+# at most 128 KiB, glibc's default mmap threshold.  At the 16-user mesh (100k slots, two
+# policies, fresh processes), 2**13 cells took 15% more time in per-block overhead, and
+# 2**14 // w rows ran within 2%; 2**15 cells ran 7% faster for 0.5 MiB more peak RSS, but
+# took 120k page faults a run (against 4.6k) while the tallies were updated by fancy indexing.
+# Draws in blocks equal one-shot draws: random() takes one 64-bit word per double, and PCG64
+# keeps the spare 32-bit half of an integers() draw between calls.
+ENGINE_CELLS = 2**14
 
 
 class ConfigFormatError(ValueError):
@@ -237,16 +244,22 @@ def _slot_numbers(text: np.ndarray, start: int) -> None:
 class SlotLog:
     """Per-slot aggregates, one column per slot-CSV field: free channels,
     successful transmissions, colliding transmissions, and whether some
-    round put every player on one channel.  No column records which
-    physical channel a user took: game digits index the free channels, and
-    no metric depends on the labelling."""
+    round put every player on one channel.  Colliders are derived on read
+    from ``attempts``, the transmission attempts per free count.  No column
+    records which physical channel a user took: game digits index the free
+    channels, and no metric depends on the labelling."""
 
     def __init__(self, free_counts: np.ndarray, successes: np.ndarray,
-                 colliders: np.ndarray, all_same: np.ndarray):
+                 attempts: np.ndarray, all_same: np.ndarray):
         self.free_counts = free_counts
         self.successes = successes
-        self.colliders = colliders
+        self.attempts = attempts
         self.all_same = all_same
+
+    @property
+    def colliders(self) -> np.ndarray:
+        """Colliding transmissions per slot: each attempt succeeded or collided."""
+        return self.attempts[self.free_counts] - self.successes
 
     def __len__(self) -> int:
         return len(self.successes)
@@ -304,15 +317,21 @@ def _score_rows(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def _priority_order(draws: np.ndarray) -> np.ndarray:
     """Sort (rows, group <= 16) ``random()`` draws in place into each row's member
     offsets by ascending draw, ties to the lower offset, as a stable argsort; return
-    the buffer viewed as int64.  A draw is k * 2**-53, ordered like its bits as uint64,
-    which begin 0b001111 (exponent 970 to 1022) unless it is 0.0, all zeros: shifted
-    left by four, each key keeps its order and leaves the low four for the offset."""
+    the buffer viewed as uint64, whose offsets the engine keeps as uint8, one block of
+    rows at a time.  A draw is k * 2**-53, ordered like its bits as uint64, which begin
+    0b001111 (exponent 970 to 1022) unless it is 0.0, all zeros: shifted left by four,
+    each key keeps its order and leaves the low four for the offset."""
     keys = draws.view(np.uint64)
     keys <<= 4
     keys |= np.arange(draws.shape[1], dtype=np.uint64)
     keys.sort(axis=1)
     keys &= 15
-    return keys.view(np.int64)
+    return keys
+
+
+def _block_rows(width: int) -> int:
+    """Rows per slot-engine block of rows ``width`` cells wide (see ENGINE_CELLS)."""
+    return ENGINE_CELLS // (1 << (width - 1).bit_length())
 
 
 def _run_slots(config: CellConfig, policies: Sequence[str], group: int, rounds: int,
@@ -342,56 +361,66 @@ def _run_slots(config: CellConfig, policies: Sequence[str], group: int, rounds: 
     single = rounds == 1 and group == n
     # tallies reach rounds * group <= 16 * MAX_MESH_ROUNDS; signed, for numpy's same-kind cast
     tally = np.int8 if rounds * group < 128 else np.int16
-    # the game rows' slot indices: int32 while slot numbers fit
-    index = np.int32 if slots <= 2**31 else np.int64
-    # Planned bytes.  Per slot, the slot logs: the free counts and, per policy, successes and
-    # colliders (the tally width each) and all-same (1).  While the engine runs, also the game
-    # rows' slot indices, 3 of temporaries at the end and, unless single, a 4-byte delivery
-    # mask per policy and each round's priority draw, sorted in place into int64 offsets (8 per
-    # member).  While the CSV writer indexes the distinct rows, 25 instead: a sort order, ranks
-    # and the tail index (int64) and a flag; finding the game rows holds less.  Per call, 1 MiB
-    # of array headers, scalars and one text block, plus one engine block of occupancy draws
-    # (9 bytes per user) or of one game's scoring (40 per player at most).
-    logs = np.dtype(tally).itemsize + len(policies) * (2 * np.dtype(tally).itemsize + 1)
-    engine = logs + np.dtype(index).itemsize + 3 + (0 if single else len(policies) * 4 + 8 * group)
-    check_footprint(2**20 + ENGINE_BLOCK * max(9 * n, 40 * group) + max(engine, logs + 25) * slots,
+    # Planned bytes.  Per slot, the slot logs: the free counts and, per policy, successes (the
+    # tally width each) and all-same (1).  While the engine runs, also the slots' free-count
+    # order (8), 3 of temporaries at the end and, unless single, a 4-byte delivery mask per
+    # policy and each round's priority offsets (1 per member).  While the CSV writer indexes the
+    # distinct rows, instead one log's colliders (the tally width) and 25: a sort order, ranks
+    # and the tail index (int64) and a flag.  Per call, 1 MiB of array headers, scalars and one
+    # text block, plus one engine block of cells: 8 bytes a cell of the reused priority buffer
+    # and at most 40 of an occupancy draw or a game's scoring.
+    tally_bytes = np.dtype(tally).itemsize
+    logs = tally_bytes + len(policies) * (tally_bytes + 1)
+    engine = logs + 8 + 3 + (0 if single else len(policies) * 4 + group)
+    check_footprint(2**20 + 48 * ENGINE_CELLS + max(engine, logs + tally_bytes + 25) * slots,
                     f"{slots} slots of {n} users")
 
     # free counts in the tally dtype, so that rounds * min(free, group) never wraps
     free_counts = np.empty(slots, dtype=tally)
-    for start in range(0, slots, ENGINE_BLOCK):
-        free = env.random((min(ENGINE_BLOCK, slots - start), n)) >= config.primary_activity
+    for start in range(0, slots, _block_rows(n)):
+        free = env.random((min(_block_rows(n), slots - start), n)) >= config.primary_activity
         np.einsum("ij->i", free.view(np.int8), dtype=tally, out=free_counts[start:start + len(free)])
-    # the slots with each free count and the size of the game they play, found once
-    games = [(rows.astype(index), min(group, f)) for f in range(1, n + 1)
-             if (rows := np.flatnonzero(free_counts == f)).size]
+    # the slots in order of free count, ties in slot order: the slots of each free count play one
+    # game size and are one run of this order, in which the engine keeps the tallies
+    by_free = free_counts.argsort(kind="stable")
+    per_free = np.bincount(free_counts, minlength=n + 1)  # slots with each free count
+    ends = np.cumsum(per_free)
+    games = [(ends[f - 1], ends[f], min(group, f)) for f in range(1, n + 1) if per_free[f]]
 
     successes = [np.zeros(slots, dtype=tally) for _ in policies]
     all_same = [np.zeros(slots, dtype=bool) for _ in policies]
     # bit u set once user u was alone on its channel in some round of the slot
     delivered = [np.zeros(slots, dtype=np.int32) for _ in policies if not single]
 
-    member_priority = np.empty((0 if single else slots, group))  # each round's draw, in place
+    order = np.empty((0 if single else slots, group), dtype=np.uint8)  # each round's offsets
+    draws = np.empty((min(_block_rows(group), slots), group))  # one block of priority draws
     for r in range(rounds):
         if not single:
             bits = 1 << (r % n + np.arange(group, dtype=np.int32)) % n  # each member's user bit
-            env.random(out=member_priority)
-            order = _priority_order(member_priority)
-        for game_rows, size in games:
-            for start in range(0, game_rows.size, ENGINE_BLOCK):
-                rows = game_rows[start:start + ENGINE_BLOCK].astype(np.intp)  # numpy indexes by intp
+            for start in range(0, slots, len(draws)):
+                block = draws[:min(len(draws), slots - start)]
+                order[start:start + len(block)] = _priority_order(env.random(out=block))
+        for first, end, size in games:
+            for start in range(first, end, _block_rows(size)):
+                span = slice(start, min(start + _block_rows(size), end))
+                rows = span.stop - start
                 if not single:  # the whole group plays, or the `size` members with the lowest draws
-                    players = np.broadcast_to(bits, (rows.size, group)) if size == group else \
-                        bits[order[rows, :size]]
+                    # (take gathers these small blocks about twice as fast as fancy indexing)
+                    players = np.broadcast_to(bits, (rows, group)) if size == group else \
+                        bits.take(order.take(by_free[span], axis=0)[:, :size])
                 for i, (policy, alloc) in enumerate(zip(policies, allocs)):
-                    alone, round_succ, round_same = _score_rows(_game_digits(policy, size, rows.size, alloc))
-                    successes[i][rows] += round_succ
-                    all_same[i][rows] |= round_same
+                    alone, round_succ, round_same = _score_rows(_game_digits(policy, size, rows, alloc))
+                    successes[i][span] += round_succ
+                    all_same[i][span] |= round_same
                     if not single:
-                        delivered[i][rows] |= np.einsum("ij,ij->i", alone, players, dtype=np.int32)
+                        delivered[i][span] |= np.einsum("ij,ij->i", alone, players, dtype=np.int32)
+    for columns in (successes, all_same):  # the slot logs' columns, back in slot order
+        for i, column in enumerate(columns):
+            columns[i] = np.empty_like(column)
+            columns[i][by_free] = column
     # attempts per free count: each player succeeded or collided
     attempts = (rounds * np.minimum(np.arange(n + 1), group)).astype(tally)
-    total_attempts = int(np.bincount(free_counts, minlength=n + 1) @ attempts)
+    total_attempts = int(per_free @ attempts)
     energy_spent = total_attempts * config.tx_cost + arbitrations * config.arbitration_cost
     results = []
     for i, succ in enumerate(successes):
@@ -403,7 +432,7 @@ def _run_slots(config: CellConfig, policies: Sequence[str], group: int, rounds: 
             all_same_rate=float(np.mean(all_same[i])),
             energy_proxy=(energy_spent / total_successes) if total_successes else math.inf,
         )
-        results.append((metrics, SlotLog(free_counts, succ, attempts[free_counts] - succ, all_same[i])))
+        results.append((metrics, SlotLog(free_counts, succ, attempts, all_same[i])))
     return results
 
 

@@ -390,11 +390,15 @@ def test_mac_byte_identical_reruns(tmp_path):
     ({"n_users": 16, "n_channels": 16, "primary_activity": 0.2, "slots": 2000, "seed": 5,
       "topology": "mesh-rounds", "policies": ["classical-uniform", "quantum-avoid-worst"]}, {
         "run.json": "3db0dbfca2c531b307aecb8e2647591902e39f7174499f177bd15b5f0e5a172a"}),
+    # the same mesh over several of the engine's 1024-row priority blocks
+    ({"n_users": 16, "n_channels": 16, "primary_activity": 0.2, "slots": 5_000, "seed": 5,
+      "topology": "mesh-rounds", "policies": ["classical-uniform", "quantum-avoid-worst"]}, {
+        "run.json": "a2fd23a56247c9d3e76e4d3652be31a6b59438427a6695977b5fc88b5a7bbeee"}),
     # three policies' rows: several text blocks, slot numbers of one to five digits
     ({"primary_activity": 0.3, "slots": 20_001, "seed": 5}, {
         "run.json": "fb81d1868978f18f235c26bb376bd7e9c29d8ca630ad6c413307578beae7ff48",
         "run.csv": "ea2571f35ab9e43444b9f83369f105026696514877828d1b817199714203d81e"}),
-), ids=("star", "mesh", "full-mesh", "star-20001"))
+), ids=("star", "mesh", "full-mesh", "full-mesh-5000", "star-20001"))
 def test_mac_fixed_seed_bytes(tmp_path, overrides, digests):
     """Fixed-seed output files keep their bytes across refactors.  They hold
     only integers and ratios of exact integer sums, so the platform cannot

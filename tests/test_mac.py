@@ -205,21 +205,37 @@ def test_compare_policies_csv_matches_per_row_oracle(monkeypatch):
 
 
 @pytest.mark.parametrize("block", (1, 7, 4096))
-@pytest.mark.parametrize("topology, degree", (("star", None), ("mesh-rounds", None), ("mesh-rounds", 2)),
-                         ids=("star", "full-mesh", "mesh-degree-2"))
-def test_engine_block_changes_nothing(monkeypatch, topology, degree, block):
-    """The slot engine draws occupancy and scores each game in blocks of
-    ENGINE_BLOCK slots; the metrics and slot logs of any block size are those
-    of blocks larger than the run."""
-    config = cell(n=5, activity=0.3, slots=600, seed=13, topology=topology, mesh_degree=degree)
-    run = run_mesh_rounds if topology == "mesh-rounds" else run_cell
+@pytest.mark.parametrize("n, slots, mesh", (
+    (5, 600, None), (5, 600, {}), (5, 600, {"mesh_degree": 2}),
+    (16, 2_500, {"mesh_rounds": 3}),  # three default priority blocks of 1024 rows
+), ids=("star", "full-mesh", "mesh-degree-2", "full-mesh-16"))
+def test_engine_block_changes_nothing(monkeypatch, n, slots, mesh, block):
+    """The slot engine draws occupancy and priorities and scores each game in
+    blocks of rows sized from ENGINE_CELLS; the metrics and slot logs of any
+    block size are those of the default blocks."""
+    config = cell(n=n, activity=0.3, slots=slots, seed=13,
+                  **({"topology": "star"} if mesh is None else {"topology": "mesh-rounds", **mesh}))
+    run = run_cell if mesh is None else run_mesh_rounds
     policies = [CLASSICAL, ENHANCE, AVOID]
     whole = run(config, policies)
-    monkeypatch.setattr(mac, "ENGINE_BLOCK", block)
+    monkeypatch.setattr(mac, "_block_rows", lambda width: block)
     for (metrics, log), (whole_metrics, whole_log) in zip(run(config, policies), whole):
         assert metrics == whole_metrics
         for column in ("free_counts", "successes", "colliders", "all_same"):
             assert np.array_equal(getattr(log, column), getattr(whole_log, column))
+
+
+@pytest.mark.parametrize("size", range(2, 17))
+def test_integer_draws_in_chunks_equal_one_draw(size):
+    """The engine's blocks rest on this numpy property: game digits drawn with
+    ``integers()`` in odd-sized chunks are the digits of one whole draw, whether
+    or not the game size is a power of two.  PCG64 keeps the spare 32-bit half
+    of a 64-bit word between calls, so a chunk boundary skips no bits."""
+    whole = np.random.default_rng(size).integers(0, size, size=(1_000, size))
+    rng = np.random.default_rng(size)
+    edges = [0, 1, 4, 11, 100, 357, 1_000]
+    chunks = [rng.integers(0, size, size=(stop - start, size)) for start, stop in zip(edges, edges[1:])]
+    assert np.array_equal(np.concatenate(chunks), whole)
 
 
 @pytest.mark.parametrize("n", (2, 4, 16))
@@ -355,18 +371,22 @@ def test_slot_csv_matches_per_row_reference(slots):
     16-user mesh at MAX_MESH_ROUNDS; an empty log writes nothing."""
     rng = np.random.default_rng(slots)
     most = 16 * MAX_MESH_ROUNDS
-    log = SlotLog(free_counts=rng.integers(0, 17, slots),
-                  successes=rng.integers(0, most + 1, slots).astype(np.int32),
-                  colliders=rng.integers(0, most + 1, slots).astype(np.int32),
-                  all_same=rng.random(slots) < 0.5)
+    attempts = rng.integers(0, most + 1, 17).astype(np.int32)  # per free count
+    attempts[16] = most
+    free_counts = rng.integers(0, 17, slots)
+    log = SlotLog(free_counts=free_counts,
+                  successes=(rng.random(slots) * (attempts[free_counts] + 1)).astype(np.int32),
+                  attempts=attempts, all_same=rng.random(slots) < 0.5)
     if slots > 1:
         log.all_same[:2] = (False, True)
-        log.free_counts[-1], log.successes[-1], log.colliders[0] = 16, most, most
+        log.free_counts[[0, -1]] = 16
+        log.successes[[0, -1]] = (0, most)  # colliders most, then 0
     buffer = io.StringIO()
     log.write_csv(buffer, QUANTUM_ENHANCE_OPTIMUM)
+    colliders = log.colliders
     expected = "".join(
         f"{i},{int(log.free_counts[i])},{QUANTUM_ENHANCE_OPTIMUM},{int(log.successes[i])},"
-        f"{int(log.colliders[i])},{int(log.all_same[i])}\n" for i in range(slots))
+        f"{int(colliders[i])},{int(log.all_same[i])}\n" for i in range(slots))
     assert buffer.getvalue() == expected
 
 
@@ -634,3 +654,21 @@ def test_memory_guard_plans_the_peak_of_short_runs(monkeypatch, run, slots, n):
     length: array headers and scalars at 1 slot, and at n = 2 the slot-CSV
     writer's first block, whose rows cost more than the per-slot bytes."""
     assert_peak_within_plan(monkeypatch, run, cell(n=n, activity=0.3, slots=slots))
+
+
+def test_mesh_memory_grows_by_the_planned_bytes_per_slot(monkeypatch):
+    """At the 16-user full mesh, 20,000 more slots raise the engine's
+    tracemalloc peak by no more than the plan's per-slot bytes for them:
+    the priority draws and the game blocks do not grow with the slots."""
+    config = cell(n=16, activity=0.2, slots=10, topology="mesh-rounds")
+    run_mesh_rounds(config, [CLASSICAL, AVOID])  # one-time allocations stay out of the peak
+    planned, peaks = [], []
+    monkeypatch.setattr(mac, "check_footprint", lambda planned_bytes, what: planned.append(planned_bytes))
+    for slots in (20_000, 40_000):
+        tracemalloc.start()
+        try:
+            run_mesh_rounds(dataclasses.replace(config, slots=slots), [CLASSICAL, AVOID])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= planned[1] - planned[0]
