@@ -168,8 +168,12 @@ def sample_outcomes(config: GameConfig, rng: np.random.Generator, size: int) -> 
     exactly one preimage, so the construction is exactly uniform over the
     n^(n-1) support tuples -- no rejection step.
     """
-    n = config.n
-    head = rng.integers(0, n, size=(size, n - 1))
-    last = (-(config.effective_phase + np.einsum("ij->i", head))) % n
+    return complete_outcomes(config, rng.integers(0, config.n, size=(size, config.n - 1)))
+
+
+def complete_outcomes(config: GameConfig, head: np.ndarray) -> np.ndarray:
+    """The support tuples that begin with the rows of ``head``, a (rows, n-1)
+    integer array: each row ends in the digit that puts (phase + sum) % n at 0."""
+    last = (-(config.effective_phase + np.einsum("ij->i", head))) % config.n
     return np.concatenate([head, last[:, None]], axis=1)
 

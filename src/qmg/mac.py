@@ -39,6 +39,7 @@ from .game import (
     REGIME_AVOID_WORST,
     REGIME_ENHANCE_OPTIMUM,
     GameConfig,
+    complete_outcomes,
     phase_for_regime,
     sample_outcomes,
 )
@@ -64,13 +65,14 @@ SLOT_CSV_HEADER = "slot,free_channels,policy,successes,colliders,all_same"
 # text rows per write: one block's byte matrix and its text stay under 1 MB,
 # so the writer's peak fits in the slot engine's per-call plan
 TEXT_BLOCK_ROWS = 4096
-# cells per slot-engine block (occupancy draws, priority draws, game scoring): a block of
-# rows w cells wide has ENGINE_CELLS // (the power of two >= w) rows, 1024 at widths 9 to 16
-# and 4096 at 3 or 4, so no block temporary grows with the slot count and an int64 one holds
-# at most 128 KiB, glibc's default mmap threshold.  At the 16-user mesh (100k slots, two
+# cells per slot-engine block (occupancy draws, priority draws, game scoring, score tables): a
+# block of rows w cells wide has ENGINE_CELLS // (the power of two >= w) rows, 1024 at widths 9
+# to 16 and 4096 at 3 or 4, so no block temporary grows with the slot count and an int64 one
+# holds at most 128 KiB, glibc's default mmap threshold.  At the 16-user mesh (100k slots, two
 # policies, fresh processes), 2**13 cells took 15% more time in per-block overhead, and
-# 2**14 // w rows ran within 2%; 2**15 cells ran 7% faster for 0.5 MiB more peak RSS, but
-# took 120k page faults a run (against 4.6k) while the tallies were updated by fancy indexing.
+# 2**14 // w rows ran within 2%.  2**15 cells ran the benchmark's mac-mesh workload 6% faster
+# (0.687 -> 0.643 s, lower in 9 of 10 alternating pairs) but raised its peak RSS by 0.7 MB
+# (42.57 -> 43.27 MB, in 10 of 10), so the block stays at 2**14 cells.
 # Draws in blocks equal one-shot draws: random() takes one 64-bit word per double, and PCG64
 # keeps the spare 32-bit half of an integers() draw between calls.
 ENGINE_CELLS = 2**14
@@ -266,29 +268,20 @@ class SlotLog:
 
     def write_csv(self, stream: IO[str], policy_kind: str) -> None:
         """Write one CSV row per slot, without the header: its slot number with
-        leading zeros blanked, then the rest, formatted once per distinct row."""
-        columns = (self.free_counts, self.successes, self.colliders, self.all_same)
-        # mixed radix over the column maxima: exact while their product fits int64; kept in
-        # the narrowest dtype, as a stable argsort of keys up to 16 bits is a radix sort
-        key = np.zeros(len(self), dtype=np.int64)
-        for column in columns:
-            key = key * (int(column.max(initial=0)) + 1) + column
-        key = key.astype(np.min_scalar_type(key.max(initial=0)))
-        order = key.argsort(kind="stable")
-        key = key[order]
-        first = np.empty(len(self), dtype=bool)  # where each distinct key begins in sorted order
-        first[:1] = True
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        del key
-        ranks = np.cumsum(first)
-        ranks -= 1
-        inverse = np.empty_like(order)
-        inverse[order] = ranks
-        row = order[first]  # some row with each key: all give its tail
-        del order, first, ranks
-        tails = [f",{f},{policy_kind},{s},{c},{a:d}\n" for f, s, c, a
-                 in zip(*(column[row].tolist() for column in columns))]
-        write_rows(stream, _slot_numbers, len(str(max(len(self) - 1, 0))), tails, inverse)
+        leading zeros blanked, then the rest, formatted once per distinct row.  A row's
+        key (free count, successes, all-same) fixes its colliders; a table over every key
+        numbers the keys present, and each slot's tail is its key's number."""
+        radix = int(self.attempts.max()) + 1  # successes never exceed the attempts
+        key = (self.free_counts.astype(np.int32) * radix + self.successes) * 2 + self.all_same
+        rank = np.bincount(key)  # slots with each key, then each present key's number
+        present = np.flatnonzero(rank)
+        rank[present] = np.arange(len(present))
+        free, successes = np.divmod(present >> 1, radix)
+        columns = (free, successes, self.attempts[free] - successes, present & 1)
+        tails = [f",{f},{policy_kind},{s},{c},{a}\n" for f, s, c, a
+                 in zip(*(column.tolist() for column in columns))]
+        key = rank[key]  # each slot's tail
+        write_rows(stream, _slot_numbers, len(str(max(len(self) - 1, 0))), tails, key)
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -312,6 +305,23 @@ def _score_rows(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     alone = (load == 1)[digits]
     successes = np.einsum("ij->i", alone.view(np.uint8), dtype=np.intp)
     return alone, successes, (load[digits[:, 0]] == size) & (size >= 2)
+
+
+def _score_table(policy: str, size: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """For a game whose players' flags no metric reads: the place values of the digits
+    _game_digits draws (a quantum game's support fixes the last), and a uint8 table of
+    successes << 1 | all-same by their value, scored by _score_rows for every such row.
+    None for a size-1 game, which draws nothing, and for rows over one engine block."""
+    regime = _REGIMES[policy]
+    drawn = size if regime is None else size - 1
+    if size < 2 or size**drawn * size > ENGINE_CELLS:
+        return None
+    weights = size ** np.arange(drawn - 1, -1, -1)
+    digits = np.arange(size**drawn)[:, None] // weights % size
+    if regime is not None:
+        digits = complete_outcomes(GameConfig(size, phase_for_regime(regime, size)), digits)
+    _, successes, all_same = _score_rows(digits)
+    return weights, (successes << 1 | all_same).astype(np.uint8)
 
 
 def _priority_order(draws: np.ndarray) -> np.ndarray:
@@ -365,14 +375,16 @@ def _run_slots(config: CellConfig, policies: Sequence[str], group: int, rounds: 
     # tally width each) and all-same (1).  While the engine runs, also the slots' free-count
     # order (8), 3 of temporaries at the end and, unless single, a 4-byte delivery mask per
     # policy and each round's priority offsets (1 per member).  While the CSV writer indexes the
-    # distinct rows, instead one log's colliders (the tally width) and 25: a sort order, ranks
-    # and the tail index (int64) and a flag.  Per call, 1 MiB of array headers, scalars and one
-    # text block, plus one engine block of cells: 8 bytes a cell of the reused priority buffer
-    # and at most 40 of an occupancy draw or a game's scoring.
+    # distinct rows, instead 12: each row's int32 key and its tail index (intp).  Per call, 1 MiB
+    # of array headers, scalars, score tables and one text block; the writer's key table, 8
+    # bytes for each of (n + 1) * (rounds * group + 1) * 2 keys; and one engine block of cells:
+    # 8 bytes a cell of the reused priority buffer and at most 40 of an occupancy draw, a game's
+    # scoring or the building of a score table.
     tally_bytes = np.dtype(tally).itemsize
     logs = tally_bytes + len(policies) * (tally_bytes + 1)
     engine = logs + 8 + 3 + (0 if single else len(policies) * 4 + group)
-    check_footprint(2**20 + 48 * ENGINE_CELLS + max(engine, logs + tally_bytes + 25) * slots,
+    check_footprint(2**20 + 48 * ENGINE_CELLS + 16 * (n + 1) * (rounds * group + 1)
+                    + max(engine, logs + 12) * slots,
                     f"{slots} slots of {n} users")
 
     # free counts in the tally dtype, so that rounds * min(free, group) never wraps
@@ -394,6 +406,8 @@ def _run_slots(config: CellConfig, policies: Sequence[str], group: int, rounds: 
 
     order = np.empty((0 if single else slots, group), dtype=np.uint8)  # each round's offsets
     draws = np.empty((min(_block_rows(group), slots), group))  # one block of priority draws
+    # a single round reads no player's flags, so games of up to 5 players are scored by table
+    tables = {(p, size): _score_table(p, size) for p in policies for *_, size in games if single}
     for r in range(rounds):
         if not single:
             bits = 1 << (r % n + np.arange(group, dtype=np.int32)) % n  # each member's user bit
@@ -409,7 +423,12 @@ def _run_slots(config: CellConfig, policies: Sequence[str], group: int, rounds: 
                     players = np.broadcast_to(bits, (rows, group)) if size == group else \
                         bits.take(order.take(by_free[span], axis=0)[:, :size])
                 for i, (policy, alloc) in enumerate(zip(policies, allocs)):
-                    alone, round_succ, round_same = _score_rows(_game_digits(policy, size, rows, alloc))
+                    if (table := tables.get((policy, size))) is not None:
+                        weights, scores = table
+                        scored = scores.take(alloc.integers(0, size, (rows, len(weights))) @ weights)
+                        round_succ, round_same = scored >> 1, (scored & 1).view(bool)
+                    else:
+                        alone, round_succ, round_same = _score_rows(_game_digits(policy, size, rows, alloc))
                     successes[i][span] += round_succ
                     all_same[i][span] |= round_same
                     if not single:

@@ -398,7 +398,22 @@ def test_mac_byte_identical_reruns(tmp_path):
     ({"primary_activity": 0.3, "slots": 20_001, "seed": 5}, {
         "run.json": "fb81d1868978f18f235c26bb376bd7e9c29d8ca630ad6c413307578beae7ff48",
         "run.csv": "ea2571f35ab9e43444b9f83369f105026696514877828d1b817199714203d81e"}),
-), ids=("star", "mesh", "full-mesh", "full-mesh-5000", "star-20001"))
+    # stars either side of the score tables' limit: every game of 2 to 5 players is scored
+    # by table, and from 6 players by _score_rows
+    ({"n_users": 2, "n_channels": 2, "primary_activity": 0.3, "slots": 20_000, "seed": 5}, {
+        "run.json": "a197c5230ed38c98a8872386df0ed206e57c10dfb21e118160ebcb371f25884e",
+        "run.csv": "ea766a371bf4b8824dca172fbb83f075cf882d7b2ead312a172ea2b9af0c288e"}),
+    ({"n_users": 3, "n_channels": 3, "primary_activity": 0.3, "slots": 20_000, "seed": 5}, {
+        "run.json": "fc0af72800a7be1fc289d6362082b19ab18ff46318f9daf2ff244300c6c62834",
+        "run.csv": "41f009e824570dac30c0f895f67fb8904923c5bbd8cbd6ffacc9813d37234a1f"}),
+    ({"n_users": 5, "n_channels": 5, "primary_activity": 0.3, "slots": 20_000, "seed": 5}, {
+        "run.json": "19625b91a6aacfab65cc7fc5938aafd5047cdb81d77bbc8a85063baa39d8abdb",
+        "run.csv": "744f4c77477f0cddab7d29e92f4a57a3f09f97f52ba9b87cdc81c7139bbf7df2"}),
+    ({"n_users": 6, "n_channels": 6, "primary_activity": 0.3, "slots": 20_000, "seed": 5}, {
+        "run.json": "4bb67da798a57a4f47d0385f11ef240f1ff8c9d36aa51274a5d6ab476c23cea0",
+        "run.csv": "c0da92cf05385921665d1230575e7a5597771db83ec42f57914833796cfb880e"}),
+), ids=("star", "mesh", "full-mesh", "full-mesh-5000", "star-20001",
+        "star-n2", "star-n3", "star-n5", "star-n6"))
 def test_mac_fixed_seed_bytes(tmp_path, overrides, digests):
     """Fixed-seed output files keep their bytes across refactors.  They hold
     only integers and ratios of exact integer sums, so the platform cannot

@@ -447,6 +447,52 @@ def test_score_rows_matches_per_row_reference(size):
         assert same == (size >= 2 and len(load) == 1)
 
 
+@pytest.mark.parametrize("size", range(1, 17))
+@pytest.mark.parametrize("policy", mac.POLICY_KINDS)
+def test_score_table_scores_every_row_the_policy_draws(monkeypatch, policy, size):
+    """Games of 2 to 5 players get a score table: entry j is successes << 1 |
+    all-same, as _score_rows scores it, of the full row whose drawn digits
+    spell j in base ``size``, most significant first; every quantum row is on
+    its support.  A size-1 game, which draws nothing, and games from 6
+    players, whose rows do not fit one engine block, get none."""
+    built, score_rows = [], mac._score_rows
+    monkeypatch.setattr(mac, "_score_rows", lambda digits: built.append(digits.copy()) or score_rows(digits))
+    table = mac._score_table(policy, size)
+    if not 2 <= size <= 5:
+        assert table is None and built == []
+        return
+    weights, scores = table
+    phase = PHASES[policy](size)
+    drawn = size if phase is None else size - 1
+    assert weights.tolist() == [size**k for k in reversed(range(drawn))]
+    [rows] = built
+    assert scores.dtype == np.uint8 and len(scores) == len(rows) == size**drawn
+    for j, (row, score) in enumerate(zip(rows, scores.tolist())):
+        assert row[:drawn].tolist() == [j // place % size for place in weights.tolist()]
+        assert phase is None or (phase + row.sum()) % size == 0
+        _, successes, all_same = score_rows(row[None, :].copy())
+        assert score == int(successes[0]) << 1 | int(all_same[0])
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_score_table_path_draws_what_game_digits_draws(monkeypatch, n):
+    """A star run of 2 to 5 users scores every game of two or more players
+    by table, here one block per game size.  Each allocator stream ends in
+    the state _game_digits leaves after the same games, with nothing drawn
+    for a size-1 game."""
+    policies, streams, stream = [CLASSICAL, ENHANCE, AVOID], [], mac._stream
+    monkeypatch.setattr(mac, "_stream", lambda seed, *key: streams.append(stream(seed, *key)) or streams[-1])
+    config = cell(n=n, activity=0.5, slots=1_000, seed=3)
+    log = run_cell(config, policies)[0][1]
+    games = np.bincount(log.free_counts, minlength=n + 1)
+    assert games[1] and games[n] and max(games) <= mac._block_rows(n)
+    for policy, alloc in zip(policies, streams[1:]):
+        reference = stream(config.seed, mac._ALLOC_STREAM, mac.POLICY_KINDS.index(policy))
+        for size in range(1, n + 1):
+            mac._game_digits(policy, size, games[size], reference)
+        assert alloc.bit_generator.state == reference.bit_generator.state
+
+
 def test_mesh_requires_mesh_topology():
     with pytest.raises(ConfigFormatError, match="needs topology"):
         run_mesh_rounds(cell(), [AVOID])
