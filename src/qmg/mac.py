@@ -94,9 +94,8 @@ class CellConfig:
     ``mesh_degree`` is the number of ring neighbors each arbiter serves
     (default: full mesh, n_users - 1); ``mesh_rounds`` the arbitration
     rounds per slot (default: one per node); a star cell sets neither.
-    Energy accounting charges ``tx_cost`` per transmission attempt and, in
-    mesh mode, ``arbitration_cost`` per round.  ``int`` and ``float`` fields
-    are type-checked.
+    A run's energy is :meth:`energy` of its transmission attempts.  ``int``
+    and ``float`` fields are type-checked.
     """
 
     n_users: int
@@ -146,12 +145,10 @@ class CellConfig:
         if self.mesh_rounds is not None and not 1 <= self.mesh_rounds <= MAX_MESH_ROUNDS:
             raise ConfigFormatError(
                 f"need 1 to {MAX_MESH_ROUNDS} arbitration rounds per slot, got {self.mesh_rounds}")
-        # the energy spent when every player of every round transmits, summed as the engine sums
-        # it: finite, so that an infinite energy_proxy only ever means that nothing succeeded
-        arbitrations = self.rounds * self.slots if self.topology == TOPOLOGY_MESH else 0
+        # the energy spent when every player of every round transmits: finite, so that an
+        # infinite energy_proxy only ever means that nothing succeeded
         try:
-            worst = (self.slots * self.rounds * self.group * self.tx_cost
-                     + arbitrations * self.arbitration_cost)
+            worst = self.energy(self.slots * self.rounds * self.group)
         except OverflowError:  # more attempts than a float holds
             worst = math.inf
         if not math.isfinite(worst):
@@ -172,6 +169,13 @@ class CellConfig:
         if self.topology != TOPOLOGY_MESH:
             return self.n_users
         return (self.mesh_degree if self.mesh_degree is not None else self.n_users - 1) + 1
+
+    def energy(self, attempts: int) -> float:
+        """The energy of a run with ``attempts`` transmission attempts: ``tx_cost`` each,
+        plus ``arbitration_cost`` per arbitration, every round of every slot in a mesh and
+        none in a star, whose base station arbitrates."""
+        arbitrations = self.rounds * self.slots if self.topology == TOPOLOGY_MESH else 0
+        return attempts * self.tx_cost + arbitrations * self.arbitration_cost
 
 
 @dataclass(frozen=True)
@@ -244,12 +248,12 @@ def _slot_numbers(text: np.ndarray, start: int) -> None:
 
 
 class SlotLog:
-    """Per-slot aggregates, one column per slot-CSV field: free channels,
-    successful transmissions, colliding transmissions, and whether some
-    round put every player on one channel.  Colliders are derived on read
-    from ``attempts``, the transmission attempts per free count.  No column
-    records which physical channel a user took: game digits index the free
-    channels, and no metric depends on the labelling."""
+    """Per-slot aggregates: free channels, successful transmissions, and
+    whether some round put every player on one channel; with ``attempts``,
+    the transmission attempts per free count, of which every one that did
+    not succeed collided.  No column records which physical channel a user
+    took: game digits index the free channels, and no metric depends on the
+    labelling."""
 
     def __init__(self, free_counts: np.ndarray, successes: np.ndarray,
                  attempts: np.ndarray, all_same: np.ndarray):
@@ -257,11 +261,6 @@ class SlotLog:
         self.successes = successes
         self.attempts = attempts
         self.all_same = all_same
-
-    @property
-    def colliders(self) -> np.ndarray:
-        """Colliding transmissions per slot: each attempt succeeded or collided."""
-        return self.attempts[self.free_counts] - self.successes
 
     def __len__(self) -> int:
         return len(self.successes)
@@ -344,14 +343,13 @@ def _block_rows(width: int) -> int:
     return ENGINE_CELLS // (1 << (width - 1).bit_length())
 
 
-def _run_slots(config: CellConfig, policies: Sequence[str], group: int, rounds: int,
-               arbitrations: int) -> list[tuple[MacMetrics, SlotLog]]:
+def _run_slots(config: CellConfig, policies: Sequence[str]) -> list[tuple[MacMetrics, SlotLog]]:
     """The slot engine behind both topologies, one (metrics, slot log) per
     listed policy, all advanced in lockstep over one environment pass.
 
-    Per slot, primary occupancy, then ``rounds`` arbitration rounds.  The
-    arbiter of round r is node r mod n and serves itself plus the next
-    group - 1 ring nodes; each round plays a square game of size
+    Per slot, primary occupancy, then ``config.rounds`` arbitration rounds.
+    The arbiter of round r is node r mod n and serves itself plus the next
+    ``config.group`` - 1 ring nodes; each round plays a square game of size
     min(group, free), whose players are the ``size`` members with the
     lowest priority draws from the environment stream, ties to the lower
     ring offset.  A single round over all n users draws no such
@@ -360,10 +358,10 @@ def _run_slots(config: CellConfig, policies: Sequence[str], group: int, rounds: 
     defer picks are shared by every policy; each policy scores digits drawn
     from its own allocator stream.  The digits index the free channels and
     are scored as they are, since which physical channels they name (and
-    which surplus channels go unused) changes no metric.  Energy charges
-    ``tx_cost`` per attempt plus ``arbitrations`` times ``arbitration_cost``.
+    which surplus channels go unused) changes no metric.  The energy is
+    ``config.energy`` of the attempts.
     """
-    n = config.n_users
+    n, group, rounds = config.n_users, config.group, config.rounds
     env = _stream(config.seed, _ENV_STREAM)
     allocs = [_stream(config.seed, _ALLOC_STREAM, POLICY_KINDS.index(policy)) for policy in policies]
     slots = config.slots
@@ -440,7 +438,7 @@ def _run_slots(config: CellConfig, policies: Sequence[str], group: int, rounds: 
     # attempts per free count: each player succeeded or collided
     attempts = (rounds * np.minimum(np.arange(n + 1), group)).astype(tally)
     total_attempts = int(per_free @ attempts)
-    energy_spent = total_attempts * config.tx_cost + arbitrations * config.arbitration_cost
+    energy_spent = config.energy(total_attempts)
     results = []
     for i, succ in enumerate(successes):
         total_successes = int(succ.sum())
@@ -465,7 +463,9 @@ def run_cell(config: CellConfig, policies: Sequence[str]) -> list[tuple[MacMetri
     one-round mesh whose arbiter serves all n users and charges no
     arbitration.  Fully deterministic given the config.
     """
-    return _run_slots(config, policies, group=config.n_users, rounds=1, arbitrations=0)
+    if config.topology != TOPOLOGY_STAR:
+        raise ConfigFormatError(f"run_cell needs topology={TOPOLOGY_STAR!r}, got {config.topology!r}")
+    return _run_slots(config, policies)
 
 
 def run_mesh_rounds(config: CellConfig, policies: Sequence[str]) -> list[tuple[MacMetrics, SlotLog]]:
@@ -479,8 +479,7 @@ def run_mesh_rounds(config: CellConfig, policies: Sequence[str]) -> list[tuple[M
     """
     if config.topology != TOPOLOGY_MESH:
         raise ConfigFormatError(f"run_mesh_rounds needs topology={TOPOLOGY_MESH!r}, got {config.topology!r}")
-    return _run_slots(config, policies, group=config.group, rounds=config.rounds,
-                      arbitrations=config.rounds * config.slots)
+    return _run_slots(config, policies)
 
 
 @dataclass(frozen=True)

@@ -164,11 +164,11 @@ def sample_counts(state: FactoredState, rng: np.random.Generator, shots: int) ->
     rows = [np.empty((0, 2), dtype=np.int64)]
     for row, carry, low, high in zip(blocks, carries, bounds, bounds[1:]):
         if low < high:
-            rows.append(_block_rows(state, row, carry, uniforms[low:high]))
+            rows.append(_block_counts(state, row, carry, uniforms[low:high]))
     return np.concatenate(rows)
 
 
-def _block_rows(state: FactoredState, row: int, carry: float, uniforms: np.ndarray) -> np.ndarray:
+def _block_counts(state: FactoredState, row: int, carry: float, uniforms: np.ndarray) -> np.ndarray:
     """(flat index, count) rows of the sorted ``uniforms`` that fall in the block
     from left row ``row``."""
     cumulative = _cumulative(state, row, carry)

@@ -55,6 +55,17 @@ def histogram_text(fmt, n, rows, *, phase, engine, seed, shots) -> str:
         f"{label},{count},{count / shots!r}\n" for label, count in labelled.items())
 
 
+def colliders(log) -> np.ndarray:
+    """A slot log's colliding transmissions per slot: each attempt succeeded or collided."""
+    return log.attempts[log.free_counts] - log.successes
+
+
+def slot_columns(log) -> tuple[np.ndarray, ...]:
+    """A slot log's per-slot columns in slot-CSV order: free channels,
+    successes, colliders and the all-same flag."""
+    return log.free_counts, log.successes, colliders(log), log.all_same
+
+
 def rotation_sweep(amplitudes, matrix) -> np.ndarray:
     """Oracle: the same operator on every site of all n**n amplitudes, one
     site at a time.  Each step contracts the leading site and rotates it to

@@ -12,6 +12,7 @@ import typing
 import numpy as np
 import pytest
 
+from conftest import colliders, slot_columns
 from qmg import cli, mac
 from qmg.mac import (
     CLASSICAL_UNIFORM,
@@ -165,8 +166,8 @@ def test_metrics_deterministic():
     first, log_a = run_cell(config, [ENHANCE])[0]
     second, log_b = run_cell(config, [ENHANCE])[0]
     assert first == second
-    for column in ("free_counts", "successes", "colliders", "all_same"):
-        assert np.array_equal(getattr(log_a, column), getattr(log_b, column))
+    for ours, theirs in zip(slot_columns(log_a), slot_columns(log_b)):
+        assert np.array_equal(ours, theirs)
 
 
 def test_same_policy_twice_identical():
@@ -198,7 +199,7 @@ def test_compare_policies_csv_matches_per_row_oracle(monkeypatch):
     compare_policies(config, policies, stream)
     expected = [SLOT_CSV_HEADER + "\n"]
     for policy, (_, log) in zip(policies, run_cell(config, policies)):
-        columns = (log.free_counts, log.successes, log.colliders, log.all_same)
+        columns = slot_columns(log)
         expected += [f"{slot},{f},{policy},{s},{c},{int(a)}\n"
                      for slot, (f, s, c, a) in enumerate(zip(*(column.tolist() for column in columns)))]
     assert stream.getvalue() == "".join(expected)
@@ -221,8 +222,8 @@ def test_engine_block_changes_nothing(monkeypatch, n, slots, mesh, block):
     monkeypatch.setattr(mac, "_block_rows", lambda width: block)
     for (metrics, log), (whole_metrics, whole_log) in zip(run(config, policies), whole):
         assert metrics == whole_metrics
-        for column in ("free_counts", "successes", "colliders", "all_same"):
-            assert np.array_equal(getattr(log, column), getattr(whole_log, column))
+        for ours, theirs in zip(slot_columns(log), slot_columns(whole_log)):
+            assert np.array_equal(ours, theirs)
 
 
 @pytest.mark.parametrize("size", range(2, 17))
@@ -253,8 +254,8 @@ def test_lockstep_policies_match_their_own_runs(topology, degree, n):
         assert compare_policies(config, listed).runs == tuple((p, alone[p][0]) for p in listed)
         for policy, (metrics, log) in zip(listed, run(config, listed)):
             assert metrics == alone[policy][0]
-            for column in ("free_counts", "successes", "colliders", "all_same"):
-                assert np.array_equal(getattr(log, column), getattr(alone[policy][1], column))
+            for ours, theirs in zip(slot_columns(log), slot_columns(alone[policy][1])):
+                assert np.array_equal(ours, theirs)
 
 
 def test_slot_tallies_hold_the_largest_count():
@@ -262,8 +263,8 @@ def test_slot_tallies_hold_the_largest_count():
     free, each slot tallies 16 * MAX_MESH_ROUNDS attempts without wrapping."""
     config = cell(n=16, slots=300, topology="mesh-rounds", mesh_rounds=MAX_MESH_ROUNDS)
     for _, log in run_mesh_rounds(config, [CLASSICAL, AVOID]):
-        assert log.successes.min() >= 0 and log.colliders.min() >= 0
-        total = log.successes.astype(np.int64) + log.colliders
+        assert log.successes.min() >= 0 and colliders(log).min() >= 0
+        total = log.successes.astype(np.int64) + colliders(log)
         assert np.array_equal(total, MAX_MESH_ROUNDS * np.minimum(log.free_counts, 16))
         assert np.all(total == 16 * MAX_MESH_ROUNDS)
 
@@ -281,7 +282,7 @@ def test_quantum_assignments_on_support_at_activity_zero(policy):
     n = config.n_users
     allowed = set(support_tallies(n, PHASES[policy](n)))
     assert np.all(log.free_counts == n)
-    assert np.array_equal(log.successes + log.colliders, log.free_counts)
+    assert np.array_equal(log.successes + colliders(log), log.free_counts)
     assert set(zip(log.successes.tolist(), log.all_same.tolist())) <= allowed
     assert metrics.energy_proxy >= 1.0
 
@@ -291,7 +292,7 @@ def test_quantum_assignments_stay_on_support_with_holes():
     support, and avoid-worst never puts every transmitter on one channel."""
     config = cell(activity=0.5, slots=4_000, seed=3)
     _, log = run_cell(config, [AVOID])[0]
-    assert np.array_equal(log.successes + log.colliders, log.free_counts)
+    assert np.array_equal(log.successes + colliders(log), log.free_counts)
     assert not log.all_same.any()
     for f in range(1, config.n_users + 1):
         sel = log.free_counts == f
@@ -304,11 +305,11 @@ def test_slot_records_consistent():
     _, log = run_cell(config, [CLASSICAL])[0]
     assert len(log) == config.slots
     assert np.all((0 <= log.free_counts) & (log.free_counts <= config.n_users))
-    assert np.array_equal(log.successes + log.colliders, log.free_counts)
-    assert not np.any(log.colliders == 1)  # a collision takes two
+    assert np.array_equal(log.successes + colliders(log), log.free_counts)
+    assert not np.any(colliders(log) == 1)  # a collision takes two
     same = log.all_same
     assert np.all(log.successes[same] == 0)
-    assert np.all(log.colliders[same] >= 2)
+    assert np.all(colliders(log)[same] >= 2)
 
 
 @pytest.mark.parametrize("n", (4, 5))
@@ -319,7 +320,7 @@ def test_star_per_free_count_law(n, policy):
     enumeration of that game's outcomes (uniform over the support, or over
     all f^f tuples for the classical rule)."""
     _, log = run_cell(cell(n=n, activity=0.5, slots=100_000, seed=31), [policy])[0]
-    assert np.array_equal(log.successes + log.colliders, log.free_counts)
+    assert np.array_equal(log.successes + colliders(log), log.free_counts)
     for f in range(1, n + 1):
         sel = log.free_counts == f
         count = int(sel.sum())
@@ -347,8 +348,8 @@ def test_fully_occupied_spectrum():
     assert math.isinf(metrics.energy_proxy)
     assert metrics.to_dict()["energy_proxy"] is None
     assert np.all(log.free_counts == 0)
-    for column in ("successes", "colliders", "all_same"):
-        assert not getattr(log, column).any()
+    for column in slot_columns(log)[1:]:
+        assert not column.any()
 
 
 def test_slot_csv_shape():
@@ -383,10 +384,10 @@ def test_slot_csv_matches_per_row_reference(slots):
         log.successes[[0, -1]] = (0, most)  # colliders most, then 0
     buffer = io.StringIO()
     log.write_csv(buffer, QUANTUM_ENHANCE_OPTIMUM)
-    colliders = log.colliders
+    collided = colliders(log)
     expected = "".join(
         f"{i},{int(log.free_counts[i])},{QUANTUM_ENHANCE_OPTIMUM},{int(log.successes[i])},"
-        f"{int(colliders[i])},{int(log.all_same[i])}\n" for i in range(slots))
+        f"{int(collided[i])},{int(log.all_same[i])}\n" for i in range(slots))
     assert buffer.getvalue() == expected
 
 
@@ -498,6 +499,29 @@ def test_mesh_requires_mesh_topology():
         run_mesh_rounds(cell(), [AVOID])
 
 
+def test_star_requires_star_topology():
+    """A star run of a mesh config would drop its rounds and arbitrations."""
+    with pytest.raises(ConfigFormatError, match="run_cell needs topology='star'"):
+        run_cell(cell(n=6, topology="mesh-rounds", mesh_degree=2, mesh_rounds=3), [AVOID])
+
+
+@pytest.mark.parametrize("mesh, arbitrations", (
+    (None, 0),  # the base station arbitrates for free
+    ({"mesh_degree": 2, "mesh_rounds": 3}, 3 * 3_000),  # rounds times slots
+    ({}, 6 * 3_000),  # one round per node by default
+), ids=("star", "mesh", "full-mesh"))
+def test_energy_proxy_is_the_energy_of_the_logged_attempts(mesh, arbitrations):
+    """energy_proxy * successes is tx_cost per attempt the slot log counts, plus
+    arbitration_cost per arbitration: none in a star, every round of every slot in a mesh."""
+    config = cell(n=6, activity=0.3, slots=3_000, seed=9, tx_cost=1.5, arbitration_cost=5.0,
+                  **({"topology": "star"} if mesh is None else {"topology": "mesh-rounds", **mesh}))
+    run = run_cell if mesh is None else run_mesh_rounds
+    for metrics, log in run(config, [CLASSICAL, ENHANCE, AVOID]):
+        attempts = int(log.attempts[log.free_counts].sum())
+        energy = 1.5 * attempts + 5.0 * arbitrations
+        assert metrics.energy_proxy == energy / int(log.successes.sum())
+
+
 def test_mesh_degree_bounds():
     with pytest.raises(ConfigFormatError, match="ring degree"):
         run_mesh_rounds(cell(topology="mesh-rounds", mesh_degree=4), [AVOID])
@@ -544,8 +568,8 @@ def test_mesh_deterministic():
     config = cell(activity=0.2, slots=5_000, topology="mesh-rounds", mesh_degree=2)
     (first, first_log), (second, second_log) = (run_mesh_rounds(config, [AVOID])[0] for _ in range(2))
     assert first == second
-    for column in ("free_counts", "successes", "colliders", "all_same"):
-        assert np.array_equal(getattr(first_log, column), getattr(second_log, column))
+    for ours, theirs in zip(slot_columns(first_log), slot_columns(second_log)):
+        assert np.array_equal(ours, theirs)
 
 
 @pytest.mark.parametrize("n, degree, rounds", ((6, 2, 6), (6, 5, 6), (5, None, 3)))
@@ -559,7 +583,7 @@ def test_mesh_slot_log_counts_every_round(n, degree, rounds):
     for policy in (CLASSICAL, ENHANCE, AVOID):
         metrics, log = run_mesh_rounds(config, [policy])[0]
         assert len(log) == config.slots
-        assert np.array_equal(log.successes + log.colliders,
+        assert np.array_equal(log.successes + colliders(log),
                               rounds * np.minimum(group, log.free_counts))
         assert metrics.throughput == log.successes.sum() / config.slots
         assert metrics.all_same_rate == log.all_same.mean()

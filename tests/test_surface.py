@@ -1,6 +1,7 @@
 """The library's public surface is what production runs.
 
-Every public module-level function or class in ``src/qmg`` must be used
+Every public module-level function or class in ``src/qmg``, and every
+public method or property of those classes (dunders aside), must be used
 (read as a name or an attribute) somewhere in ``src/qmg`` or in the
 benchmark harness under ``perfbench/`` (not counting its ``test_*.py``
 self-tests).  A helper that only tests call belongs in the tests.
@@ -29,14 +30,20 @@ def _used_names(trees):
     return used
 
 
+def _public_definitions(body, prefix):
+    """(qualified name, name) of each public function or class defined in ``body``,
+    each class followed by its public methods and properties."""
+    for node in body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield f"{prefix}.{node.name}", node.name
+            if isinstance(node, ast.ClassDef):
+                yield from _public_definitions(node.body, f"{prefix}.{node.name}")
+
+
 def test_every_public_definition_is_used_in_production():
     used = _used_names(_parse(path) for path in SOURCES + HARNESS)
-    unused = []
-    for path in SOURCES:
-        if path.name == "__init__.py":
-            continue
-        for node in _parse(path).body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_") and node.name not in used):
-                unused.append(f"{path.stem}.{node.name}")
+    unused = [qualified for path in SOURCES if path.name != "__init__.py"
+              for qualified, name in _public_definitions(_parse(path).body, path.stem)
+              if name not in used]
     assert unused == []
