@@ -141,15 +141,9 @@ def cmd_probs(parser: argparse.ArgumentParser, args) -> int:
         }
         if args.format == "json":
             text = _json_text(record)
-        else:
-            rows = [("n", args.n), ("phase", phase), ("regime", regime),
-                    ("classical_all_distinct", classical.p_all_distinct),
-                    ("quantum_all_distinct", quantum.p_all_distinct),
-                    ("classical_all_same", classical.p_all_same),
-                    ("quantum_all_same", quantum.p_all_same),
-                    ("support_size", quantum.support_size),
-                    ("per_outcome_prob", quantum.per_outcome_prob),
-                    ("enhancement_ratio", ratio)]
+        else:  # the record's values, a law's statistics named <law>_<statistic> without p_
+            rows = [(f"{key}_{name.removeprefix('p_')}" if name else key, v) for key, value in record.items()
+                    for name, v in (value.items() if isinstance(value, dict) else [("", value)])]
             text = "metric,value\n" + "".join(f"{k},{v!r}\n" if isinstance(v, float)
                                               else f"{k},{v}\n" for k, v in rows)
         stream.write(text)

@@ -18,14 +18,15 @@ phase = n*(n-1)//2 puts every all-distinct assignment on the support
 ("enhance-optimum"), while phase = 1 removes every all-same assignment
 ("avoid-worst").
 
-Everything here is exact and independent of the dense simulators: the
-analytic probabilities and the support sampler follow from this law
-directly, and the tests hold the simulators against it.
+Everything here is exact and independent of the dense simulators: a
+game's outcome law, the probabilities read from it and the support sampler
+follow from this law directly, and the tests hold the simulators against it.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,55 +109,87 @@ def strategy_matrix(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * exponents / n) / np.sqrt(n)
 
 
+@functools.cache
+def _counts_by_residue(n: int) -> np.ndarray:
+    """(n, n + 1) counts of the n**n size-n tuples by (digit sum mod n, players alone on
+    their channel), by a DP over the channels: placing k of the n - j players not yet
+    placed on channel c has math.comb(n - j, k) ways, adds c*k to the digit sum and, at
+    k == 1, one player alone.  uint64 arithmetic is exact mod 2**64 and every count lies
+    below 2**64, so products and sums that wrap on the way change no count."""
+    placed = np.zeros((n + 1, n, n + 1), dtype=np.uint64)  # players placed, digit sum mod n, alone
+    placed[0, 0, 0] = 1
+    ways = np.array([[math.comb(n - j, k) for k in range(n + 1)] for j in range(n + 1)], dtype=np.uint64)
+    for c in range(n):
+        step = np.zeros_like(placed)
+        for k in range(n + 1):
+            alone = int(k == 1)
+            moved = np.roll(placed[:n + 1 - k] * ways[:n + 1 - k, k, None, None], c * k % n, axis=1)
+            step[k:, :, alone:] += moved[:, :, :n + 1 - alone]
+        placed = step
+    return placed[n]
+
+
+def outcome_law(n: int, phase: int | None = None) -> np.ndarray:
+    """The exact law of a size-n game (n >= 1): an (n + 1, 2) uint64 array whose entry
+    [s, a] counts the equally likely tuples with s players alone and, at a == 1, all on one
+    channel; flat index s << 1 | a.  ``phase`` None is the classical rule, all n**n tuples;
+    else the support, the n**(n-1) with (phase + sum) % n == 0.  All-same needs no DP
+    dimension: it is the n constant tuples (n >= 2), sums n*c = 0 mod n, nobody alone."""
+    by_residue = _counts_by_residue(n)
+    law = np.zeros((n + 1, 2), dtype=np.uint64)
+    law[:, 0] = by_residue.sum(axis=0) if phase is None else by_residue[-phase % n]
+    if n > 1 and (phase is None or phase % n == 0):
+        law[0] = law[0, 0] - np.uint64(n), n  # in uint64 under numpy 1's promotion too
+    return law
+
+
 @dataclass(frozen=True)
-class SupportProbabilities:
-    """Exact outcome statistics of the entangled allocation game."""
+class OutcomeStatistics:
+    """Exact statistics of one game's outcome law, each a correctly rounded ratio of
+    its counts: all distinct, all same, nobody alone (no delivery), the players alone,
+    the share of the n transmissions that collide, and the equally likely outcomes."""
 
     p_all_distinct: float
     p_all_same: float
+    p_zero_delivery: float
+    expected_successes: float
+    collision_rate: float
     support_size: int
     per_outcome_prob: float
 
 
-@dataclass(frozen=True)
-class ClassicalProbabilities:
-    """Reference statistics for independent uniform channel choices."""
+def _statistics(n: int, phase: int | None) -> OutcomeStatistics:
+    counts = outcome_law(n, phase).tolist()  # Python ints, [successes][all-same]
+    total = sum(map(sum, counts))
+    successes = sum(s * sum(row) for s, row in enumerate(counts))
+    return OutcomeStatistics(
+        p_all_distinct=float(Fraction(counts[n][0], total)),
+        p_all_same=float(Fraction(counts[0][1], total)),
+        p_zero_delivery=float(Fraction(sum(counts[0]), total)),
+        expected_successes=float(Fraction(successes, total)),
+        collision_rate=float(Fraction(n * total - successes, n * total)),
+        support_size=total,
+        per_outcome_prob=float(Fraction(1, total)),
+    )
 
-    p_all_distinct: float
-    p_all_same: float
 
-
-def analytic_probabilities(config: GameConfig) -> SupportProbabilities:
-    """Closed-form support statistics.
+def analytic_probabilities(config: GameConfig) -> OutcomeStatistics:
+    """Exact statistics of the entangled game's support.
 
     Every permutation shares the digit sum n*(n-1)/2, so either all n! of
     the all-distinct assignments interfere constructively or none does;
     the n constant assignments likewise stand or fall together (their sums
     are multiples of n, so they survive exactly when phase == 0 mod n).
     """
-    n = config.n
-    pe = config.effective_phase
-    support_size = n ** (n - 1)
-    per_outcome = Fraction(1, support_size)
-    n_permutations = math.factorial(n) if (pe + n * (n - 1) // 2) % n == 0 else 0
-    n_constants = n if pe == 0 else 0
-    return SupportProbabilities(
-        p_all_distinct=float(n_permutations * per_outcome),
-        p_all_same=float(n_constants * per_outcome),
-        support_size=support_size,
-        per_outcome_prob=float(per_outcome),
-    )
+    return _statistics(config.n, config.phase)
 
 
-def classical_probabilities(n: int) -> ClassicalProbabilities:
+def classical_probabilities(n: int) -> OutcomeStatistics:
     """n users picking uniformly at random: P(all distinct) = n!/n^n,
-    P(all same) = n^(1-n)."""
+    P(all same) = n^(1-n), and the rest of the law's statistics."""
     if n < 2 or n > MAX_N:
         raise InvalidConfigError(f"need 2 <= n <= {MAX_N}, got {n}")
-    return ClassicalProbabilities(
-        p_all_distinct=float(Fraction(math.factorial(n), n**n)),
-        p_all_same=float(Fraction(n, n**n)),
-    )
+    return _statistics(n, None)
 
 
 def sample_outcomes(config: GameConfig, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -168,12 +201,6 @@ def sample_outcomes(config: GameConfig, rng: np.random.Generator, size: int) -> 
     exactly one preimage, so the construction is exactly uniform over the
     n^(n-1) support tuples -- no rejection step.
     """
-    return complete_outcomes(config, rng.integers(0, config.n, size=(size, config.n - 1)))
-
-
-def complete_outcomes(config: GameConfig, head: np.ndarray) -> np.ndarray:
-    """The support tuples that begin with the rows of ``head``, a (rows, n-1)
-    integer array: each row ends in the digit that puts (phase + sum) % n at 0."""
+    head = rng.integers(0, config.n, size=(size, config.n - 1))
     last = (-(config.effective_phase + np.einsum("ij->i", head))) % config.n
     return np.concatenate([head, last[:, None]], axis=1)
-

@@ -9,11 +9,11 @@ slot.  Star topology runs one allocation per slot (the base station is the
 arbiter); mesh-rounds runs one allocation round per arbiter node per slot,
 each arbiter serving its ring neighborhood.
 
-A game digit indexes the round's free channels.  Only how many players
-share a channel decides a collision, so no metric depends on which
-physical channel a digit stands for, and the engine scores the digits
-directly.  When one round serves all n users (every star slot), no metric
-depends on who defers either, so that choice is not drawn.
+Only how many players share a channel decides a collision, so the engine
+never draws channels: each game is one draw of its outcome (players alone,
+all on one channel) from the exact law of its size, ``game.outcome_law``.
+When one round serves all n users (every star slot), no metric depends on
+who defers either, so that choice is not drawn.
 
 Randomness is split into independent streams derived from the config seed:
 an environment stream (occupancy and who defers; a single-round run draws
@@ -27,6 +27,7 @@ a comparison reproduces itself exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -38,10 +39,8 @@ from .game import (
     MAX_N,
     REGIME_AVOID_WORST,
     REGIME_ENHANCE_OPTIMUM,
-    GameConfig,
-    complete_outcomes,
+    outcome_law,
     phase_for_regime,
-    sample_outcomes,
 )
 from .qudit import check_footprint
 
@@ -65,7 +64,7 @@ SLOT_CSV_HEADER = "slot,free_channels,policy,successes,colliders,all_same"
 # text rows per write: one block's byte matrix and its text stay under 1 MB,
 # so the writer's peak fits in the slot engine's per-call plan
 TEXT_BLOCK_ROWS = 4096
-# cells per slot-engine block (occupancy draws, priority draws, game scoring, score tables): a
+# cells per slot-engine block (occupancy draws, priority draws, game draws): a
 # block of rows w cells wide has ENGINE_CELLS // (the power of two >= w) rows, 1024 at widths 9
 # to 16 and 4096 at 3 or 4, so no block temporary grows with the slot count and an int64 one
 # holds at most 128 KiB, glibc's default mmap threshold.  At the 16-user mesh (100k slots, two
@@ -252,8 +251,7 @@ class SlotLog:
     whether some round put every player on one channel; with ``attempts``,
     the transmission attempts per free count, of which every one that did
     not succeed collided.  No column records which physical channel a user
-    took: game digits index the free channels, and no metric depends on the
-    labelling."""
+    took: the engine never draws it, and no metric depends on it."""
 
     def __init__(self, free_counts: np.ndarray, successes: np.ndarray,
                  attempts: np.ndarray, all_same: np.ndarray):
@@ -287,40 +285,23 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, *key)))
 
 
-def _game_digits(policy: str, size: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """(count, size) channel digits in [0, size) for `count` games of `size` players."""
-    if size == 1:
-        return np.zeros((count, 1), dtype=np.int64)
-    if (regime := _REGIMES[policy]) is None:
-        return rng.integers(0, size, size=(count, size))
-    return sample_outcomes(GameConfig(size, phase_for_regime(regime, size)), rng, count)
-
-
-def _score_rows(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-player 'alone on its channel' flags plus per-row success/all-same tallies."""
-    rows, size = digits.shape
-    digits += size * np.arange(rows)[:, None]  # in place: each player's channel, numbered across rows
-    load = np.bincount(digits.ravel(), minlength=rows * size)  # players on each channel
-    alone = (load == 1)[digits]
-    successes = np.einsum("ij->i", alone.view(np.uint8), dtype=np.intp)
-    return alone, successes, (load[digits[:, 0]] == size) & (size >= 2)
-
-
-def _score_table(policy: str, size: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """For a game whose players' flags no metric reads: the place values of the digits
-    _game_digits draws (a quantum game's support fixes the last), and a uint8 table of
-    successes << 1 | all-same by their value, scored by _score_rows for every such row.
-    None for a size-1 game, which draws nothing, and for rows over one engine block."""
+@functools.cache
+def _game_law(policy: str, size: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """A size-``size`` game under ``policy`` as one exact draw: the count of its equally likely
+    outcomes (2**64 at 16 classical players, which numpy takes as a uint64 bound), its law's
+    cumulative counts by key but the last (the count itself, which wraps to 0 at 16**16), and
+    each key's code.  A draw below the count falls in key i when i boundaries are at most it."""
     regime = _REGIMES[policy]
-    drawn = size if regime is None else size - 1
-    if size < 2 or size**drawn * size > ENGINE_CELLS:
-        return None
-    weights = size ** np.arange(drawn - 1, -1, -1)
-    digits = np.arange(size**drawn)[:, None] // weights % size
-    if regime is not None:
-        digits = complete_outcomes(GameConfig(size, phase_for_regime(regime, size)), digits)
-    _, successes, all_same = _score_rows(digits)
-    return weights, (successes << 1 | all_same).astype(np.uint8)
+    law = outcome_law(size, None if regime is None else phase_for_regime(regime, size)).ravel()
+    codes = np.flatnonzero(law)
+    return sum(law.tolist()), np.cumsum(law[codes])[:-1], codes.astype(np.uint8)
+
+
+def _play(policy: str, size: int, rows: int, alloc: np.random.Generator) -> np.ndarray:
+    """Codes successes << 1 | all-same of ``rows`` size-``size`` games, one uint64 draw
+    each; a size-1 game has one outcome, and numpy takes no bits for a bound of 1."""
+    total, bounds, codes = _game_law(policy, size)
+    return codes.take(bounds.searchsorted(alloc.integers(0, total, rows, dtype=np.uint64), side="right"))
 
 
 def _priority_order(draws: np.ndarray) -> np.ndarray:
@@ -355,10 +336,10 @@ def _run_slots(config: CellConfig, policies: Sequence[str]) -> list[tuple[MacMet
     ring offset.  A single round over all n users draws no such
     choice, since a slot is then all-distinct exactly when all n succeed,
     and its environment stream ends at occupancy.  Occupancy, priorities and
-    defer picks are shared by every policy; each policy scores digits drawn
-    from its own allocator stream.  The digits index the free channels and
-    are scored as they are, since which physical channels they name (and
-    which surplus channels go unused) changes no metric.  The energy is
+    defer picks are shared by every policy; each policy draws each game's
+    outcome from its own allocator stream, one uint64 per game (see
+    _play), since which physical channels the players take (and which
+    surplus channels go unused) changes no metric.  The energy is
     ``config.energy`` of the attempts.
     """
     n, group, rounds = config.n_users, config.group, config.rounds
@@ -374,10 +355,10 @@ def _run_slots(config: CellConfig, policies: Sequence[str]) -> list[tuple[MacMet
     # order (8), 3 of temporaries at the end and, unless single, a 4-byte delivery mask per
     # policy and each round's priority offsets (1 per member).  While the CSV writer indexes the
     # distinct rows, instead 12: each row's int32 key and its tail index (intp).  Per call, 1 MiB
-    # of array headers, scalars, score tables and one text block; the writer's key table, 8
+    # of array headers, scalars, outcome laws and one text block; the writer's key table, 8
     # bytes for each of (n + 1) * (rounds * group + 1) * 2 keys; and one engine block of cells:
-    # 8 bytes a cell of the reused priority buffer and at most 40 of an occupancy draw, a game's
-    # scoring or the building of a score table.
+    # 8 bytes a cell of the reused priority buffer and at most 40 of an occupancy draw or a
+    # block of game draws.
     tally_bytes = np.dtype(tally).itemsize
     logs = tally_bytes + len(policies) * (tally_bytes + 1)
     engine = logs + 8 + 3 + (0 if single else len(policies) * 4 + group)
@@ -404,8 +385,6 @@ def _run_slots(config: CellConfig, policies: Sequence[str]) -> list[tuple[MacMet
 
     order = np.empty((0 if single else slots, group), dtype=np.uint8)  # each round's offsets
     draws = np.empty((min(_block_rows(group), slots), group))  # one block of priority draws
-    # a single round reads no player's flags, so games of up to 5 players are scored by table
-    tables = {(p, size): _score_table(p, size) for p in policies for *_, size in games if single}
     for r in range(rounds):
         if not single:
             bits = 1 << (r % n + np.arange(group, dtype=np.int32)) % n  # each member's user bit
@@ -416,21 +395,20 @@ def _run_slots(config: CellConfig, policies: Sequence[str]) -> list[tuple[MacMet
             for start in range(first, end, _block_rows(size)):
                 span = slice(start, min(start + _block_rows(size), end))
                 rows = span.stop - start
-                if not single:  # the whole group plays, or the `size` members with the lowest draws
-                    # (take gathers these small blocks about twice as fast as fancy indexing)
-                    players = np.broadcast_to(bits, (rows, group)) if size == group else \
-                        bits.take(order.take(by_free[span], axis=0)[:, :size])
+                if not single:
+                    # the `size` members with the lowest draws play; a game's law is symmetric in its
+                    # players, whose order is uniform and apart from the game, so its k alone may be its
+                    # first k, whose user bits `prefix` ORs (take gathers these small blocks about twice
+                    # as fast as fancy indexing)
+                    prefix = np.zeros((rows, size + 1), dtype=np.int32)
+                    np.bitwise_or.accumulate(bits.take(order.take(by_free[span], axis=0)[:, :size]),
+                                             axis=1, out=prefix[:, 1:])
                 for i, (policy, alloc) in enumerate(zip(policies, allocs)):
-                    if (table := tables.get((policy, size))) is not None:
-                        weights, scores = table
-                        scored = scores.take(alloc.integers(0, size, (rows, len(weights))) @ weights)
-                        round_succ, round_same = scored >> 1, (scored & 1).view(bool)
-                    else:
-                        alone, round_succ, round_same = _score_rows(_game_digits(policy, size, rows, alloc))
-                    successes[i][span] += round_succ
-                    all_same[i][span] |= round_same
+                    scored = _play(policy, size, rows, alloc)
+                    successes[i][span] += scored >> 1
+                    all_same[i][span] |= (scored & 1).view(bool)
                     if not single:
-                        delivered[i][span] |= np.einsum("ij,ij->i", alone, players, dtype=np.int32)
+                        delivered[i][span] |= prefix.take(np.arange(0, prefix.size, size + 1) + (scored >> 1))
     for columns in (successes, all_same):  # the slot logs' columns, back in slot order
         for i, column in enumerate(columns):
             columns[i] = np.empty_like(column)

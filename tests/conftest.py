@@ -3,8 +3,11 @@ reference: the library samples from the support law but does not evaluate
 amplitudes, so the tests state the law themselves."""
 
 import cmath
+import collections
+import itertools
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +31,59 @@ def brute_amplitude(n, p, t):
     """Oracle: the interference sum evaluated term by term, no reductions."""
     total = sum(cmath.exp(2j * math.pi * k * (p + sum(t)) / n) for k in range(n))
     return total * n ** (-(n + 1) / 2)
+
+
+#: the phase of the size-f game under each MAC policy; None is the classical rule
+PHASES = {
+    "classical-uniform": lambda f: None,
+    "quantum-enhance-optimum": lambda f: f * (f - 1) // 2,
+    "quantum-avoid-worst": lambda f: 1,
+}
+
+
+def support_tallies(f, phase):
+    """Oracle: (successes, all-same) of every equally likely outcome of the
+    size-f game, by enumeration: every digit tuple with (phase + sum) % f == 0,
+    or all f^f tuples when phase is None."""
+    tallies = []
+    for digits in itertools.product(range(f), repeat=f):
+        if phase is not None and (phase + sum(digits)) % f:
+            continue
+        load = collections.Counter(digits)
+        tallies.append((sum(load[d] == 1 for d in digits), f >= 2 and len(load) == 1))
+    return tallies
+
+
+def star_moments(n, activity, phase):
+    """Oracle: exact (mean, variance) per slot of a star policy's successes,
+    all-distinct and all-same indicators, keyed by their metric names: the
+    free count is Binom(n, 1 - activity), and the size-f game is uniform over
+    support_tallies(f, phase(f))."""
+    a = Fraction(str(activity))
+    sums = {"throughput": [0, 0], "all_distinct_rate": [0, 0], "all_same_rate": [0, 0]}
+    for f in range(n + 1):
+        tallies = support_tallies(f, phase(f)) if f else [(0, False)]
+        weight = math.comb(n, f) * (1 - a) ** f * a ** (n - f) / len(tallies)
+        for successes, same in tallies:
+            for key, x in (("throughput", successes), ("all_distinct_rate", successes == n),
+                           ("all_same_rate", same)):
+                sums[key][0] += weight * x
+                sums[key][1] += weight * x * x
+    return {key: (m1, m2 - m1 * m1) for key, (m1, m2) in sums.items()}
+
+
+def python_int_law(n):
+    """Oracle: counts of the n**n size-n tuples by (digit sum mod n, players
+    alone on their channel), a channel-by-channel DP over dicts of Python ints,
+    so no count can wrap."""
+    states = {(0, 0, 0): 1}  # (players placed, digit sum mod n, players alone) -> tuples
+    for c in range(n):
+        placed = collections.Counter()
+        for (j, r, s), count in states.items():
+            for k in range(n - j + 1):
+                placed[j + k, (r + c * k) % n, s + (k == 1)] += count * math.comb(n - j, k)
+        states = placed
+    return {(r, s): count for (j, r, s), count in states.items() if j == n}
 
 
 def decode_counts(n, rows) -> dict[tuple[int, ...], int]:

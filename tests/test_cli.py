@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import stat
 import time
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import histogram_text
+from conftest import PHASES, histogram_text, star_moments
 from qmg import cli, mac, qudit
 from qmg.circuit import build_preparation_circuit, parse_circuit
 from qmg.game import GameConfig, phase_for_regime, strategy_matrix
@@ -68,6 +69,27 @@ def test_probs_csv_format(tmp_path):
     table = dict(line.split(",") for line in lines[1:])
     assert table["quantum_all_distinct"] == "0.375"
     assert table["regime"] == "custom"
+
+
+def test_probs_csv_lists_the_json_record(tmp_path, capsys):
+    """The CSV has one row per value of the JSON record, a law's statistics
+    named <law>_<statistic> without the p_ prefix, floats by repr.  Both laws
+    carry the exact per-game zero-delivery probability, expected successes and
+    collision rate (at n = 5, avoid-worst: 0.08, 2.04 and 0.592)."""
+    cli.main(["probs", "--n", "5", "--regime", "avoid-worst"])
+    record = json.loads(capsys.readouterr().out)
+    quantum = record["quantum"]
+    assert (quantum["p_zero_delivery"], quantum["expected_successes"], quantum["collision_rate"]) == \
+        (0.08, 2.04, 0.592)
+    out = tmp_path / "table.csv"
+    cli.main(["probs", "--n", "5", "--regime", "avoid-worst", "--format", "csv", "--out", str(out)])
+    lines = out.read_text().splitlines()[1:]
+    flat = {key: value for key, value in record.items() if not isinstance(value, dict)}
+    for law in ("classical", "quantum"):
+        flat.update({f"{law}_{name.removeprefix('p_')}": value for name, value in record[law].items()})
+    assert len(lines) == len(flat)
+    assert dict(line.split(",") for line in lines) == {
+        name: repr(value) if isinstance(value, float) else str(value) for name, value in flat.items()}
 
 
 def test_probs_out_of_range_n():
@@ -379,41 +401,46 @@ def test_mac_byte_identical_reruns(tmp_path):
     assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
 
 
-@pytest.mark.parametrize("overrides, digests", (
+# (run-spec overrides, sha256 of each output file) of the pinned `qmg mac` runs
+MAC_DIGESTS = (
     ({"primary_activity": 0.3, "slots": 2000, "seed": 5}, {
-        "run.json": "a5aa745c506407582416bdaa505be09a803641dac53270477e3a092a8a73b3d0",
-        "run.csv": "7cc1f6d96d6abb88b865783cea1e9146656092b73921ce87e5d5017e68e65033"}),
+        "run.json": "a7857defab38b69b32a6ace9c1770078fd1f4ef1ea0f002854421e827deba50f",
+        "run.csv": "7a9e2524dab3af5849feb37d0d6ffb361516e91e844ee93a0d7e795563da4292"}),
     ({"n_users": 6, "n_channels": 6, "primary_activity": 0.3, "slots": 2000, "seed": 5,
       "topology": "mesh-rounds", "mesh_degree": 2, "mesh_rounds": 4}, {
-        "run.json": "dd95d7551184a3c9a4d04765fd7fa867de880fa58900c30fab1a5f2864a82a45"}),
+        "run.json": "4049dc8bc42687443d18cc1aa4df05790a45ecd22f2a4b98eff3b72f6a6b1feb"}),
     # the benchmark's mesh shape: 16 rounds, and defer picks in almost every slot
     ({"n_users": 16, "n_channels": 16, "primary_activity": 0.2, "slots": 2000, "seed": 5,
       "topology": "mesh-rounds", "policies": ["classical-uniform", "quantum-avoid-worst"]}, {
-        "run.json": "3db0dbfca2c531b307aecb8e2647591902e39f7174499f177bd15b5f0e5a172a"}),
+        "run.json": "ed42eb4a0f55ccac463571368dd14c79cb05406557a710cf4e29c6d7589c6292"}),
     # the same mesh over several of the engine's 1024-row priority blocks
     ({"n_users": 16, "n_channels": 16, "primary_activity": 0.2, "slots": 5_000, "seed": 5,
       "topology": "mesh-rounds", "policies": ["classical-uniform", "quantum-avoid-worst"]}, {
-        "run.json": "a2fd23a56247c9d3e76e4d3652be31a6b59438427a6695977b5fc88b5a7bbeee"}),
+        "run.json": "8ae7f8bf39a3231396f5ba4848e941b386c4ae8c6c3c4bed87d5442ec6b7be27"}),
     # three policies' rows: several text blocks, slot numbers of one to five digits
     ({"primary_activity": 0.3, "slots": 20_001, "seed": 5}, {
-        "run.json": "fb81d1868978f18f235c26bb376bd7e9c29d8ca630ad6c413307578beae7ff48",
-        "run.csv": "ea2571f35ab9e43444b9f83369f105026696514877828d1b817199714203d81e"}),
-    # stars either side of the score tables' limit: every game of 2 to 5 players is scored
-    # by table, and from 6 players by _score_rows
+        "run.json": "ef4392f08ece1ce45f840b1457f54ee8fd327d1fbcf1a3f13fd35de50c2c876f",
+        "run.csv": "b57f2e2aa7395924c54e36cbfef757d90bcbe87dd3052427220f8104ee314aa4"}),
+    # stars of 2, 3, 5 and 6 users: every game size's law, from one outcome (a size-1
+    # game, which draws nothing, and two quantum players) to 6**6 equally likely tuples
     ({"n_users": 2, "n_channels": 2, "primary_activity": 0.3, "slots": 20_000, "seed": 5}, {
-        "run.json": "a197c5230ed38c98a8872386df0ed206e57c10dfb21e118160ebcb371f25884e",
-        "run.csv": "ea766a371bf4b8824dca172fbb83f075cf882d7b2ead312a172ea2b9af0c288e"}),
+        "run.json": "acf964f223e6514716f917ad2f416430348c89bdc719170ab98d839f40ccd9f8",
+        "run.csv": "44910c5a752b8cedc142e2f1c6b4294ae04d7f83933e2b51fcd5f632524409df"}),
     ({"n_users": 3, "n_channels": 3, "primary_activity": 0.3, "slots": 20_000, "seed": 5}, {
-        "run.json": "fc0af72800a7be1fc289d6362082b19ab18ff46318f9daf2ff244300c6c62834",
-        "run.csv": "41f009e824570dac30c0f895f67fb8904923c5bbd8cbd6ffacc9813d37234a1f"}),
+        "run.json": "c230cec8140ad3d58ae4dc61cd5abb164168d853406a6fcaa990c8824c50a284",
+        "run.csv": "d386ec53642331965209a8a9ec90ec84245743a7710c4b1791882347e46d2e7e"}),
     ({"n_users": 5, "n_channels": 5, "primary_activity": 0.3, "slots": 20_000, "seed": 5}, {
-        "run.json": "19625b91a6aacfab65cc7fc5938aafd5047cdb81d77bbc8a85063baa39d8abdb",
-        "run.csv": "744f4c77477f0cddab7d29e92f4a57a3f09f97f52ba9b87cdc81c7139bbf7df2"}),
+        "run.json": "bd7edf48cd182f0b65dcc5cbcd955af1d4cb2293e51b529130891c3cd391f427",
+        "run.csv": "6028c4ad7b67752457e82cb53ae4a9643ed3585197b92285e0992a75e0e1e74f"}),
     ({"n_users": 6, "n_channels": 6, "primary_activity": 0.3, "slots": 20_000, "seed": 5}, {
-        "run.json": "4bb67da798a57a4f47d0385f11ef240f1ff8c9d36aa51274a5d6ab476c23cea0",
-        "run.csv": "c0da92cf05385921665d1230575e7a5597771db83ec42f57914833796cfb880e"}),
-), ids=("star", "mesh", "full-mesh", "full-mesh-5000", "star-20001",
-        "star-n2", "star-n3", "star-n5", "star-n6"))
+        "run.json": "0d30559b50bee8140f31a2d6a88b8509d0a4708945d678188e9bc4fb9b6b1a40",
+        "run.csv": "bf3904a713edcd359f791e0e547526bd9dd9f7c5b07c3e8fdd71a5355a5994b2"}),
+)
+MAC_DIGEST_IDS = ("star", "mesh", "full-mesh", "full-mesh-5000", "star-20001",
+                  "star-n2", "star-n3", "star-n5", "star-n6")
+
+
+@pytest.mark.parametrize("overrides, digests", MAC_DIGESTS, ids=MAC_DIGEST_IDS)
 def test_mac_fixed_seed_bytes(tmp_path, overrides, digests):
     """Fixed-seed output files keep their bytes across refactors.  They hold
     only integers and ratios of exact integer sums, so the platform cannot
@@ -422,6 +449,23 @@ def test_mac_fixed_seed_bytes(tmp_path, overrides, digests):
     assert cli.main(["mac", str(spec), "--out", str(tmp_path / "out" / "run")]) == 0
     assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in (tmp_path / "out").iterdir()} == digests
+
+
+@pytest.mark.parametrize("overrides", [overrides for overrides, _ in MAC_DIGESTS if "topology" not in overrides],
+                         ids=[case for case in MAC_DIGEST_IDS if case.startswith("star")])
+def test_mac_fixed_seed_star_metrics_near_exact(tmp_path, overrides):
+    """Each pinned star run's throughput, all-distinct and all-same rates lie
+    within 5 sigma of their exact expectations from enumerating every game,
+    so the digests pin a sample of the right law."""
+    spec = run_spec_file(tmp_path, **overrides)
+    assert cli.main(["mac", str(spec), "--out", str(tmp_path / "run")]) == 0
+    document = json.loads((tmp_path / "run.json").read_text())
+    config = document["config"]
+    for entry in document["policies"]:
+        moments = star_moments(config["n_users"], config["primary_activity"], PHASES[entry["policy"]])
+        for key, (mean, variance) in moments.items():
+            sigma = math.sqrt(variance / config["slots"])
+            assert abs(entry["metrics"][key] - mean) <= 5 * sigma, (entry["policy"], key, float(mean))
 
 
 def test_mac_seed_override_changes_slots(tmp_path):

@@ -5,6 +5,7 @@ interference sum with un-reduced floating-point exponents, held against the
 closed form and support law stated in conftest.py.
 """
 
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -15,13 +16,14 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_amplitude, closed_form_amplitude, in_support
+from conftest import brute_amplitude, closed_form_amplitude, in_support, python_int_law, support_tallies
 from qmg.game import (
     GameConfig,
     InvalidConfigError,
     analytic_probabilities,
     classical_probabilities,
     entangled_branches,
+    outcome_law,
     phase_for_regime,
     sample_outcomes,
     strategy_matrix,
@@ -239,6 +241,59 @@ def test_classical_probabilities_range():
         classical_probabilities(1)
     with pytest.raises(InvalidConfigError):
         classical_probabilities(17)
+
+
+# --- the outcome law --------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_outcome_law_matches_brute_force(n):
+    """The classical law and the law of every residue class, entry [s, a]
+    against the enumerated tuples with s players alone and all-same a."""
+    for phase in (None, *range(n)):
+        law = {(s, bool(a)): count for s, row in enumerate(outcome_law(n, phase).tolist())
+               for a, count in enumerate(row) if count}
+        assert law == collections.Counter(support_tallies(n, phase)), phase
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_outcome_law_counts_every_tuple(n):
+    """The classical law counts all n**n tuples and each residue class
+    n**(n-1); all-same is the n constant tuples (from n = 2), all in residue 0,
+    and all-distinct the n! permutations, all in the class of n(n-1)/2."""
+    assert sum(outcome_law(n).ravel().tolist()) == n**n
+    for phase in range(n):
+        law = outcome_law(n, phase).tolist()
+        assert sum(map(sum, law)) == n ** (n - 1)
+        assert law[0][1] == (n if n > 1 and phase == 0 else 0)
+        assert law[n][0] == (math.factorial(n) if (phase + n * (n - 1) // 2) % n == 0 else 0)
+
+
+@pytest.mark.parametrize("n", (7, 8, 16))
+def test_outcome_law_uint64_matches_python_ints(n):
+    """The uint64 DP, whose products and sums wrap mod 2**64 on the way,
+    against a DP in Python ints: the counts by players alone agree in every
+    residue class and under the classical rule."""
+    reference = python_int_law(n)
+    for phase in (None, *range(n)):
+        residues = range(n) if phase is None else [-phase % n]
+        expected = [sum(reference.get((r, s), 0) for r in residues) for s in range(n + 1)]
+        assert outcome_law(n, phase).sum(axis=1).tolist() == expected, phase
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_statistics_read_the_enumerated_law(n):
+    """Every statistic `qmg probs` reports is the correctly rounded ratio of
+    enumerated counts, under the classical rule and at every phase."""
+    for phase in (None, *range(n)):
+        got = classical_probabilities(n) if phase is None else analytic_probabilities(GameConfig(n, phase))
+        tallies = support_tallies(n, phase)
+        total, successes = len(tallies), sum(s for s, _ in tallies)
+        assert got.p_all_distinct == float(Fraction(sum(s == n for s, _ in tallies), total))
+        assert got.p_all_same == float(Fraction(sum(a for _, a in tallies), total))
+        assert got.p_zero_delivery == float(Fraction(sum(s == 0 for s, _ in tallies), total))
+        assert got.expected_successes == float(Fraction(successes, total))
+        assert got.collision_rate == float(Fraction(n * total - successes, n * total))
+        assert got.support_size == total and got.per_outcome_prob == 1 / total
 
 
 # --- sampling -------------------------------------------------------------

@@ -1,19 +1,20 @@
 """Slotted-MAC simulation: baselines, support guarantees, determinism, mesh."""
 
-import collections
 import dataclasses
 import io
-import itertools
 import json
 import math
 import tracemalloc
 import typing
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.stats
 
-from conftest import colliders, slot_columns
+from conftest import PHASES, colliders, slot_columns, support_tallies
 from qmg import cli, mac
+from qmg.game import outcome_law
 from qmg.mac import (
     CLASSICAL_UNIFORM,
     MAX_MESH_ROUNDS,
@@ -32,27 +33,6 @@ from qmg.mac import (
 )
 
 CLASSICAL, ENHANCE, AVOID = CLASSICAL_UNIFORM, QUANTUM_ENHANCE_OPTIMUM, QUANTUM_AVOID_WORST
-
-
-# phase of the size-f game under each policy; None is the classical rule
-PHASES = {
-    CLASSICAL_UNIFORM: lambda f: None,
-    QUANTUM_ENHANCE_OPTIMUM: lambda f: f * (f - 1) // 2,
-    QUANTUM_AVOID_WORST: lambda f: 1,
-}
-
-
-def support_tallies(f, phase):
-    """(successes, all-same) of every equally likely outcome of the size-f
-    game: every digit tuple with (phase + sum) % f == 0, or all f^f tuples
-    when phase is None."""
-    tallies = []
-    for digits in itertools.product(range(f), repeat=f):
-        if phase is not None and (phase + sum(digits)) % f:
-            continue
-        load = collections.Counter(digits)
-        tallies.append((sum(load[d] == 1 for d in digits), f >= 2 and len(load) == 1))
-    return tallies
 
 
 def cell(n=4, activity=0.0, slots=10_000, seed=17, **kw):
@@ -228,15 +208,21 @@ def test_engine_block_changes_nothing(monkeypatch, n, slots, mesh, block):
 
 @pytest.mark.parametrize("size", range(2, 17))
 def test_integer_draws_in_chunks_equal_one_draw(size):
-    """The engine's blocks rest on this numpy property: game digits drawn with
-    ``integers()`` in odd-sized chunks are the digits of one whole draw, whether
-    or not the game size is a power of two.  PCG64 keeps the spare 32-bit half
-    of a 64-bit word between calls, so a chunk boundary skips no bits."""
-    whole = np.random.default_rng(size).integers(0, size, size=(1_000, size))
-    rng = np.random.default_rng(size)
+    """The engine's blocks rest on this numpy property: integers drawn with
+    ``integers()`` in odd-sized chunks are those of one whole draw, whether or
+    not the bound is a power of two: channel digits below the game size, and
+    the engine's uint64 draws below the size-``size`` game's outcome counts
+    size**size (2**64 at 16) and size**(size - 1).  PCG64 keeps the spare
+    32-bit half of a 64-bit word between calls, so a chunk boundary skips no
+    bits, and a draw above 2**32 takes whole words."""
     edges = [0, 1, 4, 11, 100, 357, 1_000]
-    chunks = [rng.integers(0, size, size=(stop - start, size)) for start, stop in zip(edges, edges[1:])]
-    assert np.array_equal(np.concatenate(chunks), whole)
+    for high, dtype, shape in ((size, np.int64, (size,)), (size**size, np.uint64, ()),
+                               (size ** (size - 1), np.uint64, ())):
+        whole = np.random.default_rng(size).integers(0, high, size=(1_000, *shape), dtype=dtype)
+        rng = np.random.default_rng(size)
+        chunks = [rng.integers(0, high, size=(stop - start, *shape), dtype=dtype)
+                  for start, stop in zip(edges, edges[1:])]
+        assert np.array_equal(np.concatenate(chunks), whole)
 
 
 @pytest.mark.parametrize("n", (2, 4, 16))
@@ -330,6 +316,129 @@ def test_star_per_free_count_law(n, policy):
                             (log.all_same[sel].mean(), tallies[:, 1])):
             sigma = math.sqrt(column.var() / count)
             assert abs(got - column.mean()) <= 5 * sigma + 1e-12, (f, got, column.mean())
+
+
+@pytest.mark.parametrize("n", (4, 6))
+@pytest.mark.parametrize("policy", (CLASSICAL, ENHANCE, AVOID))
+def test_star_keys_follow_the_outcome_law(n, policy):
+    """Per free count f, the slots' (successes, all-same) keys sample the size-f
+    game's exact law: no slot takes a key of count 0, and a chi-square test of
+    the key frequencies, pooled over f, with the keys expected fewer than 5
+    times lumped into one cell per f, gives p above 1e-4."""
+    _, log = run_cell(cell(n=n, activity=0.4, slots=60_000, seed=29), [policy])[0]
+    codes = log.successes.astype(np.int64) << 1 | log.all_same
+    statistic, dof = 0.0, 0
+    for f in range(1, n + 1):
+        law = outcome_law(f, PHASES[policy](f)).ravel().astype(float)
+        observed = np.bincount(codes[log.free_counts == f], minlength=len(law))
+        assert len(observed) == len(law) and not observed[law == 0].any()
+        expected = law / law.sum() * observed.sum()
+        small = expected < 5
+        cells = [(observed[~small], expected[~small]), (observed[small].sum(), expected[small].sum())]
+        observed, expected = (np.append(*pair) for pair in zip(*cells))
+        kept = expected > 0
+        statistic += float(((observed[kept] - expected[kept]) ** 2 / expected[kept]).sum())
+        dof += int(kept.sum()) - 1
+    assert scipy.stats.chi2.sf(statistic, dof) > 1e-4, (statistic, dof)
+
+
+class RecordingNumpy:
+    """numpy for the slot engine, except that ``zeros`` also keeps each (slots,)
+    int32 array it makes: the engine's per-policy delivery masks, whose bit u is
+    set once user u was alone on its channel in some round of the slot."""
+
+    def __init__(self, slots):
+        self.slots, self.masks = slots, []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, shape, dtype=float):
+        out = np.zeros(shape, dtype)
+        if shape == self.slots and dtype is np.int32:
+            self.masks.append(out)
+        return out
+
+
+@pytest.mark.parametrize("n, degree, rounds", ((8, 3, 1), (6, 2, 6)), ids=("one-ring-round", "ring"))
+def test_mesh_members_share_one_delivery_frequency(monkeypatch, n, degree, rounds):
+    """A round's alone set is the first k of its players in priority order, k
+    drawn from the game's law.  That law is symmetric in the players, so every
+    ring offset of the arbiter's group is delivered equally often: a user in c
+    of the slot's rounds is delivered with probability sum over f of P(f) *
+    (1 - (1 - E[K]/group)^c), E[K] of the min(group, f)-player game by
+    enumeration.  Each user's frequency lies within 5 sigma of it; with one
+    round, the users are the offsets."""
+    config = cell(n=n, activity=0.3, slots=30_000, seed=37, topology="mesh-rounds",
+                  mesh_degree=degree, mesh_rounds=rounds)
+    group = degree + 1
+    covered = [sum(u in {(r + o) % n for o in range(group)} for r in range(rounds)) for u in range(n)]
+    recording = RecordingNumpy(config.slots)
+    monkeypatch.setattr(mac, "np", recording)
+    policies = [CLASSICAL, ENHANCE, AVOID]
+    run_mesh_rounds(config, policies)
+    assert len(recording.masks) == len(policies)
+    a = Fraction(str(config.primary_activity))
+    for policy, mask in zip(policies, recording.masks):
+        for u, rounds_in in enumerate(covered):
+            exact = Fraction(0)
+            for f in range(1, n + 1):
+                tallies = support_tallies(min(group, f), PHASES[policy](min(group, f)))
+                delivered = Fraction(sum(s for s, _ in tallies), len(tallies) * group)
+                exact += math.comb(n, f) * (1 - a) ** f * a ** (n - f) * (1 - (1 - delivered) ** rounds_in)
+            got = float(np.mean(mask >> u & 1))
+            sigma = math.sqrt(exact * (1 - exact) / config.slots)
+            assert abs(got - exact) <= 5 * sigma, (policy, u, got, float(exact))
+
+
+def test_mesh_shape_all_distinct_near_exact():
+    """At the benchmark's mesh shape (16 users, activity 0.2, one full round
+    per node, two policies) over 20,000 slots, each all-distinct rate lies
+    within 5 sigma of its exact value by inclusion-exclusion over the users
+    left undelivered: 0.9386158 classical, 0.9386141 avoid-worst."""
+    config = cell(n=16, activity=0.2, slots=20_000, seed=43, topology="mesh-rounds")
+    for (metrics, _), exact in zip(run_mesh_rounds(config, [CLASSICAL, AVOID]), (0.9386158, 0.9386141)):
+        sigma = math.sqrt(exact * (1 - exact) / config.slots)
+        assert abs(metrics.all_distinct_rate - exact) <= 5 * sigma, (metrics.all_distinct_rate, exact)
+
+
+@pytest.mark.parametrize("size", range(1, 17))
+@pytest.mark.parametrize("policy", mac.POLICY_KINDS)
+def test_game_law_draws_each_key_by_its_count(policy, size):
+    """A policy's size-``size`` game is a uniform uint64 draw below its count of
+    equally likely outcomes, size**size or size**(size - 1): the boundaries
+    split that range into one interval per key of the law, as long as the key's
+    count, and the key's code is successes << 1 | all-same.  Up to 5 players,
+    every draw in the range is looked up."""
+    total, bounds, codes = mac._game_law(policy, size)
+    law = outcome_law(size, PHASES[policy](size)).ravel().tolist()
+    assert total == size ** (size if PHASES[policy](size) is None else size - 1) == sum(law)
+    assert codes.dtype == np.uint8 and codes.tolist() == [code for code, count in enumerate(law) if count]
+    edges = [0, *bounds.tolist(), total]
+    assert [stop - start for start, stop in zip(edges, edges[1:])] == [law[code] for code in codes.tolist()]
+    if size <= 5:
+        drawn = codes[bounds.searchsorted(np.arange(total, dtype=np.uint64), side="right")]
+        assert np.bincount(drawn, minlength=len(law)).tolist() == law
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 16))
+def test_each_game_is_one_draw_from_its_law(monkeypatch, n):
+    """Each policy's allocator stream draws one uint64 per game, below the
+    game's outcome count (size**size, or size**(size - 1) on a quantum
+    support; 2**64 at 16 classical players), game sizes in increasing order;
+    a size-1 game, whose count is 1, draws nothing."""
+    policies, streams, stream = [CLASSICAL, ENHANCE, AVOID], [], mac._stream
+    monkeypatch.setattr(mac, "_stream", lambda seed, *key: streams.append(stream(seed, *key)) or streams[-1])
+    config = cell(n=n, activity=0.05 if n == 16 else 0.5, slots=1_000, seed=3)
+    log = run_cell(config, policies)[0][1]
+    games = np.bincount(log.free_counts, minlength=n + 1)
+    assert games[n] and (games[1] or n == 16)  # at n = 16, 2**64 outcomes; too few holes for size 1
+    for policy, alloc in zip(policies, streams[1:]):
+        reference = stream(config.seed, mac._ALLOC_STREAM, mac.POLICY_KINDS.index(policy))
+        for size in range(1, n + 1):
+            outcomes = size ** (size if PHASES[policy](size) is None else size - 1)
+            reference.integers(0, outcomes, games[size], dtype=np.uint64)
+        assert alloc.bit_generator.state == reference.bit_generator.state
 
 
 def test_throughput_monotone_in_activity():
@@ -432,68 +541,6 @@ def test_priority_order_is_the_stable_argsort(group):
     assert np.array_equal(mac._priority_order(draws.copy()), np.argsort(draws, axis=1, kind="stable"))
 
 
-@pytest.mark.parametrize("size", range(1, 17))
-def test_score_rows_matches_per_row_reference(size):
-    """The vectorized scorer against plain Python, row by row: random
-    digits, every seventh row forced onto one channel."""
-    rng = np.random.default_rng(size)
-    digits = rng.integers(0, size, size=(300, size))
-    digits[::7] = rng.integers(0, size, size=(len(digits[::7]), 1))
-    alone, successes, all_same = mac._score_rows(digits.copy())
-    for row, flags, succ, same in zip(digits.tolist(), alone.tolist(), successes.tolist(),
-                                      all_same.tolist()):
-        load = collections.Counter(row)
-        assert flags == [load[d] == 1 for d in row]
-        assert succ == sum(load[d] == 1 for d in row)
-        assert same == (size >= 2 and len(load) == 1)
-
-
-@pytest.mark.parametrize("size", range(1, 17))
-@pytest.mark.parametrize("policy", mac.POLICY_KINDS)
-def test_score_table_scores_every_row_the_policy_draws(monkeypatch, policy, size):
-    """Games of 2 to 5 players get a score table: entry j is successes << 1 |
-    all-same, as _score_rows scores it, of the full row whose drawn digits
-    spell j in base ``size``, most significant first; every quantum row is on
-    its support.  A size-1 game, which draws nothing, and games from 6
-    players, whose rows do not fit one engine block, get none."""
-    built, score_rows = [], mac._score_rows
-    monkeypatch.setattr(mac, "_score_rows", lambda digits: built.append(digits.copy()) or score_rows(digits))
-    table = mac._score_table(policy, size)
-    if not 2 <= size <= 5:
-        assert table is None and built == []
-        return
-    weights, scores = table
-    phase = PHASES[policy](size)
-    drawn = size if phase is None else size - 1
-    assert weights.tolist() == [size**k for k in reversed(range(drawn))]
-    [rows] = built
-    assert scores.dtype == np.uint8 and len(scores) == len(rows) == size**drawn
-    for j, (row, score) in enumerate(zip(rows, scores.tolist())):
-        assert row[:drawn].tolist() == [j // place % size for place in weights.tolist()]
-        assert phase is None or (phase + row.sum()) % size == 0
-        _, successes, all_same = score_rows(row[None, :].copy())
-        assert score == int(successes[0]) << 1 | int(all_same[0])
-
-
-@pytest.mark.parametrize("n", (2, 3, 4, 5))
-def test_score_table_path_draws_what_game_digits_draws(monkeypatch, n):
-    """A star run of 2 to 5 users scores every game of two or more players
-    by table, here one block per game size.  Each allocator stream ends in
-    the state _game_digits leaves after the same games, with nothing drawn
-    for a size-1 game."""
-    policies, streams, stream = [CLASSICAL, ENHANCE, AVOID], [], mac._stream
-    monkeypatch.setattr(mac, "_stream", lambda seed, *key: streams.append(stream(seed, *key)) or streams[-1])
-    config = cell(n=n, activity=0.5, slots=1_000, seed=3)
-    log = run_cell(config, policies)[0][1]
-    games = np.bincount(log.free_counts, minlength=n + 1)
-    assert games[1] and games[n] and max(games) <= mac._block_rows(n)
-    for policy, alloc in zip(policies, streams[1:]):
-        reference = stream(config.seed, mac._ALLOC_STREAM, mac.POLICY_KINDS.index(policy))
-        for size in range(1, n + 1):
-            mac._game_digits(policy, size, games[size], reference)
-        assert alloc.bit_generator.state == reference.bit_generator.state
-
-
 def test_mesh_requires_mesh_topology():
     with pytest.raises(ConfigFormatError, match="needs topology"):
         run_mesh_rounds(cell(), [AVOID])
@@ -529,7 +576,7 @@ def test_mesh_degree_bounds():
         run_mesh_rounds(cell(topology="mesh-rounds", mesh_degree=0), [AVOID])
 
 
-def test_full_mesh_avoids_downtime():
+def test_full_mesh_avoid_worst_never_all_same():
     config = cell(activity=0.3, slots=30_000, topology="mesh-rounds")
     metrics, log = run_mesh_rounds(config, [AVOID])[0]
     assert metrics.all_same_rate == 0.0

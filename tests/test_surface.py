@@ -4,7 +4,9 @@ Every public module-level function or class in ``src/qmg``, and every
 public method or property of those classes (dunders aside), must be used
 (read as a name or an attribute) somewhere in ``src/qmg`` or in the
 benchmark harness under ``perfbench/`` (not counting its ``test_*.py``
-self-tests).  A helper that only tests call belongs in the tests.
+self-tests), or be a boundary that the harness's ``BOUNDARIES`` table
+binds by name and wraps in place.  A helper that only tests call belongs
+in the tests.
 """
 
 import ast
@@ -30,6 +32,15 @@ def _used_names(trees):
     return used
 
 
+def _bound_names(trees):
+    """The last part of each attribute a ``BOUNDARIES`` table names."""
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "BOUNDARIES"
+                                                    for t in node.targets):
+                yield from (entry.elts[1].value.rpartition(".")[2] for entry in node.value.elts)
+
+
 def _public_definitions(body, prefix):
     """(qualified name, name) of each public function or class defined in ``body``,
     each class followed by its public methods and properties."""
@@ -43,6 +54,7 @@ def _public_definitions(body, prefix):
 
 def test_every_public_definition_is_used_in_production():
     used = _used_names(_parse(path) for path in SOURCES + HARNESS)
+    used |= set(_bound_names(_parse(path) for path in HARNESS))
     unused = [qualified for path in SOURCES if path.name != "__init__.py"
               for qualified, name in _public_definitions(_parse(path).body, path.stem)
               if name not in used]
