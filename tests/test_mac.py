@@ -404,12 +404,13 @@ def test_mesh_shape_all_distinct_near_exact():
 
 @pytest.mark.parametrize("size", range(1, 17))
 @pytest.mark.parametrize("policy", mac.POLICY_KINDS)
-def test_game_law_draws_each_key_by_its_count(policy, size):
+def test_score_table_scores_every_row_the_policy_draws(policy, size):
     """A policy's size-``size`` game is a uniform uint64 draw below its count of
-    equally likely outcomes, size**size or size**(size - 1): the boundaries
-    split that range into one interval per key of the law, as long as the key's
-    count, and the key's code is successes << 1 | all-same.  Up to 5 players,
-    every draw in the range is looked up."""
+    equally likely outcomes, size**size or size**(size - 1), and its score table
+    is the law's cumulative counts with each key's code, successes << 1 |
+    all-same: the boundaries split that range into one interval per key of the
+    law, as long as the key's count.  Up to 5 players, every draw in the range
+    is looked up."""
     total, bounds, codes = mac._game_law(policy, size)
     law = outcome_law(size, PHASES[policy](size)).ravel().tolist()
     assert total == size ** (size if PHASES[policy](size) is None else size - 1) == sum(law)
