@@ -19,7 +19,7 @@ import numpy as np
 
 from .game import DimensionError, GameConfig, entangled_branches
 
-#: two passes of the sampler over 8**8 ~ 1.7e7 outcomes are the ceiling
+#: one pass of the sampler over 8**8 ~ 1.7e7 outcomes is the ceiling
 SITE_CAP = 8
 
 #: amplitudes whose probability falls below this are left out of state dumps
@@ -121,12 +121,22 @@ def apply_local_strategy(state: QuditState, matrix: np.ndarray) -> FactoredState
 
 def _cumulative(state: FactoredState, row: int, carry: float) -> np.ndarray:
     """Running probability sums over the block from left row ``row``, continued
-    from ``carry``, the sum before it.  numpy sums in sequence, so each value is
-    bit-equal to the whole vector's cumsum."""
+    from ``carry``, the sum before it.  numpy sums in sequence, so given the
+    same carry each value is bit-equal to the whole vector's cumsum."""
     block = np.abs(state.block(row))
     np.square(block, out=block)
     block[0] += carry
     return np.cumsum(block, out=block)
+
+
+def _block_ends(state: FactoredState) -> np.ndarray:
+    """Probability sums up to each block's end, from the factors alone: left row
+    r's mass is Re(L_r G L_r^H) over the S x S Gram matrix G = right.T @ conj(right)
+    of the S support columns.  A row of zero mass can come out a few ulps below 0,
+    so the masses are clipped at 0 and the sums never decrease."""
+    gram = state.right.T @ state.right.conj()
+    masses = np.einsum("rs,rs->r", state.left @ gram, state.left.conj()).real
+    return np.cumsum(np.add.reduceat(np.maximum(masses, 0.0), state.blocks()))
 
 
 def sample_counts(state: FactoredState, rng: np.random.Generator, shots: int) -> np.ndarray:
@@ -134,25 +144,25 @@ def sample_counts(state: FactoredState, rng: np.random.Generator, shots: int) ->
     array of ``(flat index, count)`` rows, one per outcome drawn, in increasing
     index order (the assignment tuples' lexicographic order).
 
-    The cumulative probabilities are summed block by block: a first pass keeps
-    each block's starting carry, and a second sums each block again and looks
-    up the sorted uniforms that fall below its last sum.  Refuses a state whose
-    norm is off 1 by more than ``NORM_TOL``.
+    The cumulative probabilities are summed in one pass, block by block: each
+    block continues from its carry, a sum of the factors' Gram matrix
+    (``_block_ends``), and looks up the sorted uniforms that fall below the
+    next block's carry.  Refuses a state whose norm is off 1 by more than ``NORM_TOL``.
     """
     blocks, width = state.blocks(), len(state.right)
-    # the factors (16 per entry); per block, its amplitudes and then their sums (24 per
+    # the factors (16 per entry); while the carries are summed, the Gram matrix (16 per
+    # entry of its S x S), up to two temporaries per factor entry (32) and each left row's
+    # complex and clipped mass (24); per block, its amplitudes and then their sums (24 per
     # amplitude, one block at a time) and 256 B for its carry, bound and row arrays' headers;
     # per shot, the uniforms (8) and, over one block's shots, the draws and the mask of
     # their changes (9); per outcome drawn, at most shots or amplitudes, the run ends,
     # values, counts and rows of one block (40), which also covers the kept rows and their
     # concatenation (32); per call, 8 KiB of array headers and scalars
-    check_footprint(8192 + 16 * (state.left.size + state.right.size) + 24 * blocks.step * width
-                    + 256 * len(blocks) + 17 * shots + 40 * min(shots, len(state.left) * width),
-                    f"{shots} shots")
-    carries = [0.0]
-    for row in blocks:
-        carries.append(_cumulative(state, row, carries[-1])[-1])
-    total = carries.pop()
+    check_footprint(8192 + 48 * (state.left.size + state.right.size) + 16 * state.left.shape[1]**2
+                    + 24 * len(state.left) + 24 * blocks.step * width + 256 * len(blocks)
+                    + 17 * shots + 40 * min(shots, len(state.left) * width), f"{shots} shots")
+    ends = _block_ends(state)
+    total = ends[-1]
     norm = math.sqrt(total)
     if abs(norm - 1.0) > NORM_TOL:
         raise StateIntegrityError(f"state norm = {norm!r}, expected 1 within {NORM_TOL}")
@@ -160,9 +170,9 @@ def sample_counts(state: FactoredState, rng: np.random.Generator, shots: int) ->
     uniforms *= total
     uniforms.sort()  # same draws, far faster searchsorted; the counts ignore order
     # each block's shots: the uniforms from its carry up to, not at, the next block's
-    bounds = [0, *np.searchsorted(uniforms, carries[1:]).tolist(), shots]
+    bounds = [0, *np.searchsorted(uniforms, ends[:-1]).tolist(), shots]
     rows = [np.empty((0, 2), dtype=np.int64)]
-    for row, carry, low, high in zip(blocks, carries, bounds, bounds[1:]):
+    for row, carry, low, high in zip(blocks, [0.0, *ends[:-1].tolist()], bounds, bounds[1:]):
         if low < high:
             rows.append(_block_counts(state, row, carry, uniforms[low:high]))
     return np.concatenate(rows)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from qmg.circuit import QubitRegister
-from qmg.qudit import FactoredState, QuditState
+from qmg.qudit import FactoredState, QuditState, _cumulative
 
 
 def in_support(n, phase, outcome) -> bool:
@@ -160,6 +160,16 @@ def blocks(state) -> np.ndarray:
     """The amplitudes the sampler and the state dump compute, the state's
     blocks of whole left rows at the current block size, concatenated."""
     return np.concatenate([state.block(row) for row in state.blocks()])
+
+
+def chain_block_ends(state) -> np.ndarray:
+    """Oracle: the probability sums up to each block's end, as one cumulative
+    sum chained through the blocks amplitude by amplitude, each block continued
+    from the end of the one before."""
+    ends = [0.0]
+    for row in state.blocks():
+        ends.append(_cumulative(state, row, ends[-1])[-1])
+    return np.array(ends[1:])
 
 
 def dense_run_circuit(gates, width) -> np.ndarray:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     blocks,
+    chain_block_ends,
     closed_form_amplitude,
     decode_counts,
     dense,
@@ -370,6 +371,97 @@ def test_blocked_sampler_uniform_on_a_block_end(monkeypatch):
                              unsorted_sample_counts(state, FixedUniforms(uniforms), shots))
     assert unsorted_sample_counts(state, FixedUniforms(uniforms), len(uniforms)).tolist() == [
         [0, 2], [8, 2], [20, 1], [23, 2], [26, 1]]
+
+
+GAME_STATES = [(engine, n, regime) for engine, ns in (("qudit", range(2, 9)), ("circuit", (2, 4, 8)))
+               for n in ns for regime in ("enhance-optimum", "avoid-worst")]
+
+
+def game_state(engine, n, regime):
+    """The game's final state from the qudit or the circuit engine's start state."""
+    config = GameConfig(n, phase_for_regime(regime, n))
+    if engine == "qudit":
+        start = prepare_entangled(config)
+    else:
+        start = register_to_qudit(run_circuit(build_preparation_circuit(config), n * qubits_per_user(n)), n)
+    return apply_local_strategy(start, strategy_matrix(n))
+
+
+def cancelling_state():
+    """A 3-user state whose middle left row has no mass: the right factor's
+    second column is its first times z and that row is (z, -1), so its
+    amplitudes cancel, while the Gram product rounds its mass to a few ulps
+    either side of 0 (below it on the default kernel)."""
+    rng = np.random.default_rng(2)
+    first = rng.normal(size=9) + 1j * rng.normal(size=9)
+    z = rng.normal() + 1j * rng.normal()
+    a = 1 / (np.linalg.norm(first) * math.sqrt(2))
+    return qudit.FactoredState(3, np.array([[a, 0], [z, -1], [a, 0]]), np.column_stack((first, first * z)))
+
+
+def dyadic_state():
+    """test_blocked_sampler_uniform_on_a_block_end's state, whose middle row of 9 is all zeros."""
+    amplitudes = np.zeros(27, dtype=np.complex128)
+    amplitudes[[0, 8, 20, 23]] = 0.5
+    return factored_state(3, amplitudes)
+
+
+def random_state():
+    """A 5-user state from random complex factors over 3 columns, scaled to norm 1:
+    unlike the game's, its Gram matrix is not real."""
+    rng = np.random.default_rng(5)
+    left, right = (rng.normal(size=(rows, 3)) + 1j * rng.normal(size=(rows, 3)) for rows in (25, 125))
+    return qudit.FactoredState(5, left / np.linalg.norm(left @ right.T), right)
+
+
+STATES = [*GAME_STATES, "dyadic", "cancelling", "random"]
+
+
+def state_case(case):
+    """The state a STATES entry names."""
+    named = {"dyadic": dyadic_state, "cancelling": cancelling_state, "random": random_state}
+    return named[case]() if case in named else game_state(*case)
+
+
+def case_id(case):
+    return "-".join(map(str, case)) if isinstance(case, tuple) else case
+
+
+@pytest.mark.parametrize("case", STATES, ids=case_id)
+def test_sampler_gram_carries_match_the_summed_chain(monkeypatch, case):
+    """Each block's end as the sampler takes it from the factors' Gram matrix,
+    at the production block size and at one left row per block, agrees with
+    the chain of cumulative sums through every amplitude within that chain's
+    own rounding bound, (k + 64) * 2**-53 of the total after k amplitudes, and
+    with the blocks' pairwise sums, accumulated, within 64 ulps of the total.
+    At n = 7 the chain ends about 2.4e4 ulps from the other two, which agree
+    within 11 ulps."""
+    state = state_case(case)
+    for block in (qudit.SAMPLE_BLOCK, 1):
+        monkeypatch.setattr(qudit, "SAMPLE_BLOCK", block)
+        ends, chain = qudit._block_ends(state), chain_block_ends(state)
+        rows = np.minimum(np.arange(1, ends.size + 1) * state.blocks().step, len(state.left))
+        assert np.all(np.abs(ends - chain) <= (rows * len(state.right) + 64) * 2**-53 * chain[-1])
+        pairwise = np.cumsum([np.sum(np.abs(state.block(row)) ** 2) for row in state.blocks()])
+        assert np.all(np.abs(ends - pairwise) <= 64 * np.spacing(pairwise[-1]))
+
+
+@pytest.mark.parametrize("case", STATES, ids=case_id)
+def test_sampler_one_row_blocks_count_every_shot_once(monkeypatch, case):
+    """With one left row per block, the block ends never decrease, even past a
+    row of zero mass that the Gram product rounds below 0, so every uniform
+    falls in exactly one block: the counts sum to the shots and the flat
+    indices strictly increase, with uniforms drawn at random and placed on and
+    a few ulps either side of every block end."""
+    state = state_case(case)
+    monkeypatch.setattr(qudit, "SAMPLE_BLOCK", 1)
+    ends = qudit._block_ends(state)
+    assert np.all(np.diff(ends) >= 0)
+    edges = (ends[:, None] / ends[-1]) * (1 + np.arange(-4, 5) * 2.0**-52)
+    uniforms = np.concatenate((np.random.default_rng(len(ends)).random(20_000), edges[edges <= 1.0]))
+    rows = sample_counts(state, FixedUniforms(uniforms), uniforms.size)
+    assert rows[:, 1].sum() == uniforms.size
+    assert np.all(np.diff(rows[:, 0]) > 0)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
