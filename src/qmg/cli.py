@@ -43,6 +43,7 @@ from .mac import (
     ConfigFormatError,
     compare_policies,
     digit_text,
+    key_numbers,
     load_run_spec,
     write_rows,
 )
@@ -165,7 +166,7 @@ def _write_histogram(stream, n: int, rows: np.ndarray, record: dict, fmt: str) -
     as the ``"counts"`` of the JSON ``record``.  A row's head is its outcome label, such
     as "2-0-1", the base-n digits of its flat index, user 0 first; the labels have one
     width, so their sorted order, JSON's key order, is the rows' increasing order."""
-    counts, inverse = np.unique(rows[:, 1], return_inverse=True)
+    counts, inverse = key_numbers(rows[:, 1])  # the counts are at most the shots
     if fmt == "csv":
         opening, closing = "outcome,count,frequency\n", ""
         tails = [f",{c},{c / record['shots']!r}\n" for c in counts.tolist()]

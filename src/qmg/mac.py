@@ -64,14 +64,13 @@ SLOT_CSV_HEADER = "slot,free_channels,policy,successes,colliders,all_same"
 # text rows per write: one block's byte matrix and its text stay under 1 MB,
 # so the writer's peak fits in the slot engine's per-call plan
 TEXT_BLOCK_ROWS = 4096
-# cells per slot-engine block (occupancy draws, priority draws, game draws): a
-# block of rows w cells wide has ENGINE_CELLS // (the power of two >= w) rows, 1024 at widths 9
-# to 16 and 4096 at 3 or 4, so no block temporary grows with the slot count and an int64 one
-# holds at most 128 KiB, glibc's default mmap threshold.  At the 16-user mesh (100k slots, two
-# policies, fresh processes), 2**13 cells took 15% more time in per-block overhead, and
-# 2**14 // w rows ran within 2%.  2**15 cells ran the benchmark's mac-mesh workload 6% faster
-# (0.687 -> 0.643 s, lower in 9 of 10 alternating pairs) but raised its peak RSS by 0.7 MB
-# (42.57 -> 43.27 MB, in 10 of 10), so the block stays at 2**14 cells.
+# cells per slot-engine block: a block of rows w cells wide (occupancy or priority draws) has
+# ENGINE_CELLS // (the power of two >= w) rows, 1024 at widths 9 to 16 and 4096 at 3 or 4, and a
+# block of games, whose row temporaries are one-dimensional and under 20 B, 16,384 rows; so no
+# block temporary grows with the slot count and an int64 one holds at most 128 KiB, glibc's
+# default mmap threshold.  At the 16-user mesh (100k slots, two policies, fresh processes), 2**13
+# cells took 15% more time in per-block overhead; 2**15 cells ran mac-mesh 6% faster (0.687 ->
+# 0.643 s, lower in 9 of 10 alternating pairs) but raised its peak RSS by 0.7 MB (42.57 -> 43.27).
 # Draws in blocks equal one-shot draws: random() takes one 64-bit word per double, and PCG64
 # keeps the spare 32-bit half of an integers() draw between calls.
 ENGINE_CELLS = 2**14
@@ -225,6 +224,14 @@ def write_rows(stream: IO[str], head: Callable[[np.ndarray, int], object], width
         stream.write(text.tobytes().replace(b"\0", b"").decode())
 
 
+def key_numbers(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct non-negative ``keys``, ascending, and each key's number among them."""
+    table = np.bincount(keys)  # over 0 to the largest key: its count, then its number
+    present = np.flatnonzero(table)
+    table[present] = np.arange(len(present))
+    return present, table[keys]
+
+
 # the four decimal digits of 0 to 9999, one row each: the last four digits of a slot number
 _QUADS = digit_text(np.empty((10**4, 4), dtype=np.uint8), np.arange(10**4), 10)
 _QUADS.flags.writeable = False
@@ -270,14 +277,11 @@ class SlotLog:
         numbers the keys present, and each slot's tail is its key's number."""
         radix = int(self.attempts.max()) + 1  # successes never exceed the attempts
         key = (self.free_counts.astype(np.int32) * radix + self.successes) * 2 + self.all_same
-        rank = np.bincount(key)  # slots with each key, then each present key's number
-        present = np.flatnonzero(rank)
-        rank[present] = np.arange(len(present))
+        present, key = key_numbers(key)  # each slot's tail
         free, successes = np.divmod(present >> 1, radix)
         columns = (free, successes, self.attempts[free] - successes, present & 1)
         tails = [f",{f},{policy_kind},{s},{c},{a}\n" for f, s, c, a
                  in zip(*(column.tolist() for column in columns))]
-        key = rank[key]  # each slot's tail
         write_rows(stream, _slot_numbers, len(str(max(len(self) - 1, 0))), tails, key)
 
 
@@ -307,10 +311,9 @@ def _play(policy: str, size: int, rows: int, alloc: np.random.Generator) -> np.n
 def _priority_order(draws: np.ndarray) -> np.ndarray:
     """Sort (rows, group <= 16) ``random()`` draws in place into each row's member
     offsets by ascending draw, ties to the lower offset, as a stable argsort; return
-    the buffer viewed as uint64, whose offsets the engine keeps as uint8, one block of
-    rows at a time.  A draw is k * 2**-53, ordered like its bits as uint64, which begin
-    0b001111 (exponent 970 to 1022) unless it is 0.0, all zeros: shifted left by four,
-    each key keeps its order and leaves the low four for the offset."""
+    the buffer viewed as uint64.  A draw is k * 2**-53, ordered like its bits as uint64,
+    which begin 0b001111 (exponent 970 to 1022) unless it is 0.0, all zeros: shifted
+    left by four, each key keeps its order and leaves the low four for the offset."""
     keys = draws.view(np.uint64)
     keys <<= 4
     keys |= np.arange(draws.shape[1], dtype=np.uint64)
@@ -331,40 +334,37 @@ def _run_slots(config: CellConfig, policies: Sequence[str]) -> list[tuple[MacMet
     Per slot, primary occupancy, then ``config.rounds`` arbitration rounds.
     The arbiter of round r is node r mod n and serves itself plus the next
     ``config.group`` - 1 ring nodes; each round plays a square game of size
-    min(group, free), whose players are the ``size`` members with the
-    lowest priority draws from the environment stream, ties to the lower
-    ring offset.  A single round over all n users draws no such
-    choice, since a slot is then all-distinct exactly when all n succeed,
-    and its environment stream ends at occupancy.  Occupancy, priorities and
-    defer picks are shared by every policy; each policy draws each game's
-    outcome from its own allocator stream, one uint64 per game (see
-    _play), since which physical channels the players take (and which
-    surplus channels go unused) changes no metric.  The energy is
-    ``config.energy`` of the attempts.
+    min(group, free) among the ``size`` members with the lowest priority
+    draws from the environment stream, ties to the lower ring offset (a
+    single round over all n users draws none: a slot is then all-distinct
+    exactly when all n succeed).  Each policy draws each game's outcome from
+    its own allocator stream, one uint64 per game (see _play).  A round
+    first plays its games by free count; then a mesh draws its priorities in
+    slot order and ORs the user bits of each slot's players alone into the
+    delivery masks, sorting none in a slot already delivered to all n users.
+    The energy is ``config.energy`` of the attempts.
     """
-    n, group, rounds = config.n_users, config.group, config.rounds
+    n, group, rounds, slots = config.n_users, config.group, config.rounds, config.slots
     env = _stream(config.seed, _ENV_STREAM)
     allocs = [_stream(config.seed, _ALLOC_STREAM, POLICY_KINDS.index(policy)) for policy in policies]
-    slots = config.slots
     # one round over all n users: all-distinct is successes == n, see above
     single = rounds == 1 and group == n
     # tallies reach rounds * group <= 16 * MAX_MESH_ROUNDS; signed, for numpy's same-kind cast
     tally = np.int8 if rounds * group < 128 else np.int16
     # Planned bytes.  Per slot, the slot logs: the free counts and, per policy, successes (the
-    # tally width each) and all-same (1).  While the engine runs, also the slots' free-count
-    # order (8), 3 of temporaries at the end and, unless single, a 4-byte delivery mask per
-    # policy and each round's priority offsets (1 per member).  While the CSV writer indexes the
-    # distinct rows, instead 12: each row's int32 key and its tail index (intp).  Per call, 1 MiB
-    # of array headers, scalars, outcome laws and one text block; the writer's key table, 8
-    # bytes for each of (n + 1) * (rounds * group + 1) * 2 keys; and one engine block of cells:
-    # 8 bytes a cell of the reused priority buffer and at most 40 of an occupancy draw or a
-    # block of game draws.
+    # tally width each) and all-same (1).  While the engine runs, also the slots' free-count order
+    # (8), 3 of temporaries at the end and, unless single, per policy a 4-byte delivery mask and
+    # the round's players alone (1).  While the CSV writer indexes the distinct rows, instead 12:
+    # each row's int32 key and its tail index (intp).  Per call, 1 MiB of array headers, scalars,
+    # outcome laws and one text block; the writer's key table, 8 bytes for each of (n + 1) *
+    # (rounds * group + 1) * 2 keys; and one engine block of cells: 8 bytes a cell of the reused
+    # priority buffer and at most 40 of an occupancy draw, a block of game draws (under 20 a row,
+    # one cell wide) or the sort and prefix of kept rows.
     tally_bytes = np.dtype(tally).itemsize
     logs = tally_bytes + len(policies) * (tally_bytes + 1)
-    engine = logs + 8 + 3 + (0 if single else len(policies) * 4 + group)
+    engine = logs + 8 + 3 + (0 if single else len(policies) * (4 + 1))
     check_footprint(2**20 + 48 * ENGINE_CELLS + 16 * (n + 1) * (rounds * group + 1)
-                    + max(engine, logs + 12) * slots,
-                    f"{slots} slots of {n} users")
+                    + max(engine, logs + 12) * slots, f"{slots} slots of {n} users")
 
     # free counts in the tally dtype, so that rounds * min(free, group) never wraps
     free_counts = np.empty(slots, dtype=tally)
@@ -382,33 +382,31 @@ def _run_slots(config: CellConfig, policies: Sequence[str]) -> list[tuple[MacMet
     all_same = [np.zeros(slots, dtype=bool) for _ in policies]
     # bit u set once user u was alone on its channel in some round of the slot
     delivered = [np.zeros(slots, dtype=np.int32) for _ in policies if not single]
-
-    order = np.empty((0 if single else slots, group), dtype=np.uint8)  # each round's offsets
+    alone = [np.zeros(slots, dtype=np.uint8) for _ in delivered]  # a round's players alone, by slot
     draws = np.empty((min(_block_rows(group), slots), group))  # one block of priority draws
     for r in range(rounds):
-        if not single:
-            bits = 1 << (r % n + np.arange(group, dtype=np.int32)) % n  # each member's user bit
-            for start in range(0, slots, len(draws)):
-                block = draws[:min(len(draws), slots - start)]
-                order[start:start + len(block)] = _priority_order(env.random(out=block))
         for first, end, size in games:
-            for start in range(first, end, _block_rows(size)):
-                span = slice(start, min(start + _block_rows(size), end))
-                rows = span.stop - start
-                if not single:
-                    # the `size` members with the lowest draws play; a game's law is symmetric in its
-                    # players, whose order is uniform and apart from the game, so its k alone may be its
-                    # first k, whose user bits `prefix` ORs (take gathers these small blocks about twice
-                    # as fast as fancy indexing)
-                    prefix = np.zeros((rows, size + 1), dtype=np.int32)
-                    np.bitwise_or.accumulate(bits.take(order.take(by_free[span], axis=0)[:, :size]),
-                                             axis=1, out=prefix[:, 1:])
+            for start in range(first, end, _block_rows(1)):
+                span = slice(start, min(start + _block_rows(1), end))
                 for i, (policy, alloc) in enumerate(zip(policies, allocs)):
-                    scored = _play(policy, size, rows, alloc)
+                    scored = _play(policy, size, span.stop - start, alloc)
                     successes[i][span] += scored >> 1
                     all_same[i][span] |= (scored & 1).view(bool)
                     if not single:
-                        delivered[i][span] |= prefix.take(np.arange(0, prefix.size, size + 1) + (scored >> 1))
+                        alone[i][by_free[span]] = scored >> 1
+        # in a mesh, a game's law is symmetric in its players, whose priority order is uniform and
+        # apart from the game, so its k alone may be its first k: as k <= size, the group's k lowest draws
+        bits = 1 << (r % n + np.arange(group, dtype=np.int32)) % n  # each member's user bit
+        for start in range(0, 0 if single else slots, len(draws)):
+            block = env.random(out=draws[:min(len(draws), slots - start)])
+            # a slot every policy has delivered to all n users stays so
+            common = functools.reduce(np.bitwise_and, (mask[start:start + len(block)] for mask in delivered))
+            kept = np.flatnonzero(common != (1 << n) - 1)
+            prefix = np.zeros((len(kept), group + 1), dtype=np.int32)
+            np.bitwise_or.accumulate(bits.take(_priority_order(block[kept])), axis=1, out=prefix[:, 1:])
+            kept += start
+            for mask, k in zip(delivered, alone):
+                mask[kept] |= prefix.take(np.arange(0, prefix.size, group + 1) + k.take(kept))
     for columns in (successes, all_same):  # the slot logs' columns, back in slot order
         for i, column in enumerate(columns):
             columns[i] = np.empty_like(column)

@@ -155,8 +155,9 @@ def sample_counts(state: FactoredState, rng: np.random.Generator, shots: int) ->
     # complex and clipped mass (24); per block, its amplitudes and then their sums (24 per
     # amplitude, one block at a time) and 256 B for its carry, bound and row arrays' headers;
     # per shot, the uniforms (8) and, over one block's shots, the draws and the mask of
-    # their changes (9); per outcome drawn, at most shots or amplitudes, the run ends,
-    # values, counts and rows of one block (40), which also covers the kept rows and their
+    # their changes (9), which also cover the histogram writer's count table (at most shots
+    # + 1 entries of 8); per outcome drawn, at most shots or amplitudes, the run ends, values,
+    # counts and rows of one block (40), which also covers the kept rows and their
     # concatenation (32); per call, 8 KiB of array headers and scalars
     check_footprint(8192 + 48 * (state.left.size + state.right.size) + 16 * state.left.shape[1]**2
                     + 24 * len(state.left) + 24 * blocks.step * width + 256 * len(blocks)

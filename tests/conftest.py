@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qmg import mac
 from qmg.circuit import QubitRegister
 from qmg.qudit import FactoredState, QuditState, _cumulative
 
@@ -120,6 +121,32 @@ def slot_columns(log) -> tuple[np.ndarray, ...]:
     """A slot log's per-slot columns in slot-CSV order: free channels,
     successes, colliders and the all-same flag."""
     return log.free_counts, log.successes, colliders(log), log.all_same
+
+
+def mesh_delivery_masks(config, policies) -> list[list[np.ndarray]]:
+    """Reference: after each round of a mesh run, each policy's per-slot delivery masks,
+    bit u set once user u was alone in some round of the slot, replayed with no slot
+    skipped.  The environment stream gives occupancy, then per round every slot's
+    priority draws, each row put in member order by a stable argsort; each policy's
+    allocator stream gives the round's games through ``mac._play``, free counts
+    ascending, slots of one count in slot order.  A game of k successes delivers its
+    slot's first k members."""
+    n, group = config.n_users, config.group
+    env = mac._stream(config.seed, mac._ENV_STREAM)
+    allocs = [mac._stream(config.seed, mac._ALLOC_STREAM, mac.POLICY_KINDS.index(p)) for p in policies]
+    free = (env.random((config.slots, n)) >= config.primary_activity).sum(axis=1)
+    masks, after = [np.zeros(config.slots, dtype=np.int64) for _ in policies], []
+    for r in range(config.rounds):
+        members = (r + np.argsort(env.random((config.slots, group)), axis=1, kind="stable")) % n
+        for policy, alloc, mask in zip(policies, allocs, masks):
+            alone = np.zeros(config.slots, dtype=np.int64)
+            for f in range(1, n + 1):
+                at = np.flatnonzero(free == f)
+                alone[at] = mac._play(policy, min(group, f), len(at), alloc) >> 1
+            first = np.arange(group) < alone[:, None]  # each slot's first k members
+            mask |= np.bitwise_or.reduce(np.where(first, 1 << members, 0), axis=1)
+        after.append([mask.copy() for mask in masks])
+    return after
 
 
 def rotation_sweep(amplitudes, matrix) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import PHASES, colliders, slot_columns, support_tallies
+from conftest import PHASES, colliders, mesh_delivery_masks, slot_columns, support_tallies
 from qmg import cli, mac
 from qmg.game import outcome_law
 from qmg.mac import (
@@ -186,15 +186,17 @@ def test_compare_policies_csv_matches_per_row_oracle(monkeypatch):
 
 
 @pytest.mark.parametrize("block", (1, 7, 4096))
-@pytest.mark.parametrize("n, slots, mesh", (
-    (5, 600, None), (5, 600, {}), (5, 600, {"mesh_degree": 2}),
-    (16, 2_500, {"mesh_rounds": 3}),  # three default priority blocks of 1024 rows
-), ids=("star", "full-mesh", "mesh-degree-2", "full-mesh-16"))
-def test_engine_block_changes_nothing(monkeypatch, n, slots, mesh, block):
+@pytest.mark.parametrize("n, slots, activity, mesh", (
+    (5, 600, 0.3, None), (5, 600, 0.3, {}), (5, 600, 0.3, {"mesh_degree": 2}),
+    (16, 2_500, 0.3, {"mesh_rounds": 3}),  # three default priority blocks of 1024 rows
+    (4, 600, 0.0, {"mesh_rounds": 16}),  # most slots delivered to all four users in a few rounds
+), ids=("star", "full-mesh", "mesh-degree-2", "full-mesh-16", "full-mesh-closing"))
+def test_engine_block_changes_nothing(monkeypatch, n, slots, activity, mesh, block):
     """The slot engine draws occupancy and priorities and scores each game in
     blocks of rows sized from ENGINE_CELLS; the metrics and slot logs of any
-    block size are those of the default blocks."""
-    config = cell(n=n, activity=0.3, slots=slots, seed=13,
+    block size are those of the default blocks, also when a block of priority
+    draws mixes slots already delivered to every user with open ones."""
+    config = cell(n=n, activity=activity, slots=slots, seed=13,
                   **({"topology": "star"} if mesh is None else {"topology": "mesh-rounds", **mesh}))
     run = run_cell if mesh is None else run_mesh_rounds
     policies = [CLASSICAL, ENHANCE, AVOID]
@@ -389,6 +391,30 @@ def test_mesh_members_share_one_delivery_frequency(monkeypatch, n, degree, round
             got = float(np.mean(mask >> u & 1))
             sigma = math.sqrt(exact * (1 - exact) / config.slots)
             assert abs(got - exact) <= 5 * sigma, (policy, u, got, float(exact))
+
+
+@pytest.mark.parametrize("n, degree, rounds, activity, slots", (
+    (4, 3, 32, 0.0, 2_000),  # most slots delivered to all four users in a few rounds
+    (6, 1, 6, 0.3, 2_000),  # few slots ever delivered to all six
+    (16, 15, 3, 0.2, 2_500),  # three priority blocks of 1024 rows
+), ids=("full-mesh-4", "ring-6", "full-mesh-16"))
+def test_mesh_delivery_masks_equal_the_unskipped_reference(monkeypatch, n, degree, rounds, activity, slots):
+    """The engine sorts no priorities in a slot that every policy has already
+    delivered to all n users; its delivery masks still equal, bit for bit, those
+    of a replay that sorts every slot in every round (conftest.mesh_delivery_masks).
+    A run of fewer rounds draws the first rounds of a longer one, so a shorter
+    run checks the masks before every slot is delivered to all."""
+    config = cell(n=n, activity=activity, slots=slots, seed=29, topology="mesh-rounds",
+                  mesh_degree=degree, mesh_rounds=rounds)
+    policies = [CLASSICAL, ENHANCE, AVOID]
+    expected = mesh_delivery_masks(config, policies)
+    for upto in sorted({max(2, rounds // 8), rounds}):  # a one-round full mesh keeps no masks
+        recording = RecordingNumpy(config.slots)
+        monkeypatch.setattr(mac, "np", recording)
+        run_mesh_rounds(dataclasses.replace(config, mesh_rounds=upto), policies)
+        assert len(recording.masks) == len(policies)
+        for mask, reference in zip(recording.masks, expected[upto - 1]):
+            assert mask.dtype == np.int32 and np.array_equal(mask, reference), (upto, mask, reference)
 
 
 def test_mesh_shape_all_distinct_near_exact():
