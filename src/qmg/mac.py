@@ -254,32 +254,29 @@ def _slot_numbers(text: np.ndarray, start: int) -> None:
 
 
 class SlotLog:
-    """Per-slot aggregates: free channels, successful transmissions, and
-    whether some round put every player on one channel; with ``attempts``,
-    the transmission attempts per free count, of which every one that did
-    not succeed collided.  No column records which physical channel a user
-    took: the engine never draws it, and no metric depends on it."""
+    """Per-slot aggregates: free channels and each slot's code, its successful
+    transmissions << 1 | whether some round put every player on one channel;
+    with ``attempts``, the transmission attempts per free count, of which every
+    one that did not succeed collided.  No column records which physical channel
+    a user took: the engine never draws it, and no metric depends on it."""
 
-    def __init__(self, free_counts: np.ndarray, successes: np.ndarray,
-                 attempts: np.ndarray, all_same: np.ndarray):
+    def __init__(self, free_counts: np.ndarray, codes: np.ndarray, attempts: np.ndarray):
         self.free_counts = free_counts
-        self.successes = successes
+        self.codes = codes
         self.attempts = attempts
-        self.all_same = all_same
 
     def __len__(self) -> int:
-        return len(self.successes)
+        return len(self.codes)
 
     def write_csv(self, stream: IO[str], policy_kind: str) -> None:
         """Write one CSV row per slot, without the header: its slot number with
         leading zeros blanked, then the rest, formatted once per distinct row.  A row's
-        key (free count, successes, all-same) fixes its colliders; a table over every key
-        numbers the keys present, and each slot's tail is its key's number."""
-        radix = int(self.attempts.max()) + 1  # successes never exceed the attempts
-        key = (self.free_counts.astype(np.int32) * radix + self.successes) * 2 + self.all_same
-        present, key = key_numbers(key)  # each slot's tail
-        free, successes = np.divmod(present >> 1, radix)
-        columns = (free, successes, self.attempts[free] - successes, present & 1)
+        key (free count, code) fixes its colliders; a table over every key numbers the
+        keys present, and each slot's tail is its key's number."""
+        per_free = 2 * (int(self.attempts.max()) + 1)  # codes: successes never exceed the attempts
+        present, key = key_numbers(self.free_counts.astype(np.int32) * per_free + self.codes)  # each slot's tail
+        free, codes = np.divmod(present, per_free)
+        columns = (free, codes >> 1, self.attempts[free] - (codes >> 1), codes & 1)
         tails = [f",{f},{policy_kind},{s},{c},{a}\n" for f, s, c, a
                  in zip(*(column.tolist() for column in columns))]
         write_rows(stream, _slot_numbers, len(str(max(len(self) - 1, 0))), tails, key)
@@ -349,51 +346,49 @@ def _run_slots(config: CellConfig, policies: Sequence[str]) -> list[tuple[MacMet
     allocs = [_stream(config.seed, _ALLOC_STREAM, POLICY_KINDS.index(policy)) for policy in policies]
     # one round over all n users: all-distinct is successes == n, see above
     single = rounds == 1 and group == n
-    # tallies reach rounds * group <= 16 * MAX_MESH_ROUNDS; signed, for numpy's same-kind cast
-    tally = np.int8 if rounds * group < 128 else np.int16
-    # Planned bytes.  Per slot, the slot logs: the free counts and, per policy, successes (the
-    # tally width each) and all-same (1).  While the engine runs, also the slots' free-count order
-    # (8), 3 of temporaries at the end and, unless single, per policy a 4-byte delivery mask and
-    # the round's players alone (1).  While the CSV writer indexes the distinct rows, instead 12:
+    # codes reach rounds * group << 1 | 1 <= 2 * 16 * MAX_MESH_ROUNDS + 1
+    tally = np.uint8 if rounds * group < 128 else np.uint16
+    # Planned bytes.  Per slot, the slot logs: the free counts (1) and, per policy, the codes (the
+    # tally width each).  While the engine runs, also the slots' free-count order (8), 3 of
+    # temporaries and per policy, in a run of several rounds, the round's codes (1) and, unless
+    # single, a 4-byte delivery mask.  While the CSV writer indexes the distinct rows, instead 12:
     # each row's int32 key and its tail index (intp).  Per call, 1 MiB of array headers, scalars,
     # outcome laws and one text block; the writer's key table, 8 bytes for each of (n + 1) *
     # (rounds * group + 1) * 2 keys; and one engine block of cells: 8 bytes a cell of the reused
     # priority buffer and at most 40 of an occupancy draw, a block of game draws (under 20 a row,
     # one cell wide) or the sort and prefix of kept rows.
-    tally_bytes = np.dtype(tally).itemsize
-    logs = tally_bytes + len(policies) * (tally_bytes + 1)
-    engine = logs + 8 + 3 + (0 if single else len(policies) * (4 + 1))
+    logs = 1 + len(policies) * np.dtype(tally).itemsize
+    engine = logs + 8 + 3 + len(policies) * ((rounds > 1) + (0 if single else 4))
     check_footprint(2**20 + 48 * ENGINE_CELLS + 16 * (n + 1) * (rounds * group + 1)
                     + max(engine, logs + 12) * slots, f"{slots} slots of {n} users")
 
-    # free counts in the tally dtype, so that rounds * min(free, group) never wraps
-    free_counts = np.empty(slots, dtype=tally)
+    free_counts = np.empty(slots, dtype=np.uint8)
     for start in range(0, slots, _block_rows(n)):
         free = env.random((min(_block_rows(n), slots - start), n)) >= config.primary_activity
-        np.einsum("ij->i", free.view(np.int8), dtype=tally, out=free_counts[start:start + len(free)])
+        np.einsum("ij->i", free.view(np.uint8), dtype=np.uint8, out=free_counts[start:start + len(free)])
     # the slots in order of free count, ties in slot order: the slots of each free count play one
-    # game size and are one run of this order, in which the engine keeps the tallies
+    # game size and are one run of this order
     by_free = free_counts.argsort(kind="stable")
     per_free = np.bincount(free_counts, minlength=n + 1)  # slots with each free count
     ends = np.cumsum(per_free)
     games = [(ends[f - 1], ends[f], min(group, f)) for f in range(1, n + 1) if per_free[f]]
 
-    successes = [np.zeros(slots, dtype=tally) for _ in policies]
-    all_same = [np.zeros(slots, dtype=bool) for _ in policies]
+    codes = [np.zeros(slots, dtype=tally) for _ in policies]
+    # each policy's codes of the round, by slot: the log itself when there is one round
+    played = codes if rounds == 1 else [np.zeros(slots, dtype=np.uint8) for _ in policies]
     # bit u set once user u was alone on its channel in some round of the slot
     delivered = [np.zeros(slots, dtype=np.int32) for _ in policies if not single]
-    alone = [np.zeros(slots, dtype=np.uint8) for _ in delivered]  # a round's players alone, by slot
     draws = np.empty((min(_block_rows(group), slots), group))  # one block of priority draws
     for r in range(rounds):
         for first, end, size in games:
             for start in range(first, end, _block_rows(1)):
-                span = slice(start, min(start + _block_rows(1), end))
-                for i, (policy, alloc) in enumerate(zip(policies, allocs)):
-                    scored = _play(policy, size, span.stop - start, alloc)
-                    successes[i][span] += scored >> 1
-                    all_same[i][span] |= (scored & 1).view(bool)
-                    if not single:
-                        alone[i][by_free[span]] = scored >> 1
+                span = by_free[start:min(start + _block_rows(1), end)]
+                for play, policy, alloc in zip(played, policies, allocs):
+                    play[span] = _play(policy, size, len(span), alloc)
+        if rounds > 1:  # add up the successes and OR the all-same flags
+            for code, play in zip(codes, played):
+                code += play & 0xFE
+                code |= play & 1
         # in a mesh, a game's law is symmetric in its players, whose priority order is uniform and
         # apart from the game, so its k alone may be its first k: as k <= size, the group's k lowest draws
         bits = 1 << (r % n + np.arange(group, dtype=np.int32)) % n  # each member's user bit
@@ -405,27 +400,22 @@ def _run_slots(config: CellConfig, policies: Sequence[str]) -> list[tuple[MacMet
             prefix = np.zeros((len(kept), group + 1), dtype=np.int32)
             np.bitwise_or.accumulate(bits.take(_priority_order(block[kept])), axis=1, out=prefix[:, 1:])
             kept += start
-            for mask, k in zip(delivered, alone):
-                mask[kept] |= prefix.take(np.arange(0, prefix.size, group + 1) + k.take(kept))
-    for columns in (successes, all_same):  # the slot logs' columns, back in slot order
-        for i, column in enumerate(columns):
-            columns[i] = np.empty_like(column)
-            columns[i][by_free] = column
+            for mask, play in zip(delivered, played):
+                mask[kept] |= prefix.take(np.arange(0, prefix.size, group + 1) + (play.take(kept) >> 1))
     # attempts per free count: each player succeeded or collided
-    attempts = (rounds * np.minimum(np.arange(n + 1), group)).astype(tally)
+    attempts = rounds * np.minimum(np.arange(n + 1), group)
     total_attempts = int(per_free @ attempts)
-    energy_spent = config.energy(total_attempts)
     results = []
-    for i, succ in enumerate(successes):
-        total_successes = int(succ.sum())
+    for i, code in enumerate(codes):
+        total_successes = int((code >> 1).sum())
         metrics = MacMetrics(
             throughput=total_successes / slots,
             collision_rate=((total_attempts - total_successes) / total_attempts) if total_attempts else 0.0,
-            all_distinct_rate=float(np.mean(succ == n if single else delivered[i] == (1 << n) - 1)),
-            all_same_rate=float(np.mean(all_same[i])),
-            energy_proxy=(energy_spent / total_successes) if total_successes else math.inf,
+            all_distinct_rate=float(np.mean(code >> 1 == n if single else delivered[i] == (1 << n) - 1)),
+            all_same_rate=float(np.mean(code & 1)),
+            energy_proxy=(config.energy(total_attempts) / total_successes) if total_successes else math.inf,
         )
-        results.append((metrics, SlotLog(free_counts, succ, attempts, all_same[i])))
+        results.append((metrics, SlotLog(free_counts, code, attempts)))
     return results
 
 
@@ -493,7 +483,7 @@ def compare_policies(config: CellConfig, policies: Sequence[str],
     shared, as common random numbers, while allocator sampling stays on
     independent per-policy streams.  Given a ``csv`` stream, writes the
     slot CSV there: the header, then each policy's rows in listed order.
-    The slot engine's memory plan counts every policy's tallies, so it
+    The slot engine's memory plan counts every policy's codes, so it
     bounds the whole comparison.
     """
     if len(policies) < 2:

@@ -112,40 +112,55 @@ def histogram_text(fmt, n, rows, *, phase, engine, seed, shots) -> str:
         f"{label},{count},{count / shots!r}\n" for label, count in labelled.items())
 
 
+def successes(log) -> np.ndarray:
+    """A slot log's successful transmissions per slot: each code's high bits."""
+    return log.codes >> 1
+
+
+def all_same(log) -> np.ndarray:
+    """A slot log's all-same flags per slot: each code's low bit."""
+    return (log.codes & 1).astype(bool)
+
+
 def colliders(log) -> np.ndarray:
     """A slot log's colliding transmissions per slot: each attempt succeeded or collided."""
-    return log.attempts[log.free_counts] - log.successes
+    return log.attempts[log.free_counts] - successes(log)
 
 
 def slot_columns(log) -> tuple[np.ndarray, ...]:
     """A slot log's per-slot columns in slot-CSV order: free channels,
     successes, colliders and the all-same flag."""
-    return log.free_counts, log.successes, colliders(log), log.all_same
+    return log.free_counts, successes(log), colliders(log), all_same(log)
 
 
-def mesh_delivery_masks(config, policies) -> list[list[np.ndarray]]:
+def mesh_delivery_masks(config, policies) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:
     """Reference: after each round of a mesh run, each policy's per-slot delivery masks,
-    bit u set once user u was alone in some round of the slot, replayed with no slot
-    skipped.  The environment stream gives occupancy, then per round every slot's
-    priority draws, each row put in member order by a stable argsort; each policy's
-    allocator stream gives the round's games through ``mac._play``, free counts
-    ascending, slots of one count in slot order.  A game of k successes delivers its
-    slot's first k members."""
+    bit u set once user u was alone in some round of the slot, and per-slot codes, the
+    slot's successes summed over the rounds << 1 | whether any round put every player on
+    one channel, replayed with no slot skipped.  The environment stream gives occupancy,
+    then per round every slot's priority draws, each row put in member order by a stable
+    argsort; each policy's allocator stream gives the round's games through
+    ``mac._play``, free counts ascending, slots of one count in slot order.  A game of k
+    successes delivers its slot's first k members."""
     n, group = config.n_users, config.group
     env = mac._stream(config.seed, mac._ENV_STREAM)
     allocs = [mac._stream(config.seed, mac._ALLOC_STREAM, mac.POLICY_KINDS.index(p)) for p in policies]
     free = (env.random((config.slots, n)) >= config.primary_activity).sum(axis=1)
     masks, after = [np.zeros(config.slots, dtype=np.int64) for _ in policies], []
+    total = [np.zeros(config.slots, dtype=np.int64) for _ in policies]  # successes over the rounds
+    same = [np.zeros(config.slots, dtype=bool) for _ in policies]  # some round all on one channel
     for r in range(config.rounds):
         members = (r + np.argsort(env.random((config.slots, group)), axis=1, kind="stable")) % n
-        for policy, alloc, mask in zip(policies, allocs, masks):
-            alone = np.zeros(config.slots, dtype=np.int64)
+        for policy, alloc, mask, succeeded, flag in zip(policies, allocs, masks, total, same):
+            code = np.zeros(config.slots, dtype=np.int64)
             for f in range(1, n + 1):
                 at = np.flatnonzero(free == f)
-                alone[at] = mac._play(policy, min(group, f), len(at), alloc) >> 1
-            first = np.arange(group) < alone[:, None]  # each slot's first k members
+                code[at] = mac._play(policy, min(group, f), len(at), alloc)
+            first = np.arange(group) < (code >> 1)[:, None]  # each slot's first k members
             mask |= np.bitwise_or.reduce(np.where(first, 1 << members, 0), axis=1)
-        after.append([mask.copy() for mask in masks])
+            succeeded += code >> 1
+            flag |= (code & 1).astype(bool)
+        after.append(([mask.copy() for mask in masks], [s << 1 | a for s, a in zip(total, same)]))
     return after
 
 

@@ -19,10 +19,17 @@ ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ
 
 STAR_SPEC = ('{"n_users": 4, "n_channels": 4, "primary_activity": 0.2, "slots": 1000, "seed": 404,\n'
              '"policies": ["classical-uniform", "quantum-enhance-optimum", "quantum-avoid-worst"]}\n')
+MESH_SPEC = ('{"n_users": 16, "n_channels": 16, "primary_activity": 0.2, "slots": 500, "seed": 7,\n'
+             '"topology": "mesh-rounds", "policies": ["classical-uniform", "quantum-avoid-worst"]}\n')
+
+#: the kernels a byte contract must hold across: the default, another BLAS core type,
+#: and numpy without its newer SIMD targets (the mesh's row sort dispatches on them)
+KERNELS = ({}, {"OPENBLAS_CORETYPE": "Prescott"},
+           {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"})
 
 
-def run_qmg(cwd, *args, status=0):
-    done = subprocess.run([sys.executable, "-m", "qmg.cli", *args], cwd=cwd, env=ENV,
+def run_qmg(cwd, *args, status=0, kernel=KERNELS[0]):
+    done = subprocess.run([sys.executable, "-m", "qmg.cli", *args], cwd=cwd, env={**ENV, **kernel},
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == status, done.stderr
     return done
@@ -91,9 +98,7 @@ def test_bad_spec_is_a_config_error(tmp_path, name, spec):
 
 
 def test_mesh_writes_summary_only(tmp_path):
-    (tmp_path / "mesh.json").write_text(
-        '{"n_users": 16, "n_channels": 16, "primary_activity": 0.2, "slots": 500, "seed": 7,\n'
-        '"topology": "mesh-rounds", "policies": ["classical-uniform", "quantum-avoid-worst"]}\n')
+    (tmp_path / "mesh.json").write_text(MESH_SPEC)
     run_qmg(tmp_path, "mac", "mesh.json", "--out", "mesh/run")
     out = tmp_path / "mesh"
     assert sorted(path.name for path in out.iterdir()) == ["run.json"], list(out.iterdir())
@@ -102,6 +107,21 @@ def test_mesh_writes_summary_only(tmp_path):
     metrics = {"throughput", "collision_rate", "all_distinct_rate", "all_same_rate", "energy_proxy"}
     assert all(set(entry["metrics"]) == metrics and None not in entry["metrics"].values()
                for entry in policies), policies
+
+
+def test_mac_bytes_hold_across_blas_and_simd_kernels(tmp_path):
+    """The byte contract of `qmg mac`: a star comparison's summary and slot CSV
+    and a 16-user mesh's summary are the same bytes under each of KERNELS.  Only
+    the child processes' environment changes."""
+    (tmp_path / "star.json").write_text(STAR_SPEC)
+    (tmp_path / "mesh.json").write_text(MESH_SPEC)
+    outputs = []
+    for i, kernel in enumerate(KERNELS):
+        for spec in ("star", "mesh"):
+            run_qmg(tmp_path, "mac", f"{spec}.json", "--out", f"{i}/{spec}", kernel=kernel)
+        outputs.append({name: (tmp_path / str(i) / name).read_bytes()
+                        for name in ("star.json", "star.csv", "mesh.json")})
+    assert all(output == outputs[0] for output in outputs[1:])
 
 
 @pytest.mark.parametrize("n", (8, 16))

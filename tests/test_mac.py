@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import PHASES, colliders, mesh_delivery_masks, slot_columns, support_tallies
+from conftest import PHASES, all_same, colliders, mesh_delivery_masks, slot_columns, successes, support_tallies
 from qmg import cli, mac
 from qmg.game import outcome_law
 from qmg.mac import (
@@ -112,7 +112,7 @@ def test_two_user_quantum_always_distinct():
     assert metrics.all_distinct_rate == 1.0
     assert metrics.collision_rate == 0.0
     assert metrics.throughput == 2.0
-    assert np.all(log.successes == 2)
+    assert np.all(successes(log) == 2)
 
 
 def test_avoid_worst_never_all_same():
@@ -251,9 +251,10 @@ def test_slot_tallies_hold_the_largest_count():
     free, each slot tallies 16 * MAX_MESH_ROUNDS attempts without wrapping."""
     config = cell(n=16, slots=300, topology="mesh-rounds", mesh_rounds=MAX_MESH_ROUNDS)
     for _, log in run_mesh_rounds(config, [CLASSICAL, AVOID]):
-        assert log.successes.min() >= 0 and colliders(log).min() >= 0
-        total = log.successes.astype(np.int64) + colliders(log)
-        assert np.array_equal(total, MAX_MESH_ROUNDS * np.minimum(log.free_counts, 16))
+        assert successes(log).min() >= 0 and colliders(log).min() >= 0
+        total = successes(log).astype(np.int64) + colliders(log)
+        # widened: MAX_MESH_ROUNDS does not fit the uint8 free counts
+        assert np.array_equal(total, MAX_MESH_ROUNDS * np.minimum(log.free_counts.astype(np.int64), 16))
         assert np.all(total == 16 * MAX_MESH_ROUNDS)
 
 
@@ -270,8 +271,8 @@ def test_quantum_assignments_on_support_at_activity_zero(policy):
     n = config.n_users
     allowed = set(support_tallies(n, PHASES[policy](n)))
     assert np.all(log.free_counts == n)
-    assert np.array_equal(log.successes + colliders(log), log.free_counts)
-    assert set(zip(log.successes.tolist(), log.all_same.tolist())) <= allowed
+    assert np.array_equal(successes(log) + colliders(log), log.free_counts)
+    assert set(zip(successes(log).tolist(), all_same(log).tolist())) <= allowed
     assert metrics.energy_proxy >= 1.0
 
 
@@ -280,12 +281,12 @@ def test_quantum_assignments_stay_on_support_with_holes():
     support, and avoid-worst never puts every transmitter on one channel."""
     config = cell(activity=0.5, slots=4_000, seed=3)
     _, log = run_cell(config, [AVOID])[0]
-    assert np.array_equal(log.successes + colliders(log), log.free_counts)
-    assert not log.all_same.any()
+    assert np.array_equal(successes(log) + colliders(log), log.free_counts)
+    assert not all_same(log).any()
     for f in range(1, config.n_users + 1):
         sel = log.free_counts == f
         allowed = set(support_tallies(f, PHASES[QUANTUM_AVOID_WORST](f)))
-        assert set(zip(log.successes[sel].tolist(), log.all_same[sel].tolist())) <= allowed
+        assert set(zip(successes(log)[sel].tolist(), all_same(log)[sel].tolist())) <= allowed
 
 
 def test_slot_records_consistent():
@@ -293,10 +294,10 @@ def test_slot_records_consistent():
     _, log = run_cell(config, [CLASSICAL])[0]
     assert len(log) == config.slots
     assert np.all((0 <= log.free_counts) & (log.free_counts <= config.n_users))
-    assert np.array_equal(log.successes + colliders(log), log.free_counts)
+    assert np.array_equal(successes(log) + colliders(log), log.free_counts)
     assert not np.any(colliders(log) == 1)  # a collision takes two
-    same = log.all_same
-    assert np.all(log.successes[same] == 0)
+    same = all_same(log)
+    assert np.all(successes(log)[same] == 0)
     assert np.all(colliders(log)[same] >= 2)
 
 
@@ -308,14 +309,14 @@ def test_star_per_free_count_law(n, policy):
     enumeration of that game's outcomes (uniform over the support, or over
     all f^f tuples for the classical rule)."""
     _, log = run_cell(cell(n=n, activity=0.5, slots=100_000, seed=31), [policy])[0]
-    assert np.array_equal(log.successes + colliders(log), log.free_counts)
+    assert np.array_equal(successes(log) + colliders(log), log.free_counts)
     for f in range(1, n + 1):
         sel = log.free_counts == f
         count = int(sel.sum())
         assert count > 1_000
         tallies = np.array(support_tallies(f, PHASES[policy](f)), dtype=float)
-        for got, column in ((log.successes[sel].mean(), tallies[:, 0]),
-                            (log.all_same[sel].mean(), tallies[:, 1])):
+        for got, column in ((successes(log)[sel].mean(), tallies[:, 0]),
+                            (all_same(log)[sel].mean(), tallies[:, 1])):
             sigma = math.sqrt(column.var() / count)
             assert abs(got - column.mean()) <= 5 * sigma + 1e-12, (f, got, column.mean())
 
@@ -328,11 +329,10 @@ def test_star_keys_follow_the_outcome_law(n, policy):
     the key frequencies, pooled over f, with the keys expected fewer than 5
     times lumped into one cell per f, gives p above 1e-4."""
     _, log = run_cell(cell(n=n, activity=0.4, slots=60_000, seed=29), [policy])[0]
-    codes = log.successes.astype(np.int64) << 1 | log.all_same
     statistic, dof = 0.0, 0
     for f in range(1, n + 1):
         law = outcome_law(f, PHASES[policy](f)).ravel().astype(float)
-        observed = np.bincount(codes[log.free_counts == f], minlength=len(law))
+        observed = np.bincount(log.codes[log.free_counts == f], minlength=len(law))
         assert len(observed) == len(law) and not observed[law == 0].any()
         expected = law / law.sum() * observed.sum()
         small = expected < 5
@@ -400,8 +400,9 @@ def test_mesh_members_share_one_delivery_frequency(monkeypatch, n, degree, round
 ), ids=("full-mesh-4", "ring-6", "full-mesh-16"))
 def test_mesh_delivery_masks_equal_the_unskipped_reference(monkeypatch, n, degree, rounds, activity, slots):
     """The engine sorts no priorities in a slot that every policy has already
-    delivered to all n users; its delivery masks still equal, bit for bit, those
-    of a replay that sorts every slot in every round (conftest.mesh_delivery_masks).
+    delivered to all n users; its delivery masks and slot-log codes still equal,
+    bit for bit, those of a replay that sorts every slot in every round and sums
+    each slot's successes apart from its all-same flags (conftest.mesh_delivery_masks).
     A run of fewer rounds draws the first rounds of a longer one, so a shorter
     run checks the masks before every slot is delivered to all."""
     config = cell(n=n, activity=activity, slots=slots, seed=29, topology="mesh-rounds",
@@ -411,10 +412,14 @@ def test_mesh_delivery_masks_equal_the_unskipped_reference(monkeypatch, n, degre
     for upto in sorted({max(2, rounds // 8), rounds}):  # a one-round full mesh keeps no masks
         recording = RecordingNumpy(config.slots)
         monkeypatch.setattr(mac, "np", recording)
-        run_mesh_rounds(dataclasses.replace(config, mesh_rounds=upto), policies)
+        results = run_mesh_rounds(dataclasses.replace(config, mesh_rounds=upto), policies)
         assert len(recording.masks) == len(policies)
-        for mask, reference in zip(recording.masks, expected[upto - 1]):
+        masks, codes = expected[upto - 1]
+        for mask, reference in zip(recording.masks, masks):
             assert mask.dtype == np.int32 and np.array_equal(mask, reference), (upto, mask, reference)
+        for (_, log), reference in zip(results, codes):  # one byte a code while it fits
+            assert log.codes.dtype == (np.uint8 if upto * (degree + 1) < 128 else np.uint16)
+            assert np.array_equal(log.codes, reference), (upto, log.codes, reference)
 
 
 def test_mesh_shape_all_distinct_near_exact():
@@ -510,20 +515,20 @@ def test_slot_csv_matches_per_row_reference(slots):
     most = 16 * MAX_MESH_ROUNDS
     attempts = rng.integers(0, most + 1, 17).astype(np.int32)  # per free count
     attempts[16] = most
-    free_counts = rng.integers(0, 17, slots)
-    log = SlotLog(free_counts=free_counts,
-                  successes=(rng.random(slots) * (attempts[free_counts] + 1)).astype(np.int32),
-                  attempts=attempts, all_same=rng.random(slots) < 0.5)
+    free_counts = rng.integers(0, 17, slots).astype(np.uint8)
+    succeeded = (rng.random(slots) * (attempts[free_counts] + 1)).astype(np.int32)
+    same = rng.random(slots) < 0.5
     if slots > 1:
-        log.all_same[:2] = (False, True)
-        log.free_counts[[0, -1]] = 16
-        log.successes[[0, -1]] = (0, most)  # colliders most, then 0
+        same[:2] = (False, True)
+        free_counts[[0, -1]] = 16
+        succeeded[[0, -1]] = (0, most)  # colliders most, then 0; at 2 slots, the largest code
+    log = SlotLog(free_counts=free_counts, codes=(succeeded << 1 | same).astype(np.uint16), attempts=attempts)
     buffer = io.StringIO()
     log.write_csv(buffer, QUANTUM_ENHANCE_OPTIMUM)
     collided = colliders(log)
     expected = "".join(
-        f"{i},{int(log.free_counts[i])},{QUANTUM_ENHANCE_OPTIMUM},{int(log.successes[i])},"
-        f"{int(collided[i])},{int(log.all_same[i])}\n" for i in range(slots))
+        f"{i},{int(free_counts[i])},{QUANTUM_ENHANCE_OPTIMUM},{int(succeeded[i])},"
+        f"{int(collided[i])},{int(same[i])}\n" for i in range(slots))
     assert buffer.getvalue() == expected
 
 
@@ -593,7 +598,7 @@ def test_energy_proxy_is_the_energy_of_the_logged_attempts(mesh, arbitrations):
     for metrics, log in run(config, [CLASSICAL, ENHANCE, AVOID]):
         attempts = int(log.attempts[log.free_counts].sum())
         energy = 1.5 * attempts + 5.0 * arbitrations
-        assert metrics.energy_proxy == energy / int(log.successes.sum())
+        assert metrics.energy_proxy == energy / int(successes(log).sum())
 
 
 def test_mesh_degree_bounds():
@@ -607,7 +612,7 @@ def test_full_mesh_avoid_worst_never_all_same():
     config = cell(activity=0.3, slots=30_000, topology="mesh-rounds")
     metrics, log = run_mesh_rounds(config, [AVOID])[0]
     assert metrics.all_same_rate == 0.0
-    assert not log.all_same.any()
+    assert not all_same(log).any()
     assert run_mesh_rounds(config, [CLASSICAL])[0][0].all_same_rate > 0.0
 
 
@@ -657,10 +662,10 @@ def test_mesh_slot_log_counts_every_round(n, degree, rounds):
     for policy in (CLASSICAL, ENHANCE, AVOID):
         metrics, log = run_mesh_rounds(config, [policy])[0]
         assert len(log) == config.slots
-        assert np.array_equal(log.successes + colliders(log),
+        assert np.array_equal(successes(log) + colliders(log),
                               rounds * np.minimum(group, log.free_counts))
-        assert metrics.throughput == log.successes.sum() / config.slots
-        assert metrics.all_same_rate == log.all_same.mean()
+        assert metrics.throughput == successes(log).sum() / config.slots
+        assert metrics.all_same_rate == all_same(log).mean()
 
 
 # --- run-spec loading ----------------------------------------------------------

@@ -1,7 +1,9 @@
 """The source paper's claims, each checked against the exact outcome law of one
 game (``qmg.game.outcome_law``), never against a Monte Carlo estimate."""
 
-from qmg.game import REGIME_AVOID_WORST, outcome_law, phase_for_regime
+from fractions import Fraction
+
+from qmg.game import REGIME_AVOID_WORST, REGIME_ENHANCE_OPTIMUM, outcome_law, phase_for_regime
 
 
 def test_avoid_worst_never_leaves_every_player_alone():
@@ -18,3 +20,35 @@ def test_avoid_worst_never_leaves_every_player_alone():
     for n in range(2, 17):
         all_alone = outcome_law(n, phase_for_regime(REGIME_AVOID_WORST, n))[n].tolist()
         assert all_alone == ([2, 0] if n == 2 else [0, 0]), n
+
+
+def collision_rate(n, phase) -> Fraction:
+    """The exact expected share of a full n-player game's transmissions that collide:
+    1 - E[players alone] / n over the game's equally likely outcomes, counted in Python
+    ints (the classical count 16**16 wraps in uint64)."""
+    law = outcome_law(n, phase).tolist()  # counts by (players alone, all-same)
+    alone = sum(successes * sum(counts) for successes, counts in enumerate(law))
+    return 1 - Fraction(alone, n * sum(map(sum, law)))
+
+
+def test_energy_scenario_collision_rates_per_full_game():
+    """The paper: "In our model, two different scenarios are considered, to meet
+    the requirements of different user strategies.  The first considers sensor
+    networks where the rational use of energy is a cornerstone."
+
+    A transmission that collides spends its energy for nothing, so a star slot's
+    energy per delivery is tx_cost / (1 - collision rate).  Over a full game of n
+    players: enhance-optimum collides strictly less often than the classical rule
+    at every n = 2..16, though from n = 7 on the three regimes differ by less
+    than 1e-4.  Avoid-worst collides less than the classical rule at even n, where
+    its rate equals enhance-optimum's, and more at every odd n >= 3."""
+    for n in range(2, 17):
+        classical = collision_rate(n, None)
+        enhance = collision_rate(n, phase_for_regime(REGIME_ENHANCE_OPTIMUM, n))
+        avoid = collision_rate(n, phase_for_regime(REGIME_AVOID_WORST, n))
+        assert enhance < classical, n
+        assert (max(classical, avoid) - enhance < Fraction(1, 10**4)) == (n >= 7), n
+        if n % 2:
+            assert avoid > classical, n
+        else:
+            assert avoid < classical and avoid == enhance, n
