@@ -108,10 +108,8 @@ def build_preparation_circuit(config: GameConfig, variant: str = VARIANT_CORRECT
         controls = branch_controls(n, k)
         angle = 2.0 * math.pi * ((k * pe) % n) / n
         gates.append(Gate("phase", controls=controls, angle=angle))
-        for user in range(1, n):
-            for j in range(log):
-                if (k >> (log - 1 - j)) & 1:
-                    gates.append(Gate("x", targets=(user * log + j,), controls=controls))
+        gates += [Gate("x", targets=(user * log + j,), controls=controls)
+                  for user in range(1, n) for j, bit in controls if bit]
     return gates
 
 

@@ -33,8 +33,7 @@ from .game import (
     REGIMES,
     GameConfig,
     InvalidConfigError,
-    analytic_probabilities,
-    classical_probabilities,
+    outcome_statistics,
     phase_for_regime,
     strategy_matrix,
 )
@@ -110,35 +109,27 @@ def _seed64(text: str) -> int:
     return value
 
 
-def _resolve_phase(parser: argparse.ArgumentParser, args) -> tuple[int, str]:
-    if args.p is not None:
-        return args.p, "custom"
-    if args.regime is not None:
-        return phase_for_regime(args.regime, args.n), args.regime
-    parser.error("one of --p or --regime is required")
-
-
-def _add_phase_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--p", type=_non_negative_int, default=None,
-                     help="explicit phase parameter (overrides --regime)")
-    sub.add_argument("--regime", choices=REGIMES, default=None,
-                     help="named phase regime: enhance-optimum (p=n(n-1)/2) or avoid-worst (p=1)")
+def _game(parser: argparse.ArgumentParser, args) -> tuple[GameConfig, str]:
+    """The game a command plays, and its phase's label: "custom" or the regime."""
+    label = args.regime if args.p is None else "custom"
+    if label is None:
+        parser.error("one of --p or --regime is required")
+    phase = phase_for_regime(label, args.n) if args.p is None else args.p
+    return GameConfig(args.n, phase), label
 
 
 def cmd_probs(parser: argparse.ArgumentParser, args) -> int:
-    phase, regime = _resolve_phase(parser, args)
+    game, regime = _game(parser, args)
     with _outputs(args.out) as (stream,):
-        quantum = analytic_probabilities(GameConfig(args.n, phase))
-        classical = classical_probabilities(args.n)
-        ratio = (quantum.p_all_distinct / classical.p_all_distinct
-                 if classical.p_all_distinct else None)
+        quantum = outcome_statistics(game.n, game.phase)
+        classical = outcome_statistics(game.n)
         record = {
-            "n": args.n,
-            "phase": phase,
+            "n": game.n,
+            "phase": game.phase,
             "regime": regime,
             "classical": dataclasses.asdict(classical),
             "quantum": dataclasses.asdict(quantum),
-            "enhancement_ratio": ratio,
+            "enhancement_ratio": quantum.p_all_distinct / classical.p_all_distinct,
         }
         if args.format == "json":
             text = _json_text(record)
@@ -151,14 +142,13 @@ def cmd_probs(parser: argparse.ArgumentParser, args) -> int:
     return EXIT_OK
 
 
-def _final_state(n: int, phase: int, engine: str):
-    config = GameConfig(n, phase)
+def _final_state(game: GameConfig, engine: str):
     if engine == "qudit":
-        state = prepare_entangled(config)
+        state = prepare_entangled(game)
     else:
-        gates = build_preparation_circuit(config, VARIANT_CORRECTED)
-        state = register_to_qudit(run_circuit(gates, n * qubits_per_user(n)), n)
-    return apply_local_strategy(state, strategy_matrix(n))
+        gates = build_preparation_circuit(game, VARIANT_CORRECTED)
+        state = register_to_qudit(run_circuit(gates, game.n * qubits_per_user(game.n)), game.n)
+    return apply_local_strategy(state, strategy_matrix(game.n))
 
 
 def _write_histogram(stream, n: int, rows: np.ndarray, record: dict, fmt: str) -> None:
@@ -188,12 +178,12 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
         parser.error(f"simulate supports 2 <= n <= {SITE_CAP}")
     if args.dump_state and args.out is None:
         parser.error("--dump-state requires --out")
-    phase, _ = _resolve_phase(parser, args)
+    game, _ = _game(parser, args)
     paths = [args.out] + ([f"{args.out}.state.txt"] if args.dump_state else [])
     with _outputs(*paths) as streams:
-        state = _final_state(args.n, phase, args.engine)
+        state = _final_state(game, args.engine)
         rows = sample_counts(state, np.random.default_rng(args.seed), args.shots)
-        record = {"n": args.n, "phase": phase, "engine": args.engine, "seed": args.seed, "shots": args.shots}
+        record = {"n": args.n, "phase": game.phase, "engine": args.engine, "seed": args.seed, "shots": args.shots}
         _write_histogram(streams[0], args.n, rows, record, args.format)
         if args.dump_state:
             dump_nonzero(state, streams[1])
@@ -201,21 +191,21 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
 
 
 def cmd_audit_circuit(parser: argparse.ArgumentParser, args) -> int:
-    phase, _ = _resolve_phase(parser, args)
+    game, _ = _game(parser, args)
     with _outputs(args.out) as (stream,):
-        audit = audit_preparation_circuit(GameConfig(args.n, phase), args.variant)
-        record = {"n": args.n, "phase": phase, "variant": args.variant}
+        audit = audit_preparation_circuit(game, args.variant)
+        record = {"n": args.n, "phase": game.phase, "variant": args.variant}
         record.update(audit.to_dict())
         stream.write(_json_text(record))
     return EXIT_OK
 
 
 def cmd_export_circuit(parser: argparse.ArgumentParser, args) -> int:
-    phase, _ = _resolve_phase(parser, args)
+    game, _ = _game(parser, args)
     with _outputs(args.out) as (stream,):
-        gates = build_preparation_circuit(GameConfig(args.n, phase), args.variant)
+        gates = build_preparation_circuit(game, args.variant)
         width = args.n * qubits_per_user(args.n)
-        stream.write(f"# preparation circuit: n={args.n} phase={phase} "
+        stream.write(f"# preparation circuit: n={args.n} phase={game.phase} "
                      f"variant={args.variant} width={width}\n" + export_circuit(gates))
     return EXIT_OK
 
@@ -259,6 +249,19 @@ def cmd_mac(parser: argparse.ArgumentParser, args) -> int:
     return EXIT_OK
 
 
+def _game_command(sub, name: str, help: str, func) -> argparse.ArgumentParser:
+    """A subcommand playing one game, with its size, phase and output; the caller adds its own flags."""
+    command = sub.add_parser(name, help=help)
+    command.add_argument("--n", type=int, required=True)
+    command.add_argument("--p", type=_non_negative_int, default=None,
+                         help="explicit phase parameter (overrides --regime)")
+    command.add_argument("--regime", choices=REGIMES, default=None,
+                         help="named phase regime: enhance-optimum (p=n(n-1)/2) or avoid-worst (p=1)")
+    command.add_argument("--out", default=None)
+    command.set_defaults(func=func, parser=command)
+    return command
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmg",
@@ -266,38 +269,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    probs = sub.add_parser("probs", help="analytic quantum vs classical outcome probabilities")
-    probs.add_argument("--n", type=int, required=True)
-    _add_phase_options(probs)
+    probs = _game_command(sub, "probs", "analytic quantum vs classical outcome probabilities", cmd_probs)
     probs.add_argument("--format", choices=("csv", "json"), default="json")
-    probs.add_argument("--out", default=None)
-    probs.set_defaults(func=cmd_probs, parser=probs)
 
-    simulate = sub.add_parser("simulate", help="prepare, apply strategies, and measure repeatedly")
-    simulate.add_argument("--n", type=int, required=True)
-    _add_phase_options(simulate)
+    simulate = _game_command(sub, "simulate", "prepare, apply strategies, and measure repeatedly", cmd_simulate)
     simulate.add_argument("--shots", type=_non_negative_int, required=True)
     simulate.add_argument("--seed", type=_non_negative_int, default=0)
     simulate.add_argument("--engine", choices=("qudit", "circuit"), default="qudit")
     simulate.add_argument("--format", choices=("csv", "json"), default="csv")
-    simulate.add_argument("--out", default=None)
     simulate.add_argument("--dump-state", action="store_true",
                           help="also write the pre-measurement state to <out>.state.txt")
-    simulate.set_defaults(func=cmd_simulate, parser=simulate)
 
-    audit = sub.add_parser("audit-circuit", help="audit a preparation circuit against the target state")
-    audit.add_argument("--n", type=int, required=True)
-    _add_phase_options(audit)
+    audit = _game_command(sub, "audit-circuit", "audit a preparation circuit against the target state",
+                          cmd_audit_circuit)
     audit.add_argument("--variant", choices=VARIANTS, default=VARIANT_FIGURE)
-    audit.add_argument("--out", default=None)
-    audit.set_defaults(func=cmd_audit_circuit, parser=audit)
 
-    export = sub.add_parser("export-circuit", help="write a preparation circuit as a plain-text gate list")
-    export.add_argument("--n", type=int, required=True)
-    _add_phase_options(export)
+    export = _game_command(sub, "export-circuit", "write a preparation circuit as a plain-text gate list",
+                           cmd_export_circuit)
     export.add_argument("--variant", choices=VARIANTS, default=VARIANT_CORRECTED)
-    export.add_argument("--out", default=None)
-    export.set_defaults(func=cmd_export_circuit, parser=export)
 
     mac = sub.add_parser("mac", help="run the slotted-MAC policy comparison from a JSON run spec")
     mac.add_argument("config", help="JSON file mirroring CellConfig plus a 'policies' list")

@@ -158,7 +158,17 @@ class OutcomeStatistics:
     per_outcome_prob: float
 
 
-def _statistics(n: int, phase: int | None) -> OutcomeStatistics:
+def outcome_statistics(n: int, phase: int | None = None) -> OutcomeStatistics:
+    """Exact statistics of a size-n game's outcome law; ``phase`` None is the classical
+    rule, n users picking uniformly at random: P(all distinct) = n!/n^n, P(all same) = n^(1-n).
+
+    Every permutation shares the digit sum n*(n-1)/2, so either all n! of
+    the all-distinct assignments interfere constructively or none does;
+    the n constant assignments likewise stand or fall together (their sums
+    are multiples of n, so they survive exactly when phase == 0 mod n).
+    """
+    if n < 2 or n > MAX_N:  # past MAX_N the uint64 counts of outcome_law would wrap
+        raise InvalidConfigError(f"need 2 <= n <= {MAX_N}, got {n}")
     counts = outcome_law(n, phase).tolist()  # Python ints, [successes][all-same]
     total = sum(map(sum, counts))
     successes = sum(s * sum(row) for s, row in enumerate(counts))
@@ -171,25 +181,6 @@ def _statistics(n: int, phase: int | None) -> OutcomeStatistics:
         support_size=total,
         per_outcome_prob=float(Fraction(1, total)),
     )
-
-
-def analytic_probabilities(config: GameConfig) -> OutcomeStatistics:
-    """Exact statistics of the entangled game's support.
-
-    Every permutation shares the digit sum n*(n-1)/2, so either all n! of
-    the all-distinct assignments interfere constructively or none does;
-    the n constant assignments likewise stand or fall together (their sums
-    are multiples of n, so they survive exactly when phase == 0 mod n).
-    """
-    return _statistics(config.n, config.phase)
-
-
-def classical_probabilities(n: int) -> OutcomeStatistics:
-    """n users picking uniformly at random: P(all distinct) = n!/n^n,
-    P(all same) = n^(1-n), and the rest of the law's statistics."""
-    if n < 2 or n > MAX_N:
-        raise InvalidConfigError(f"need 2 <= n <= {MAX_N}, got {n}")
-    return _statistics(n, None)
 
 
 def sample_outcomes(config: GameConfig, rng: np.random.Generator, size: int) -> np.ndarray:

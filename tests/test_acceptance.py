@@ -28,8 +28,7 @@ from qmg.circuit import (
 )
 from qmg.game import (
     GameConfig,
-    analytic_probabilities,
-    classical_probabilities,
+    outcome_statistics,
     phase_for_regime,
     sample_outcomes,
     strategy_matrix,
@@ -83,7 +82,7 @@ def test_criterion_1_two_user_certainty(tmp_path, read_histogram):
 
 def test_criterion_2_classical_reference():
     with criterion(2, "classical reference at n=8"):
-        got = classical_probabilities(8).p_all_distinct
+        got = outcome_statistics(8).p_all_distinct
         assert Fraction(got) == Fraction(40320, 16777216)
         assert got == pytest.approx(2.403e-3, abs=1e-6)
 
@@ -92,10 +91,10 @@ def test_criterion_3_n_fold_enhancement():
     with criterion(3, "n-fold enhancement of the all-distinct probability", budget_seconds=30.0):
         for n in (2, 3, 4, 5):
             phase = phase_for_regime("enhance-optimum", n)
-            analytic = analytic_probabilities(GameConfig(n, phase))
+            analytic = outcome_statistics(n, phase)
             assert analytic.p_all_distinct == n * math.factorial(n) / n**n
             assert analytic.p_all_distinct == pytest.approx(
-                n * classical_probabilities(n).p_all_distinct, rel=1e-15)
+                n * outcome_statistics(n).p_all_distinct, rel=1e-15)
 
             probs = (np.abs(end_to_end(n, phase).amplitudes) ** 2).reshape((n,) * n)
             permutation_mass = sum(probs[t]

@@ -116,6 +116,22 @@ def test_phase_or_regime_required():
     assert exit_info.value.code == 2
 
 
+@pytest.mark.parametrize("command, flags", (
+    ("probs", []),
+    ("simulate", ["--shots", "1"]),
+    ("audit-circuit", []),
+    ("export-circuit", []),
+))
+def test_game_command_usage_errors(capsys, command, flags):
+    """Every game command exits 2 without --p or --regime, and for a size below 2
+    or above the closed-form cap of 16."""
+    for args in (["--n", "4"], ["--n", "1", "--p", "1"], ["--n", "17", "--p", "1"]):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, *args, *flags])
+        assert exit_info.value.code == 2, args
+        assert capsys.readouterr().out == ""
+
+
 # --- simulate ------------------------------------------------------------------
 
 def test_simulate_two_user_histogram(tmp_path, read_histogram):
@@ -230,7 +246,7 @@ def test_histogram_writer_matches_per_row_oracle(tmp_path, monkeypatch, n, fmt):
     of the writer's block size, shrunk below n**n for small n."""
     block = min(mac.TEXT_BLOCK_ROWS, n**n - 1)
     monkeypatch.setattr(mac, "TEXT_BLOCK_ROWS", block)
-    monkeypatch.setattr(cli, "_final_state", lambda n, phase, engine: None)
+    monkeypatch.setattr(cli, "_final_state", lambda game, engine: None)
     rng = np.random.default_rng(n)
     cases = [np.empty((0, 2), dtype=np.int64), np.array([[n**n - 1, 1]], dtype=np.int64)]
     cases += [histogram_rows(n, size, rng) for size in (block - 1, block, block + 1)]
@@ -582,7 +598,7 @@ def test_mac_unwritable_csv_keeps_earlier_summary(tmp_path, capsys, argv, earlie
     (["simulate", "--n", "3", "--p", "1", "--shots", "50", "--out", "{tmp}/h.csv", "--dump-state"],
      ("h.csv", "h.csv.state.txt"), (cli, "dump_nonzero", 0)),
     (["probs", "--n", "4", "--p", "1", "--out", "{tmp}/p.json"], ("p.json",),
-     (cli, "analytic_probabilities", 0)),
+     (cli, "outcome_statistics", 0)),
     (["audit-circuit", "--n", "2", "--p", "1", "--out", "{tmp}/a.json"], ("a.json",),
      (cli, "audit_preparation_circuit", 0)),
     (["export-circuit", "--n", "2", "--p", "1", "--out", "{tmp}/c.txt"], ("c.txt",),

@@ -124,6 +124,29 @@ def test_mac_bytes_hold_across_blas_and_simd_kernels(tmp_path):
     assert all(output == outputs[0] for output in outputs[1:])
 
 
+def test_simulate_bytes_hold_across_blas_and_simd_kernels(tmp_path):
+    """The byte contract of `qmg simulate`: each histogram is the same bytes under
+    each of KERNELS, for the cases pinned here (a uniform within an ulp of a block
+    edge could move one count).  The state dump is not bytewise: its last bits
+    follow the kernel.  At n = 4 every dumped amplitude is the closed form's
+    4**(-3/2) = 0.125 on the support, within 1e-12, under each kernel."""
+    runs = {"8.csv": ("--n", "8", "--regime", "enhance-optimum", "--seed", "7"),
+            "7.json": ("--n", "7", "--regime", "avoid-worst", "--seed", "3", "--format", "json"),
+            "4.json": ("--n", "4", "--regime", "avoid-worst", "--seed", "3", "--format", "json",
+                       "--engine", "circuit", "--dump-state")}
+    support = [index for index in range(4**4) if (1 + sum(index // 4**j % 4 for j in range(4))) % 4 == 0]
+    outputs = []
+    for i, kernel in enumerate(KERNELS):
+        (tmp_path / str(i)).mkdir()
+        for name, args in runs.items():
+            run_qmg(tmp_path, "simulate", *args, "--shots", "100000", "--out", f"{i}/{name}", kernel=kernel)
+        outputs.append({name: (tmp_path / str(i) / name).read_bytes() for name in runs})
+        dump = [line.split() for line in read_lines(tmp_path / str(i) / "4.json.state.txt")]
+        assert [int(index) for index, _, _ in dump] == support
+        assert all(abs(complex(float(re), float(im)) - 0.125) < 1e-12 for _, re, im in dump)
+    assert all(output == outputs[0] for output in outputs[1:])
+
+
 @pytest.mark.parametrize("n", (8, 16))
 def test_corrected_circuit_audit_matches(tmp_path, n):
     audit = run_qmg(tmp_path, "audit-circuit", "--n", str(n), "--p", "1", "--variant", "corrected").stdout

@@ -20,10 +20,9 @@ from conftest import brute_amplitude, closed_form_amplitude, in_support, python_
 from qmg.game import (
     GameConfig,
     InvalidConfigError,
-    analytic_probabilities,
-    classical_probabilities,
     entangled_branches,
     outcome_law,
+    outcome_statistics,
     phase_for_regime,
     sample_outcomes,
     strategy_matrix,
@@ -196,7 +195,7 @@ def test_phase_shift_covariance(n):
 # --- analytic probabilities -----------------------------------------------
 
 def test_analytic_probabilities_enhance_regime():
-    got = analytic_probabilities(GameConfig(4, 6))
+    got = outcome_statistics(4, 6)
     assert got.p_all_distinct == 0.375
     assert got.p_all_same == 0.0
     assert got.support_size == 64
@@ -207,14 +206,14 @@ def test_analytic_probabilities_enhance_regime():
 
 
 def test_analytic_probabilities_avoid_regime():
-    got = analytic_probabilities(GameConfig(4, 1))
+    got = outcome_statistics(4, 1)
     assert got.p_all_same == 0.0
     assert got.p_all_distinct == 0.0  # (1 + 6) % 4 != 0: permutations cancel too
 
 
 def test_analytic_probabilities_odd_n_keeps_constants():
     # for odd n the enhance phase is 0 mod n, so constant tuples survive
-    got = analytic_probabilities(GameConfig(3, 3))
+    got = outcome_statistics(3, 3)
     assert got.p_all_distinct == pytest.approx(2 / 3)
     assert got.p_all_same == pytest.approx(1 / 3)
     assert got.support_size == 9
@@ -222,25 +221,25 @@ def test_analytic_probabilities_odd_n_keeps_constants():
 
 @given(n=st.integers(2, 8), p=st.integers(0, 40))
 def test_analytic_probabilities_consistent(n, p):
-    got = analytic_probabilities(GameConfig(n, p))
+    got = outcome_statistics(n, p)
     assert got.support_size * got.per_outcome_prob == pytest.approx(1.0, abs=1e-12)
     assert 0.0 <= got.p_all_distinct <= 1.0
     assert 0.0 <= got.p_all_same <= 1.0
 
 
 def test_classical_probabilities_values():
-    got = classical_probabilities(8)
+    got = outcome_statistics(8)
     assert got.p_all_distinct == pytest.approx(2.4e-3, abs=5e-5)
     assert Fraction(got.p_all_distinct) == Fraction(40320, 16777216)
-    assert classical_probabilities(2).p_all_distinct == 0.5
-    assert classical_probabilities(4).p_all_same == 4.0**-3
+    assert outcome_statistics(2).p_all_distinct == 0.5
+    assert outcome_statistics(4).p_all_same == 4.0**-3
 
 
 def test_classical_probabilities_range():
     with pytest.raises(InvalidConfigError):
-        classical_probabilities(1)
+        outcome_statistics(1)
     with pytest.raises(InvalidConfigError):
-        classical_probabilities(17)
+        outcome_statistics(17)
 
 
 # --- the outcome law --------------------------------------------------------
@@ -285,7 +284,7 @@ def test_statistics_read_the_enumerated_law(n):
     """Every statistic `qmg probs` reports is the correctly rounded ratio of
     enumerated counts, under the classical rule and at every phase."""
     for phase in (None, *range(n)):
-        got = classical_probabilities(n) if phase is None else analytic_probabilities(GameConfig(n, phase))
+        got = outcome_statistics(n, phase)
         tallies = support_tallies(n, phase)
         total, successes = len(tallies), sum(s for s, _ in tallies)
         assert got.p_all_distinct == float(Fraction(sum(s == n for s, _ in tallies), total))

@@ -52,3 +52,33 @@ def test_energy_scenario_collision_rates_per_full_game():
             assert avoid > classical, n
         else:
             assert avoid < classical and avoid == enhance, n
+
+
+def zero_delivery(n, phase) -> Fraction:
+    """The exact probability that a full n-player game leaves nobody alone on a
+    channel, so that the slot delivers nothing, counted in Python ints."""
+    law = outcome_law(n, phase).tolist()  # counts by (players alone, all-same)
+    return Fraction(sum(law[0]), sum(map(sum, law)))
+
+
+def test_qos_scenario_zero_delivery_per_full_game():
+    """The paper: "In our model, two different scenarios are considered, to meet
+    the requirements of different user strategies. [...] the second focuses on
+    installations where the quality of service of the entire network is a
+    priority."
+
+    A slot in which nobody is alone on a channel delivers nothing to the whole
+    network.  Over a full game of n players, for n = 2..16, neither regime makes
+    such slots rarer at every n.  Enhance-optimum makes them more likely than the
+    classical rule exactly at n in {3, 4, 7, 8, 9, 11, 12, 15, 16}, and less
+    likely at every other n; the two never tie.  Avoid-worst makes them more
+    likely exactly at n in {5, 13}, and removes them altogether exactly at
+    n in {2, 3, 4, 6}."""
+    laws = {n: (zero_delivery(n, None),
+                zero_delivery(n, phase_for_regime(REGIME_ENHANCE_OPTIMUM, n)),
+                zero_delivery(n, phase_for_regime(REGIME_AVOID_WORST, n))) for n in range(2, 17)}
+    assert {n for n, (classical, enhance, _) in laws.items() if enhance > classical} == \
+        {3, 4, 7, 8, 9, 11, 12, 15, 16}
+    assert all(enhance != classical for classical, enhance, _ in laws.values())
+    assert {n for n, (classical, _, avoid) in laws.items() if avoid > classical} == {5, 13}
+    assert {n for n, (_, _, avoid) in laws.items() if avoid == 0} == {2, 3, 4, 6}
