@@ -12,15 +12,16 @@ each arbiter serving its ring neighborhood.
 Only how many players share a channel decides a collision, so the engine
 never draws channels: each game is one draw of its outcome (players alone,
 all on one channel) from the exact law of its size, ``game.outcome_law``.
-When one round serves all n users (every star slot), no metric depends on
-who defers either, so that choice is not drawn.
+That law is symmetric in the players, so a mesh round draws its k players
+alone as a uniform k-subset of the arbiter's group; a star slot, one round
+over all n users, draws none, as no metric depends on who.
 
 Randomness is split into independent streams derived from the config seed:
-an environment stream (occupancy and who defers; a single-round run draws
-occupancy only) and one allocator stream per policy kind.  A comparison
-advances all its policies in lockstep through one environment pass, so they
-share its draws as common random numbers, while each policy draws from its
-own allocator stream exactly what a run of it alone would draw.  Identical
+an environment stream, which draws occupancy only, and one allocator stream
+per policy kind, which draws its games and subsets.  A comparison advances
+all its policies in lockstep through one environment pass, so they share
+occupancy as common random numbers, while each policy draws from its own
+allocator stream exactly what a run of it alone would draw.  Identical
 configs therefore give bit-identical metrics, and a policy listed twice in
 a comparison reproduces itself exactly.
 """
@@ -64,9 +65,9 @@ SLOT_CSV_HEADER = "slot,free_channels,policy,successes,colliders,all_same"
 # text rows per write: one block's byte matrix and its text stay under 1 MB,
 # so the writer's peak fits in the slot engine's per-call plan
 TEXT_BLOCK_ROWS = 4096
-# cells per slot-engine block: a block of rows w cells wide (occupancy or priority draws) has
-# ENGINE_CELLS // (the power of two >= w) rows, 1024 at widths 9 to 16 and 4096 at 3 or 4, and a
-# block of games, whose row temporaries are one-dimensional and under 20 B, 16,384 rows; so no
+# cells per slot-engine block: a block of occupancy draws, n cells a row, has ENGINE_CELLS // (the
+# power of two >= n) rows, 1024 at 9 to 16 users and 4096 at 3 or 4, and a block of games or of
+# subset draws, whose row temporaries are one-dimensional and under 32 B, 16,384 rows; so no
 # block temporary grows with the slot count and an int64 one holds at most 128 KiB, glibc's
 # default mmap threshold.  At the 16-user mesh (100k slots, two policies, fresh processes), 2**13
 # cells took 15% more time in per-block overhead; 2**15 cells ran mac-mesh 6% faster (0.687 ->
@@ -305,18 +306,16 @@ def _play(policy: str, size: int, rows: int, alloc: np.random.Generator) -> np.n
     return codes.take(bounds.searchsorted(alloc.integers(0, total, rows, dtype=np.uint64), side="right"))
 
 
-def _priority_order(draws: np.ndarray) -> np.ndarray:
-    """Sort (rows, group <= 16) ``random()`` draws in place into each row's member
-    offsets by ascending draw, ties to the lower offset, as a stable argsort; return
-    the buffer viewed as uint64.  A draw is k * 2**-53, ordered like its bits as uint64,
-    which begin 0b001111 (exponent 970 to 1022) unless it is 0.0, all zeros: shifted
-    left by four, each key keeps its order and leaves the low four for the offset."""
-    keys = draws.view(np.uint64)
-    keys <<= 4
-    keys |= np.arange(draws.shape[1], dtype=np.uint64)
-    keys.sort(axis=1)
-    keys &= 15
-    return keys
+@functools.cache
+def _subsets(group: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every ``group``-bit member mask (int32), by popcount and then by value; the index
+    where popcount k's masks begin; and their count, C(group, k).  Mask m >= 2**b below
+    2**(b + 1) has m - 2**b's popcount plus one (np.bitwise_count needs numpy 2)."""
+    popcounts = np.zeros(1, dtype=np.uint8)
+    for _ in range(group):
+        popcounts = np.concatenate((popcounts, popcounts + 1))
+    counts = np.bincount(popcounts)
+    return popcounts.argsort(kind="stable").astype(np.int32), np.cumsum(counts) - counts, counts
 
 
 def _block_rows(width: int) -> int:
@@ -331,15 +330,13 @@ def _run_slots(config: CellConfig, policies: Sequence[str]) -> list[tuple[MacMet
     Per slot, primary occupancy, then ``config.rounds`` arbitration rounds.
     The arbiter of round r is node r mod n and serves itself plus the next
     ``config.group`` - 1 ring nodes; each round plays a square game of size
-    min(group, free) among the ``size`` members with the lowest priority
-    draws from the environment stream, ties to the lower ring offset (a
-    single round over all n users draws none: a slot is then all-distinct
-    exactly when all n succeed).  Each policy draws each game's outcome from
-    its own allocator stream, one uint64 per game (see _play).  A round
-    first plays its games by free count; then a mesh draws its priorities in
-    slot order and ORs the user bits of each slot's players alone into the
-    delivery masks, sorting none in a slot already delivered to all n users.
-    The energy is ``config.energy`` of the attempts.
+    min(group, free) among them, one uint64 per game from each policy's own
+    allocator stream (see _play), by free count.  Then each policy draws, in
+    slot order, which k of the group were alone, one integer below
+    C(group, k) (see _subsets), and ORs their user bits into its delivery
+    masks; a single round over all n users draws none, as a slot is then
+    all-distinct exactly when all n succeed.  The energy is
+    ``config.energy`` of the attempts.
     """
     n, group, rounds, slots = config.n_users, config.group, config.rounds, config.slots
     env = _stream(config.seed, _ENV_STREAM)
@@ -354,12 +351,12 @@ def _run_slots(config: CellConfig, policies: Sequence[str]) -> list[tuple[MacMet
     # single, a 4-byte delivery mask.  While the CSV writer indexes the distinct rows, instead 12:
     # each row's int32 key and its tail index (intp).  Per call, 1 MiB of array headers, scalars,
     # outcome laws and one text block; the writer's key table, 8 bytes for each of (n + 1) *
-    # (rounds * group + 1) * 2 keys; and one engine block of cells: 8 bytes a cell of the reused
-    # priority buffer and at most 40 of an occupancy draw, a block of game draws (under 20 a row,
-    # one cell wide) or the sort and prefix of kept rows.
+    # (rounds * group + 1) * 2 keys; the subset table, 4 bytes for each of 2**group masks; and one
+    # engine block of cells: at most 40 bytes a cell of an occupancy draw, a block of game draws
+    # (under 20 a row, one cell wide) or a block of subset draws (under 32 a row).
     logs = 1 + len(policies) * np.dtype(tally).itemsize
     engine = logs + 8 + 3 + len(policies) * ((rounds > 1) + (0 if single else 4))
-    check_footprint(2**20 + 48 * ENGINE_CELLS + 16 * (n + 1) * (rounds * group + 1)
+    check_footprint(2**20 + 40 * ENGINE_CELLS + (4 << group) + 16 * (n + 1) * (rounds * group + 1)
                     + max(engine, logs + 12) * slots, f"{slots} slots of {n} users")
 
     free_counts = np.empty(slots, dtype=np.uint8)
@@ -378,7 +375,6 @@ def _run_slots(config: CellConfig, policies: Sequence[str]) -> list[tuple[MacMet
     played = codes if rounds == 1 else [np.zeros(slots, dtype=np.uint8) for _ in policies]
     # bit u set once user u was alone on its channel in some round of the slot
     delivered = [np.zeros(slots, dtype=np.int32) for _ in policies if not single]
-    draws = np.empty((min(_block_rows(group), slots), group))  # one block of priority draws
     for r in range(rounds):
         for first, end, size in games:
             for start in range(first, end, _block_rows(1)):
@@ -389,19 +385,15 @@ def _run_slots(config: CellConfig, policies: Sequence[str]) -> list[tuple[MacMet
             for code, play in zip(codes, played):
                 code += play & 0xFE
                 code |= play & 1
-        # in a mesh, a game's law is symmetric in its players, whose priority order is uniform and
-        # apart from the game, so its k alone may be its first k: as k <= size, the group's k lowest draws
-        bits = 1 << (r % n + np.arange(group, dtype=np.int32)) % n  # each member's user bit
-        for start in range(0, 0 if single else slots, len(draws)):
-            block = env.random(out=draws[:min(len(draws), slots - start)])
-            # a slot every policy has delivered to all n users stays so
-            common = functools.reduce(np.bitwise_and, (mask[start:start + len(block)] for mask in delivered))
-            kept = np.flatnonzero(common != (1 << n) - 1)
-            prefix = np.zeros((len(kept), group + 1), dtype=np.int32)
-            np.bitwise_or.accumulate(bits.take(_priority_order(block[kept])), axis=1, out=prefix[:, 1:])
-            kept += start
-            for mask, play in zip(delivered, played):
-                mask[kept] |= prefix.take(np.arange(0, prefix.size, group + 1) + (play.take(kept) >> 1))
+        # a draw below C(group, k) picks one of the k-member masks; member o is user (r + o) mod n, so
+        # the user mask is the member mask rotated left by r mod n in n bits, each shift below 2**31
+        shift = r % n
+        for start in range(0, 0 if single else slots, _block_rows(1)):
+            masks, begins, counts = _subsets(group)
+            for mask, play, alloc in zip(delivered, played, allocs):
+                alone = play[start:start + _block_rows(1)] >> 1
+                member = masks.take(begins.take(alone) + alloc.integers(0, counts.take(alone)))
+                mask[start:start + len(alone)] |= (member << shift | member >> n - shift) & (1 << n) - 1
     # attempts per free count: each player succeeded or collided
     attempts = rounds * np.minimum(np.arange(n + 1), group)
     total_attempts = int(per_free @ attempts)
@@ -424,10 +416,9 @@ def run_cell(config: CellConfig, policies: Sequence[str]) -> list[tuple[MacMetri
     occupancy, then one square allocation game over the free channels.
 
     When f < n channels are free, f users play the f-channel game and the
-    rest defer.  Which f play changes no star metric, so that choice is
-    never drawn and the environment stream ends at occupancy.  This is the
-    one-round mesh whose arbiter serves all n users and charges no
-    arbitration.  Fully deterministic given the config.
+    rest defer.  Which f play, and which of them are alone, changes no star
+    metric, so neither is drawn.  This is the one-round mesh whose arbiter
+    serves all n users and charges no arbitration.  Fully deterministic given the config.
     """
     if config.topology != TOPOLOGY_STAR:
         raise ConfigFormatError(f"run_cell needs topology={TOPOLOGY_STAR!r}, got {config.topology!r}")
@@ -478,10 +469,10 @@ def compare_policies(config: CellConfig, policies: Sequence[str],
                      csv: IO[str] | None = None) -> PolicyComparison:
     """Run every policy against the same primary-user occupancy sequence.
 
-    One slot-engine call advances all policies in lockstep: occupancy and
-    the defer choices are drawn once from the environment stream and
-    shared, as common random numbers, while allocator sampling stays on
-    independent per-policy streams.  Given a ``csv`` stream, writes the
+    One slot-engine call advances all policies in lockstep: occupancy is
+    drawn once from the environment stream and shared, as common random
+    numbers, while each policy draws its games and, in a mesh, who was
+    alone from its own allocator stream.  Given a ``csv`` stream, writes the
     slot CSV there: the header, then each policy's rows in listed order.
     The slot engine's memory plan counts every policy's codes, so it
     bounds the whole comparison.

@@ -15,6 +15,7 @@ import pytest
 
 from qmg import mac
 from qmg.circuit import QubitRegister
+from qmg.game import outcome_law
 from qmg.qudit import FactoredState, QuditState, _cumulative
 
 
@@ -71,6 +72,80 @@ def star_moments(n, activity, phase):
                 sums[key][0] += weight * x
                 sums[key][1] += weight * x * x
     return {key: (m1, m2 - m1 * m1) for key, (m1, m2) in sums.items()}
+
+
+def mesh_expectations(config, policy) -> dict[str, tuple[Fraction, Fraction]]:
+    """Oracle: exact (mean, variance per slot) of each metric of a mesh run under
+    ``policy``, keyed by metric name, in Fractions from ``game.outcome_law``.  Given
+    f ~ Binom(n, 1 - activity) free channels, the rounds are independent games of size
+    min(group, f), and a game's law is symmetric in its players, so its k players alone
+    are a uniform k-subset of the arbiter's group.  Throughput and all-same are per-slot
+    means.  Collision and energy are ratios of per-slot sums, with the delta method's
+    variance.  All-distinct is by inclusion-exclusion over the set S of users never
+    delivered: sum over f of P(f) sum over S of (-1)^|S| prod over rounds r of
+    q_f(|S & G_r|), where q_f(j) = sum over k of P(K = k) C(group - j, k) / C(group, k)
+    is the chance that a round misses j given members of its group G_r.  The sum runs
+    over every S for n <= 8, and over |S| alone in the full mesh, where every G_r holds
+    all n users."""
+    n, group, rounds = config.n_users, config.group, config.rounds
+    if group == n:  # (|S|, how many such S, |S & G_r| per round)
+        subsets = [(s, math.comb(n, s), [s] * rounds) for s in range(n + 1)]
+    elif n <= 8:
+        groups = [{(r + o) % n for o in range(group)} for r in range(rounds)]
+        subsets = [(len(S), 1, [len(S & G) for G in groups])
+                   for S in map(set, itertools.chain.from_iterable(
+                       itertools.combinations(range(n), s) for s in range(n + 1)))]
+    else:
+        raise ValueError(f"no subset sum for a ring mesh of {n} > 8 users")
+    a = Fraction(str(config.primary_activity))
+    per_free = []  # P(f), attempts, mean and variance of successes, all-same, all-distinct
+    for f in range(n + 1):
+        size = min(group, f)
+        law = outcome_law(size, PHASES[policy](size)).tolist() if size else [[1, 0]]
+        total = sum(map(sum, law))
+        k_law = [Fraction(sum(row), total) for row in law]  # P(K = k)
+        mean = sum(k * p for k, p in enumerate(k_law))
+        variance = sum(k * k * p for k, p in enumerate(k_law)) - mean**2
+        same = Fraction(sum(row[1] for row in law), total)
+        missed = [sum(p * Fraction(math.comb(group - j, k), math.comb(group, k)) for k, p in enumerate(k_law))
+                  for j in range(group + 1)]
+        distinct = sum((-1) ** s * count * math.prod(missed[j] for j in overlaps)
+                       for s, count, overlaps in subsets)
+        per_free.append((math.comb(n, f) * (1 - a) ** f * a ** (n - f), rounds * size, rounds * mean,
+                         rounds * variance, 1 - (1 - same) ** rounds, distinct))
+
+    weights, attempts, means, variances, same, distinct = zip(*per_free)
+
+    def expect(values):
+        return sum(w * x for w, x in zip(weights, values))
+
+    def rate(p):
+        return p, p * (1 - p)
+
+    throughput, tried = expect(means), expect(attempts)
+    # collision is 1 - ratio of the slots' successes S to their attempts A: its variance is
+    # E[(S - ratio * A)^2] / E[A]^2; energy is (tx * A + arbitration) / S, likewise
+    ratio = throughput / tried if tried else Fraction(1)
+    tx, arbitration = Fraction(config.tx_cost), Fraction(config.arbitration_cost) * rounds
+    energy = (tx * tried + arbitration) / throughput if throughput else math.inf
+    return {
+        "throughput": (throughput, expect(v + m * m for m, v in zip(means, variances)) - throughput**2),
+        "collision_rate": (1 - ratio, expect(v + (m - ratio * att) ** 2 for att, m, v
+                                             in zip(attempts, means, variances)) / tried**2 if tried else 0),
+        "all_distinct_rate": rate(expect(distinct)),
+        "all_same_rate": rate(expect(same)),
+        "energy_proxy": (energy, expect(energy**2 * v + (tx * att + arbitration - energy * m) ** 2
+                                        for att, m, v in zip(attempts, means, variances)) / throughput**2
+                         if throughput else 0),
+    }
+
+
+def assert_mesh_near_exact(config, policy, metrics: dict) -> None:
+    """Each of a mesh run's metrics, by name, lies within 5 sigma of its exact
+    expectation (mesh_expectations), sigma from the exact per-slot variance."""
+    for key, (mean, variance) in mesh_expectations(config, policy).items():
+        got, mean, sigma = metrics[key], float(mean), math.sqrt(variance / config.slots)
+        assert abs(got - mean) <= 5 * sigma, (policy, key, got, mean, sigma)
 
 
 def python_int_law(n):
@@ -137,27 +212,32 @@ def mesh_delivery_masks(config, policies) -> list[tuple[list[np.ndarray], list[n
     """Reference: after each round of a mesh run, each policy's per-slot delivery masks,
     bit u set once user u was alone in some round of the slot, and per-slot codes, the
     slot's successes summed over the rounds << 1 | whether any round put every player on
-    one channel, replayed with no slot skipped.  The environment stream gives occupancy,
-    then per round every slot's priority draws, each row put in member order by a stable
-    argsort; each policy's allocator stream gives the round's games through
-    ``mac._play``, free counts ascending, slots of one count in slot order.  A game of k
-    successes delivers its slot's first k members."""
+    one channel, replayed one slot at a time.  The environment stream gives occupancy
+    alone.  Per round, each policy's allocator stream gives the round's games through
+    ``mac._play``, free counts ascending, slots of one count in slot order; then, in slot
+    order, one draw below C(group, k) per slot, k its game's successes, which picks the
+    k members alone: that draw's entry in the k-subsets of the group's ring offsets in
+    colex order (by highest offset, then the next), member o of round r being user
+    (r + o) mod n."""
     n, group = config.n_users, config.group
     env = mac._stream(config.seed, mac._ENV_STREAM)
     allocs = [mac._stream(config.seed, mac._ALLOC_STREAM, mac.POLICY_KINDS.index(p)) for p in policies]
     free = (env.random((config.slots, n)) >= config.primary_activity).sum(axis=1)
+    subsets = [sorted(itertools.combinations(range(group), k), key=lambda c: c[::-1]) for k in range(group + 1)]
     masks, after = [np.zeros(config.slots, dtype=np.int64) for _ in policies], []
     total = [np.zeros(config.slots, dtype=np.int64) for _ in policies]  # successes over the rounds
     same = [np.zeros(config.slots, dtype=bool) for _ in policies]  # some round all on one channel
     for r in range(config.rounds):
-        members = (r + np.argsort(env.random((config.slots, group)), axis=1, kind="stable")) % n
         for policy, alloc, mask, succeeded, flag in zip(policies, allocs, masks, total, same):
             code = np.zeros(config.slots, dtype=np.int64)
             for f in range(1, n + 1):
                 at = np.flatnonzero(free == f)
                 code[at] = mac._play(policy, min(group, f), len(at), alloc)
-            first = np.arange(group) < (code >> 1)[:, None]  # each slot's first k members
-            mask |= np.bitwise_or.reduce(np.where(first, 1 << members, 0), axis=1)
+            alone = (code >> 1).tolist()
+            picks = alloc.integers(0, [math.comb(group, k) for k in alone]).tolist()
+            for slot, (k, pick) in enumerate(zip(alone, picks)):
+                for o in subsets[k][pick]:
+                    mask[slot] |= 1 << (r + o) % n
             succeeded += code >> 1
             flag |= (code & 1).astype(bool)
         after.append(([mask.copy() for mask in masks], [s << 1 | a for s, a in zip(total, same)]))

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import PHASES, histogram_text, star_moments
+from conftest import PHASES, assert_mesh_near_exact, histogram_text, star_moments
 from qmg import cli, mac, qudit
 from qmg.circuit import build_preparation_circuit, parse_circuit
 from qmg.game import GameConfig, phase_for_regime, strategy_matrix
@@ -424,15 +424,15 @@ MAC_DIGESTS = (
         "run.csv": "7a9e2524dab3af5849feb37d0d6ffb361516e91e844ee93a0d7e795563da4292"}),
     ({"n_users": 6, "n_channels": 6, "primary_activity": 0.3, "slots": 2000, "seed": 5,
       "topology": "mesh-rounds", "mesh_degree": 2, "mesh_rounds": 4}, {
-        "run.json": "4049dc8bc42687443d18cc1aa4df05790a45ecd22f2a4b98eff3b72f6a6b1feb"}),
-    # the benchmark's mesh shape: 16 rounds, and defer picks in almost every slot
+        "run.json": "7148b7f3e56b9a99f7e247cd43680d3d0826dce94862b3294cbb409beb1f3ceb"}),
+    # the benchmark's mesh shape: 16 rounds, and games smaller than the group in almost every slot
     ({"n_users": 16, "n_channels": 16, "primary_activity": 0.2, "slots": 2000, "seed": 5,
       "topology": "mesh-rounds", "policies": ["classical-uniform", "quantum-avoid-worst"]}, {
-        "run.json": "ed42eb4a0f55ccac463571368dd14c79cb05406557a710cf4e29c6d7589c6292"}),
-    # the same mesh over several of the engine's 1024-row priority blocks
-    ({"n_users": 16, "n_channels": 16, "primary_activity": 0.2, "slots": 5_000, "seed": 5,
+        "run.json": "1fdb211a95a7c8315faa88fa322ab7e9bcfc76c4345301f4b611033fd15d10f5"}),
+    # the same mesh over two of the engine's 16,384-row blocks of games and subset draws
+    ({"n_users": 16, "n_channels": 16, "primary_activity": 0.2, "slots": 20_000, "seed": 5,
       "topology": "mesh-rounds", "policies": ["classical-uniform", "quantum-avoid-worst"]}, {
-        "run.json": "8ae7f8bf39a3231396f5ba4848e941b386c4ae8c6c3c4bed87d5442ec6b7be27"}),
+        "run.json": "bfb3551a7a00c289e772eb730519ad6c3edcd2db34dfde27f6b161a70875f183"}),
     # three policies' rows: several text blocks, slot numbers of one to five digits
     ({"primary_activity": 0.3, "slots": 20_001, "seed": 5}, {
         "run.json": "ef4392f08ece1ce45f840b1457f54ee8fd327d1fbcf1a3f13fd35de50c2c876f",
@@ -452,7 +452,7 @@ MAC_DIGESTS = (
         "run.json": "0d30559b50bee8140f31a2d6a88b8509d0a4708945d678188e9bc4fb9b6b1a40",
         "run.csv": "bf3904a713edcd359f791e0e547526bd9dd9f7c5b07c3e8fdd71a5355a5994b2"}),
 )
-MAC_DIGEST_IDS = ("star", "mesh", "full-mesh", "full-mesh-5000", "star-20001",
+MAC_DIGEST_IDS = ("star", "mesh", "full-mesh", "full-mesh-20000", "star-20001",
                   "star-n2", "star-n3", "star-n5", "star-n6")
 
 
@@ -482,6 +482,20 @@ def test_mac_fixed_seed_star_metrics_near_exact(tmp_path, overrides):
         for key, (mean, variance) in moments.items():
             sigma = math.sqrt(variance / config["slots"])
             assert abs(entry["metrics"][key] - mean) <= 5 * sigma, (entry["policy"], key, float(mean))
+
+
+@pytest.mark.parametrize("overrides", [overrides for overrides, _ in MAC_DIGESTS if "topology" in overrides],
+                         ids=[case for case in MAC_DIGEST_IDS if not case.startswith("star")])
+def test_mac_fixed_seed_mesh_metrics_near_exact(tmp_path, overrides):
+    """Each pinned mesh run's every metric lies within 5 sigma of its exact
+    expectation (conftest.mesh_expectations), so the digests pin a sample of the
+    right law."""
+    spec = run_spec_file(tmp_path, **overrides)
+    assert cli.main(["mac", str(spec), "--out", str(tmp_path / "run")]) == 0
+    document = json.loads((tmp_path / "run.json").read_text())
+    config = mac.CellConfig(**document["config"])
+    for entry in document["policies"]:
+        assert_mesh_near_exact(config, entry["policy"], entry["metrics"])
 
 
 def test_mac_seed_override_changes_slots(tmp_path):

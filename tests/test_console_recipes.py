@@ -23,7 +23,7 @@ MESH_SPEC = ('{"n_users": 16, "n_channels": 16, "primary_activity": 0.2, "slots"
              '"topology": "mesh-rounds", "policies": ["classical-uniform", "quantum-avoid-worst"]}\n')
 
 #: the kernels a byte contract must hold across: the default, another BLAS core type,
-#: and numpy without its newer SIMD targets (the mesh's row sort dispatches on them)
+#: and numpy without its newer SIMD targets (the engine's sorts and searches dispatch on them)
 KERNELS = ({}, {"OPENBLAS_CORETYPE": "Prescott"},
            {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"})
 

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import PHASES, all_same, colliders, mesh_delivery_masks, slot_columns, successes, support_tallies
+from conftest import (PHASES, all_same, assert_mesh_near_exact, colliders, mesh_delivery_masks, slot_columns,
+                      successes, support_tallies)
 from qmg import cli, mac
 from qmg.game import outcome_law
 from qmg.mac import (
@@ -212,17 +213,20 @@ def test_engine_block_changes_nothing(monkeypatch, n, slots, activity, mesh, blo
 def test_integer_draws_in_chunks_equal_one_draw(size):
     """The engine's blocks rest on this numpy property: integers drawn with
     ``integers()`` in odd-sized chunks are those of one whole draw, whether or
-    not the bound is a power of two: channel digits below the game size, and
-    the engine's uint64 draws below the size-``size`` game's outcome counts
-    size**size (2**64 at 16) and size**(size - 1).  PCG64 keeps the spare
-    32-bit half of a 64-bit word between calls, so a chunk boundary skips no
-    bits, and a draw above 2**32 takes whole words."""
+    not the bound is a power of two: channel digits below the game size, the
+    engine's uint64 draws below the size-``size`` game's outcome counts
+    size**size (2**64 at 16) and size**(size - 1), and its subset draws, one
+    bound C(size, k) per draw, 1 included.  PCG64 keeps the spare 32-bit half
+    of a 64-bit word between calls, so a chunk boundary skips no bits, and a
+    draw above 2**32 takes whole words."""
     edges = [0, 1, 4, 11, 100, 357, 1_000]
+    subsets = np.array([math.comb(size, k) for k in np.random.default_rng(0).integers(0, size + 1, 1_000)])
     for high, dtype, shape in ((size, np.int64, (size,)), (size**size, np.uint64, ()),
-                               (size ** (size - 1), np.uint64, ())):
+                               (size ** (size - 1), np.uint64, ()), (subsets, np.int64, ())):
         whole = np.random.default_rng(size).integers(0, high, size=(1_000, *shape), dtype=dtype)
         rng = np.random.default_rng(size)
-        chunks = [rng.integers(0, high, size=(stop - start, *shape), dtype=dtype)
+        chunks = [rng.integers(0, high[start:stop] if np.ndim(high) else high,
+                               size=(stop - start, *shape), dtype=dtype)
                   for start, stop in zip(edges, edges[1:])]
         assert np.array_equal(np.concatenate(chunks), whole)
 
@@ -364,13 +368,12 @@ class RecordingNumpy:
 
 @pytest.mark.parametrize("n, degree, rounds", ((8, 3, 1), (6, 2, 6)), ids=("one-ring-round", "ring"))
 def test_mesh_members_share_one_delivery_frequency(monkeypatch, n, degree, rounds):
-    """A round's alone set is the first k of its players in priority order, k
-    drawn from the game's law.  That law is symmetric in the players, so every
-    ring offset of the arbiter's group is delivered equally often: a user in c
-    of the slot's rounds is delivered with probability sum over f of P(f) *
-    (1 - (1 - E[K]/group)^c), E[K] of the min(group, f)-player game by
-    enumeration.  Each user's frequency lies within 5 sigma of it; with one
-    round, the users are the offsets."""
+    """A round's alone set is a uniform k-subset of the arbiter's group, k
+    drawn from the game's law, so every ring offset of the group is delivered
+    equally often: a user in c of the slot's rounds is delivered with
+    probability sum over f of P(f) * (1 - (1 - E[K]/group)^c), E[K] of the
+    min(group, f)-player game by enumeration.  Each user's frequency lies
+    within 5 sigma of it; with one round, the users are the offsets."""
     config = cell(n=n, activity=0.3, slots=30_000, seed=37, topology="mesh-rounds",
                   mesh_degree=degree, mesh_rounds=rounds)
     group = degree + 1
@@ -396,15 +399,14 @@ def test_mesh_members_share_one_delivery_frequency(monkeypatch, n, degree, round
 @pytest.mark.parametrize("n, degree, rounds, activity, slots", (
     (4, 3, 32, 0.0, 2_000),  # most slots delivered to all four users in a few rounds
     (6, 1, 6, 0.3, 2_000),  # few slots ever delivered to all six
-    (16, 15, 3, 0.2, 2_500),  # three priority blocks of 1024 rows
+    (16, 15, 3, 0.2, 20_000),  # two blocks of 16,384 games and subset draws
 ), ids=("full-mesh-4", "ring-6", "full-mesh-16"))
-def test_mesh_delivery_masks_equal_the_unskipped_reference(monkeypatch, n, degree, rounds, activity, slots):
-    """The engine sorts no priorities in a slot that every policy has already
-    delivered to all n users; its delivery masks and slot-log codes still equal,
-    bit for bit, those of a replay that sorts every slot in every round and sums
-    each slot's successes apart from its all-same flags (conftest.mesh_delivery_masks).
-    A run of fewer rounds draws the first rounds of a longer one, so a shorter
-    run checks the masks before every slot is delivered to all."""
+def test_mesh_delivery_masks_equal_the_per_slot_replay(monkeypatch, n, degree, rounds, activity, slots):
+    """The engine's delivery masks and slot-log codes equal, bit for bit, those of
+    a replay that looks up each slot's k-subset among the group's combinations one
+    slot at a time and sums each slot's successes apart from its all-same flags
+    (conftest.mesh_delivery_masks).  A run of fewer rounds draws the first rounds
+    of a longer one, so a shorter run checks the masks after its first rounds."""
     config = cell(n=n, activity=activity, slots=slots, seed=29, topology="mesh-rounds",
                   mesh_degree=degree, mesh_rounds=rounds)
     policies = [CLASSICAL, ENHANCE, AVOID]
@@ -424,13 +426,27 @@ def test_mesh_delivery_masks_equal_the_unskipped_reference(monkeypatch, n, degre
 
 def test_mesh_shape_all_distinct_near_exact():
     """At the benchmark's mesh shape (16 users, activity 0.2, one full round
-    per node, two policies) over 20,000 slots, each all-distinct rate lies
-    within 5 sigma of its exact value by inclusion-exclusion over the users
-    left undelivered: 0.9386158 classical, 0.9386141 avoid-worst."""
+    per node, two policies) over 20,000 slots, every metric lies within 5 sigma
+    of its exact value; all-distinct is 0.9386158 classical, 0.9386141 avoid-worst."""
     config = cell(n=16, activity=0.2, slots=20_000, seed=43, topology="mesh-rounds")
-    for (metrics, _), exact in zip(run_mesh_rounds(config, [CLASSICAL, AVOID]), (0.9386158, 0.9386141)):
-        sigma = math.sqrt(exact * (1 - exact) / config.slots)
-        assert abs(metrics.all_distinct_rate - exact) <= 5 * sigma, (metrics.all_distinct_rate, exact)
+    for policy, (metrics, _) in zip([CLASSICAL, AVOID], run_mesh_rounds(config, [CLASSICAL, AVOID])):
+        assert_mesh_near_exact(config, policy, metrics.to_dict())
+
+
+@pytest.mark.parametrize("n, degree, rounds, activity", (
+    (2, None, 3, 0.3), (4, 3, 32, 0.0), (5, 4, 5, 0.2), (6, 2, 4, 0.3), (6, 1, 6, 0.5),
+    (8, 3, 1, 0.3), (8, 5, 8, 0.1), (16, None, 16, 0.2), (16, 15, 2, 0.6),
+), ids=("full-2", "full-4-closing", "full-5", "ring-6", "ring-6-degree-1", "ring-8-one-round",
+        "ring-8", "full-16", "full-16-two-rounds"))
+def test_mesh_metrics_near_exact(n, degree, rounds, activity):
+    """Over full and ring meshes, one to 32 rounds and activities 0 to 0.6,
+    each policy's throughput, collision, all-distinct, all-same and energy rates
+    lie within 5 sigma of their exact values."""
+    config = cell(n=n, activity=activity, slots=20_000, seed=47, topology="mesh-rounds",
+                  mesh_degree=degree, mesh_rounds=rounds)
+    policies = [CLASSICAL, ENHANCE, AVOID]
+    for policy, (metrics, _) in zip(policies, run_mesh_rounds(config, policies)):
+        assert_mesh_near_exact(config, policy, metrics.to_dict())
 
 
 @pytest.mark.parametrize("size", range(1, 17))
@@ -533,45 +549,6 @@ def test_slot_csv_matches_per_row_reference(slots):
 
 
 # --- mesh rounds --------------------------------------------------------------
-
-@pytest.mark.parametrize("n, activity, slots, seed, group, rounds", (
-    (6, 0.3, 2000, 5, 3, 4),  # the pinned ring mesh
-    (16, 0.2, 2000, 5, 16, 16),  # the pinned full mesh
-    (16, 0.2, 20_000, 7, 16, 16),
-), ids=("mesh", "full-mesh", "full-mesh-20k"))
-def test_default_sort_picks_equal_stable_picks(n, activity, slots, seed, group, rounds):
-    """The mesh defer pick once sorted member priorities with numpy's
-    default sort, which picks the same players as a stable sort unless two
-    priorities in a row tie.  Replaying the environment stream of these
-    fixed-seed configs shows equal picks in every round, so the stable
-    order the engine now takes (``_priority_order``) reproduces the pinned
-    digests.  The pinned star draws no priorities, so it has no picks to
-    compare."""
-    env = mac._stream(seed, mac._ENV_STREAM)
-    free_counts = (env.random((slots, n)) >= activity).sum(axis=1)
-    for _ in range(rounds):
-        priority = env.random((slots, group))
-        for f in range(1, group):
-            rows = priority[free_counts == f]
-            assert np.array_equal(np.argsort(rows, axis=1)[:, :f],
-                                  np.argsort(rows, axis=1, kind="stable")[:, :f])
-
-
-@pytest.mark.parametrize("group", range(2, 17))
-def test_priority_order_is_the_stable_argsort(group):
-    """The integer-key sort behind the defer pick orders each row of draws
-    as a stable argsort: random rows, rows with exact ties, and the extreme
-    draws 0.0, 2**-53 and 1 - 2**-53 beside 2**-52 and 0.5 (each random()
-    value is k * 2**-53)."""
-    rng = np.random.default_rng(group)
-    special = np.array([0.0, 2.0**-53, 2.0**-52, 0.5, 1 - 2.0**-53])
-    draws = rng.random((500, group))
-    draws[100:200] = rng.choice(special, size=(100, group))
-    draws[200:300] = draws[200:300, rng.integers(0, group, size=group)]  # repeated columns tie
-    draws[300:400] = rng.integers(0, 3, size=(100, group)) * 2.0**-53  # ties among the smallest draws
-    draws[400:400 + len(special)] = special[:, None]  # whole rows of one value
-    assert np.array_equal(mac._priority_order(draws.copy()), np.argsort(draws, axis=1, kind="stable"))
-
 
 def test_mesh_requires_mesh_topology():
     with pytest.raises(ConfigFormatError, match="needs topology"):
